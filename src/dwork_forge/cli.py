@@ -20,7 +20,7 @@ from . import breuil as br
 from . import hypergeom as hg
 from . import ordinarity as od
 from . import unitary as un
-from .ff import NotPrime, extension_of, field_make
+from .ff import FFError, extension_of, field_make
 from .lambda_adic import lambda_prime
 from .unitary import gu_fields
 from .util import parallel_map, stable_json
@@ -420,7 +420,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigInvalid, NotPrime, ValueError) as exc:
+    except (ConfigInvalid, FFError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,15 +1,40 @@
-"""Exact cyclic convolution of nonnegative integer arrays.
+"""Cyclic convolution of nonnegative integer arrays, certified exact.
 
 The trace scan works in the group ring Z[C_L x C_N] (L = q-1 indexed by
-discrete logs, N indexed by zeta-exponents). Convolution is done by Kronecker
+discrete logs, N indexed by zeta-exponents, N | L). conv2d_cyclic computes
+the product with a floating-point FFT (numpy rfft2 / irfft2) and rounds, and
+returns the rounded result only when four checks pass:
+
+1. an a-priori bound on the float error, Percival's bound for FFT
+   multiplication (Percival 2003, "Rapid multiplication modulo the sum and
+   difference of highly composite numbers"), is below 1/2;
+2. every computed entry lies within ROUND_LIMIT of an integer;
+3. the total mass is exact: sum(c) = sum(a) * sum(b);
+4. c(w, z) = a(w, z) * b(w, z) mod a prime P = 1 (mod lcm(L, N)), at fixed
+   roots of unity w, z of exact orders L and N: the exact image of the
+   product under the ring map Z[C_L x C_N] -> F_P.
+
+Otherwise the product is recomputed by the exact engine, Kronecker
 substitution into one big integer: entry (i, j) is packed at bit offset
-B*(i*W + j) with W = 2N-1 so column sums never bleed into the next row block.
-One big-int multiplication then yields the full 2-D acyclic convolution, which
-is folded cyclically in both axes. Everything is exact; B is chosen from the
-actual value bounds (rounded to whole bytes so unpacking is byte slicing).
+B*(i*W + j) with W = 2N-1 so column sums never bleed into the next row block;
+one big-int multiplication yields the 2-D acyclic convolution, which is folded
+cyclically in both axes. B is chosen from the actual value bounds (rounded to
+whole bytes so unpacking is byte slicing).
 """
 
 from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from .ff import _is_prime, _prime_factors
+
+ROUND_LIMIT = 1 / 64
+MAX_CHECK_ORDER = 1 << 20      # keeps P < 2^31, so products mod P fit in int64
+_EPS = 2.0 ** -53
+_EXACT_FLOAT = 1 << 53
 
 
 def _pack(mat, B, W):
@@ -25,15 +50,14 @@ def _pack(mat, B, W):
     return int.from_bytes(buf, "little")
 
 
-def conv2d_cyclic(a, b, L, N):
-    """Cyclic convolution over (Z/L) x (Z/N) of two L x N count matrices."""
-    assert len(a) == L and len(b) == L
+def conv2d_kronecker(a, b, L, N):
+    """The exact engine: Kronecker substitution and one big-int product."""
     max_a = max((max(row) for row in a), default=0)
     max_b = max((max(row) for row in b), default=0)
     if max_a == 0 or max_b == 0:
         return [[0] * N for _ in range(L)]
-    sum_a = sum(v for row in a for v in row)
-    sum_b = sum(v for row in b for v in row)
+    sum_a = sum(map(sum, a))
+    sum_b = sum(map(sum, b))
     bound = min(sum_a * max_b, sum_b * max_a)
     B = ((bound.bit_length() + 2 + 7) // 8) * 8
     W = 2 * N - 1
@@ -53,8 +77,95 @@ def conv2d_cyclic(a, b, L, N):
     return out
 
 
-def conv1d_cyclic(a, b):
-    """Cyclic convolution of two equal-length nonnegative integer vectors."""
-    L = len(a)
-    out2 = conv2d_cyclic([[v] for v in a], [[v] for v in b], L, 1)
-    return [row[0] for row in out2]
+def fft_error_bound(norm_a, norm_b, size):
+    """Percival's bound on the max error of an FFT product of length size.
+
+    norm_a, norm_b bound the Euclidean norms of the inputs. The transform
+    depth is taken at 4 * size, which covers the padding of a Bluestein step
+    for lengths with a large prime factor; twiddle factors are assumed
+    correct to within one unit in the last place.
+    """
+    n = (4 * size).bit_length()
+    growth = math.expm1(6 * n * math.log1p(_EPS)
+                        + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5)))
+    return norm_a * norm_b * growth
+
+
+def _root_of_unity(order, P):
+    """The first base^((P-1)/order) mod P of exact multiplicative order."""
+    factors = _prime_factors(order)
+    return next(w for w in (pow(base, (P - 1) // order, P) for base in range(2, P))
+                if all(pow(w, order // r, P) != 1 for r in factors))
+
+
+@lru_cache(maxsize=None)
+def _check_point(L, N):
+    """(P, [w^i], [z^j]) with P the first prime = 1 (mod lcm(L, N)) above
+    2^30, and w, z roots of unity mod P of exact orders L and N."""
+    m = math.lcm(L, N)
+    P = ((1 << 30) // m + 1) * m + 1
+    while not _is_prime(P):
+        P += m
+    assert P < 1 << 31, "products mod P must fit in int64"
+    return P, _powers(_root_of_unity(L, P), L, P), _powers(_root_of_unity(N, P), N, P)
+
+
+def _powers(w, n, P):
+    """[w^0, ..., w^(n-1)] mod P as an int64 array, in sqrt(n) blocks."""
+    B = math.isqrt(n - 1) + 1
+    small = [1] * B
+    for i in range(1, B):
+        small[i] = small[i - 1] * w % P
+    wB = small[-1] * w % P
+    big = [1] * -(-n // B)
+    for i in range(1, len(big)):
+        big[i] = big[i - 1] * wB % P
+    table = np.outer(np.array(big, dtype=np.int64), np.array(small, dtype=np.int64))
+    return (table % P).ravel()[:n]
+
+
+def _evaluate(M, L, N):
+    """sum M[i, j] w^i z^j mod P, for a nonnegative int64 (L, N) array."""
+    P, wp, zp = _check_point(L, N)
+    rows = ((M % P) * zp % P).sum(axis=1) % P
+    return int((rows * wp % P).sum() % P)
+
+
+def _conv2d_fft(a, b, L, N):
+    """The rounded FFT product, or None when it is not certified exact."""
+    if math.lcm(L, N) > MAX_CHECK_ORDER:
+        return None
+    max_a, max_b = max(map(max, a)), max(map(max, b))
+    sum_a, sum_b = sum(map(sum, a)), sum(map(sum, b))
+    if min(sum_a * max_b, sum_b * max_a) >= _EXACT_FLOAT:
+        return None        # some entry of the product may not be a float
+    # sum v^2 <= max v * sum v bounds the Euclidean norms exactly
+    if fft_error_bound(math.sqrt(max_a * sum_a), math.sqrt(max_b * sum_b), L * N) >= 0.5:
+        return None
+    A = np.array(a, dtype=np.int64)
+    B = np.array(b, dtype=np.int64)
+    C = np.fft.irfft2(np.fft.rfft2(A) * np.fft.rfft2(B), s=(L, N))
+    R = np.rint(C)
+    if np.abs(C - R).max() > ROUND_LIMIT:
+        return None
+    del C
+    R = R.astype(np.int64)
+    P = _check_point(L, N)[0]
+    if _evaluate(R, L, N) != _evaluate(A, L, N) * _evaluate(B, L, N) % P:
+        return None
+    del A, B
+    out = R.tolist()
+    if sum(map(sum, out)) != sum_a * sum_b:
+        return None
+    return out
+
+
+def conv2d_cyclic(a, b, L, N):
+    """Cyclic convolution over (Z/L) x (Z/N) of two L x N count matrices.
+
+    The inputs and the result are lists of L rows of N nonnegative Python
+    ints; the result is exact whichever engine made it.
+    """
+    assert len(a) == L and len(b) == L
+    out = _conv2d_fft(a, b, L, N)
+    return conv2d_kronecker(a, b, L, N) if out is None else out

@@ -3,15 +3,20 @@
 A FieldDesc fixes a deterministic defining polynomial (lexicographically first
 monic irreducible), a multiplicative generator g, a full dlog table and a Zech
 logarithm table, so multiplication is exponent arithmetic and addition is one
-table lookup. Multiplicative characters valued in Z[zeta_N] are evaluated
-against a recorded N-torsion anchor; fields built with extension_of() inherit
+table lookup. The tables are numpy int32 arrays built block-wise; the Zech
+table is also kept as a list, because FFElem addition reads it one entry at a
+time. Multiplicative characters valued in Z[zeta_N] are evaluated against a
+recorded N-torsion anchor; fields built with extension_of() inherit
 the anchor of their base through the recorded embedding, which is what makes
 "the same point over a bigger field" well defined.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+
+import numpy as np
 
 from .cyclotomic import CyclotomicInt
 
@@ -147,7 +152,7 @@ class FFElem:
     @property
     def encoding(self):
         """Integer encoding (base-p digits are the coordinates)."""
-        return 0 if self.k is None else self.field._pow[self.k]
+        return 0 if self.k is None else int(self.field._pow[self.k])
 
     def _same(self, other):
         if not isinstance(other, FFElem):
@@ -279,30 +284,48 @@ class FieldDesc:
                 n >>= 1
             return r
 
+        # enc = 1 is a generator only of F_2^*, whose q - 1 has no prime factor
         factors = _prime_factors(q - 1)
-        gen = None
-        for enc in range(2, q):
-            if all(pow_enc(enc, (q - 1) // r) != 1 for r in factors):
-                gen = enc
-                break
-        assert gen is not None
+        gen = next(enc for enc in range(1, q)
+                   if all(pow_enc(enc, (q - 1) // r) != 1 for r in factors))
         self.g_encoding = gen
 
-        powtab = [1] * (q - 1)
-        for k in range(1, q - 1):
-            powtab[k] = mul_enc(powtab[k - 1], gen)
-        dlog = [None] * q
-        for k, enc in enumerate(powtab):
-            dlog[enc] = k
-        zech = [None] * (q - 1)
-        for k in range(q - 1):
-            # encoding addition is digitwise mod p
-            a, b = self._enc_to_poly(1), self._enc_to_poly(powtab[k])
-            s = self._poly_to_enc([(x + y) % p for x, y in zip(a, b)])
-            zech[k] = dlog[s]
+        L = q - 1
+        # Multiplication by g is F_p-linear on coordinate vectors: column j of
+        # mul_g holds the digits of g * x^j. Powers of g are built in blocks
+        # of about sqrt(q - 1): the first block step by step, every later one
+        # as mul_g^B times the block before it.
+        mul_g = np.array([self._enc_to_poly(mul_enc(gen, p ** j)) for j in range(f)],
+                         dtype=np.int64).T
+        B = math.isqrt(L - 1) + 1
+        block = np.empty((f, B), dtype=np.int64)
+        v = np.zeros(f, dtype=np.int64)
+        v[0] = 1
+        for i in range(B):
+            block[:, i] = v
+            v = mul_g @ v % p
+        step = np.eye(f, dtype=np.int64)
+        for i in range(B):
+            step = mul_g @ step % p
+        place = p ** np.arange(f, dtype=np.int64)
+        powtab = np.empty(B * (-(-L // B)), dtype=np.int32)
+        for start in range(0, L, B):
+            powtab[start:start + B] = place @ block
+            block = step @ block % p
+        powtab = powtab[:L]
+        dlog = np.empty(q, dtype=np.int32)
+        dlog[0] = -1
+        dlog[powtab] = np.arange(L, dtype=np.int32)
+        # 1 + g^k adds 1 to the constant digit of g^k's encoding, mod p
+        plus_one = np.where(powtab % p == p - 1, powtab - (p - 1), powtab + 1)
+        zech = dlog[plus_one]
+        del plus_one
         self._pow = powtab
         self._dlog = dlog
-        self._zech = zech
+        self._zech_arr = zech        # -1 where 1 + g^k = 0
+        zl = zech.tolist()
+        zl[0 if p == 2 else L // 2] = None
+        self._zech = zl
 
     # -- element constructors ---------------------------------------------
     def zero(self):
@@ -318,12 +341,11 @@ class FieldDesc:
         return FFElem(self, k)
 
     def from_encoding(self, enc):
+        if not 0 <= enc < self.q:
+            raise FFError(f"invalid encoding {enc} for {self.label}")
         if enc == 0:
             return self.zero()
-        k = self._dlog[enc]
-        if k is None:
-            raise FFError(f"invalid encoding {enc}")
-        return FFElem(self, k)
+        return FFElem(self, int(self._dlog[enc]))
 
     def from_int(self, c):
         """Image of the integer c under Z -> F_p -> field."""

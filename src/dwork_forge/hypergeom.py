@@ -6,11 +6,14 @@ The trace at x in k (q = #k, N | q-1) is the character sum
 
 with chi_m(0) = 0 and m_1,...,m_n the exponent set of the datum. trace_naive
 evaluates the sum literally (it is the oracle); trace_all_fast computes the
-whole map at once as n-1 exact cyclic convolutions, indexed by discrete logs,
-of the vectors f_i(y) = chi_{m_i}(1-y). Characteristic polynomials come from
-traces over extension fields via Newton's identities with exact division, and
-purity / determinant / Newton-polygon checks quantify the expected weight
-n-1, determinant q^(n(n-1)/2) and slope structure.
+whole map at once as n-1 cyclic convolutions, indexed by discrete logs, of the
+vectors f_i(y) = chi_{m_i}(1-y). Each convolution is a floating-point FFT that
+is certified exact or else recomputed by the exact Kronecker engine (see
+convolution.py), and the vectors come from one vectorized Zech-table lookup.
+Characteristic polynomials come from traces over extension fields via
+Newton's identities with exact division, and purity / determinant /
+Newton-polygon checks quantify the expected weight n-1, determinant
+q^(n(n-1)/2) and slope structure.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from .convolution import conv2d_cyclic
 from .cyclotomic import CyclotomicInt, all_embeddings
-from .ff import FFElem, FieldDesc, char_exponent, embed, extension_of
+from .ff import FFElem, FieldDesc, _anchor_inverse, embed, extension_of
 from .lambda_adic import LambdaPrime, val_lambda_auto
 
 FAST_SCAN_LIMIT = 1 << 16
@@ -97,14 +100,22 @@ def select_chi(N, n) -> HGParams:
 # traces
 
 def _char_rows(params: HGParams, k: FieldDesc):
-    """Per-character tables: row[dlog y] = zeta-exponent of chi(1 - y), or None."""
-    one = k.one()
+    """Per-character tables: row[dlog y] = zeta-exponent of chi(1 - y), or -1
+    at y = 1, as int64 arrays.
+
+    1 - g^i = 1 + g^(i + (q-1)/2) (p odd; 1 + g^i when p = 2), so the dlog
+    of 1 - g^i is one Zech lookup, and chi_m(g^d) = zeta_N^(m d j^-1).
+    """
+    L = k.q - 1
+    shift = 0 if k.p == 2 else L // 2
+    d = np.roll(k._zech_arr, -shift).astype(np.int64)  # dlog(1 - g^i); d[0] = -1
+    valid = d >= 0
+    d %= params.N
+    jinv = _anchor_inverse(k, params.N)
     rows = []
     for m in params.rho_exponents:
-        row = []
-        for idx in range(k.q - 1):
-            y = one - k.from_dlog(idx)
-            row.append(char_exponent(params.N, m, y))
+        row = d * (m * jinv % params.N) % params.N
+        row[~valid] = -1
         rows.append(row)
     return rows
 
@@ -115,20 +126,20 @@ def trace_naive(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
         raise BadPoint("trace is defined on k minus {0, 1}")
     N, n = params.N, params.n
     L = k.q - 1
-    rows = _char_rows(params, k)
+    rows = [row.tolist() for row in _char_rows(params, k)]
     counts = [0] * N
     dx = k.dlog(x)
 
     def rec(depth, ksum, esum):
         if depth == n - 1:
             last = rows[depth][(dx - ksum) % L]
-            if last is not None:
+            if last >= 0:
                 counts[(esum + last) % N] += 1
             return
         row = rows[depth]
         for kk in range(L):
             e = row[kk]
-            if e is not None:
+            if e >= 0:
                 rec(depth + 1, ksum + kk, esum + e)
 
     rec(0, 0, 0)
@@ -138,35 +149,37 @@ def trace_naive(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
     return value
 
 
-_fast_cache: dict = {}
+FAST_CACHE_SIZE = 8
+_fast_cache: dict = {}     # (params, FieldDesc) -> trace map, oldest first
 
 
 def trace_all_fast(params: HGParams, k: FieldDesc):
     """Map x -> trace for every x in k - {0,1}, by exact convolution.
 
-    Agrees with trace_naive pointwise (tested); cached per (params, field).
+    Agrees with trace_naive pointwise (tested); the last FAST_CACHE_SIZE
+    (params, field) pairs are cached. The key holds the field itself, so a
+    cached entry can never be read back for a different field.
     """
-    key = (params, id(k))
+    key = (params, k)
     hit = _fast_cache.get(key)
     if hit is not None:
         return hit
     N, n = params.N, params.n
     L = k.q - 1
-    mats = []
+    C = None
     for row in _char_rows(params, k):
-        mat = [[0] * N for _ in range(L)]
-        for idx, e in enumerate(row):
-            if e is not None:
-                mat[idx][e] = 1
-        mats.append(mat)
-    C = mats[0]
-    for i in range(1, n):
-        C = conv2d_cyclic(C, mats[i], L, N)
+        mat = np.zeros((L, N), dtype=np.int8)
+        idx = np.flatnonzero(row >= 0)
+        mat[idx, row[idx]] = 1
+        mat = mat.tolist()
+        C = mat if C is None else conv2d_cyclic(C, mat, L, N)
     sign = -1 if (n - 1) % 2 else 1
     out = {}
     for idx in range(1, L):  # idx 0 is x = 1, excluded from T_1
         val = CyclotomicInt.from_zeta_counts(N, C[idx])
         out[k.from_dlog(idx)] = val * sign if sign < 0 else val
+    if len(_fast_cache) >= FAST_CACHE_SIZE:
+        del _fast_cache[next(iter(_fast_cache))]
     _fast_cache[key] = out
     return out
 

@@ -107,3 +107,26 @@ def test_out_file(capsys, tmp_path):
                       "--x", "3", "--out", str(path))
     assert code == 0
     assert json.loads(path.read_text())["trace"] == [2, 0]
+
+
+def test_table_limit_is_a_typed_error(capsys):
+    # the d = 2 trace field F_1051^2 is over the table limit
+    code = main(["hg-charpoly", "--N", "3", "--n", "2", "--q", "1051", "--x", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_point_encoding_out_of_range(capsys):
+    code = main(["hg-trace", "--N", "3", "--n", "2", "--q", "7", "--x", "99"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: invalid encoding 99 for F_7\n"
+
+
+def test_unitary_normalize_over_f2(capsys):
+    # F_4 / F_2 with the hyperbolic Gram matrix [[0, 1], [1, 0]]
+    code, out = run_cli(capsys, "unitary-normalize", "--q", "2",
+                        "--matrix", "[[[0,0],[1,0]],[[1,0],[0,0]]]")
+    assert code == 0
+    assert json.loads(out)["certificate"] is True

@@ -1,6 +1,11 @@
 import random
 
-from dwork_forge.convolution import conv1d_cyclic, conv2d_cyclic
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dwork_forge import convolution
+from dwork_forge.convolution import (conv2d_cyclic, conv2d_kronecker,
+                                     fft_error_bound)
 
 
 def naive_conv2d(a, b, L, N):
@@ -38,10 +43,68 @@ def test_conv2d_zero():
     assert conv2d_cyclic(a, z, 4, 3) == z
 
 
-def test_conv1d():
-    a, b = [1, 2, 3, 4], [5, 0, 0, 1]
-    want = [0, 0, 0, 0]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            want[(i + j) % 4] += x * y
-    assert conv1d_cyclic(a, b) == want
+@st.composite
+def conv_inputs(draw):
+    L = draw(st.integers(1, 12))
+    N = draw(st.integers(1, 6))
+    hi = draw(st.sampled_from([1, 7, 1000, 10 ** 9]))
+    mat = st.lists(st.lists(st.integers(0, hi), min_size=N, max_size=N),
+                   min_size=L, max_size=L)
+    return draw(mat), draw(mat), L, N
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_inputs())
+def test_conv2d_property_matches_naive(case):
+    a, b, L, N = case
+    out = conv2d_cyclic(a, b, L, N)
+    assert out == naive_conv2d(a, b, L, N)
+    assert all(type(v) is int for row in out for v in row)
+
+
+@settings(max_examples=30, deadline=None)
+@given(conv_inputs())
+def test_failed_certificate_falls_back_to_kronecker(case):
+    a, b, L, N = case
+    want = conv2d_kronecker(a, b, L, N)
+    saved_eval, saved_kron = convolution._evaluate, convolution.conv2d_kronecker
+    evals, exact_calls = [], []
+
+    def corrupt(M, L_, N_):     # the first evaluation is off by one
+        evals.append(1)
+        value = saved_eval(M, L_, N_)
+        return value + 1 if len(evals) == 1 else value
+
+    def spy(*args):
+        exact_calls.append(1)
+        return saved_kron(*args)
+    convolution._evaluate, convolution.conv2d_kronecker = corrupt, spy
+    try:
+        got = conv2d_cyclic(a, b, L, N)
+    finally:
+        convolution._evaluate, convolution.conv2d_kronecker = saved_eval, saved_kron
+    if evals:       # the FFT ran, so its failed check must hand over
+        assert exact_calls == [1]
+    assert repr(got) == repr(want)
+    assert got == naive_conv2d(a, b, L, N)
+
+
+def test_fft_result_is_certified_on_trace_sized_input():
+    # 0/1 rows with one mark each, as the trace scan builds them
+    rng = random.Random(2)
+    L, N = 330, 3
+
+    def marks():
+        return [[int(j == e) for j in range(N)]
+                for e in (rng.randrange(N) for _ in range(L))]
+    a, b = marks(), marks()
+    assert convolution._conv2d_fft(a, b, L, N) == naive_conv2d(a, b, L, N)
+
+
+def test_error_bound_rejects_huge_inputs():
+    assert fft_error_bound(1.0, 1.0, 1 << 20) < 1e-12
+    assert fft_error_bound(2.0 ** 40, 2.0 ** 40, 1 << 20) > 0.5
+    L, N = 4, 2
+    big = [[1 << 40] * N for _ in range(L)]
+    assert convolution._conv2d_fft(big, big, L, N) is None
+    assert conv2d_cyclic(big, big, L, N) == naive_conv2d(big, big, L, N)

@@ -1,9 +1,43 @@
 import pytest
 
 from dwork_forge.cyclotomic import CyclotomicInt
-from dwork_forge.ff import (IncompatibleFields, NNotDividingQMinus1, NotPrime,
-                            TooLarge, char_exponent, char_value, embed,
-                            extension_of, field_make, norm_to_subfield)
+from dwork_forge.ff import (FFError, IncompatibleFields, NNotDividingQMinus1,
+                            NotPrime, TooLarge, char_exponent, char_value,
+                            embed, extension_of, field_make, norm_to_subfield)
+
+
+def reference_tables(F):
+    """Power, dlog and Zech tables by schoolbook arithmetic on digit lists,
+    from the field's defining polynomial and generator."""
+    p, f, q = F.p, F.f, F.q
+    poly = list(F.defining_poly)
+
+    def digits(enc):
+        return [enc // p ** i % p for i in range(f)]
+
+    def times_g(enc):
+        prod = [0] * (2 * f)
+        for i, a in enumerate(digits(enc)):
+            for j, b in enumerate(digits(F.g_encoding)):
+                prod[i + j] += a * b
+        for i in range(2 * f - 1, f - 1, -1):   # reduce by the monic poly
+            c = prod[i]
+            for j in range(f + 1):
+                prod[i - f + j] -= c * poly[j]
+        return sum(c % p * p ** i for i, c in enumerate(prod[:f]))
+
+    pow_tab = [1]
+    for _ in range(q - 2):
+        pow_tab.append(times_g(pow_tab[-1]))
+    dlog = [None] * q
+    for k, enc in enumerate(pow_tab):
+        dlog[enc] = k
+    zech = []
+    for enc in pow_tab:
+        d = digits(enc)
+        d[0] = (d[0] + 1) % p
+        zech.append(dlog[sum(c * p ** i for i, c in enumerate(d))])
+    return pow_tab, dlog, zech
 
 
 def test_field_make_examples():
@@ -138,3 +172,29 @@ def test_char_value_consistent_along_embedding():
             e_small = char_exponent(N, m, y)
             e_big = char_exponent(N, m, embed(y, F49))
             assert e_big == (e_small * ratio) % N
+
+
+@pytest.mark.parametrize("F", [field_make(2, 1), field_make(2, 4), field_make(3, 5),
+                               field_make(7, 2), field_make(23, 3),
+                               extension_of(field_make(7, 2), 2)],
+                         ids=["2^1", "2^4", "3^5", "7^2", "23^3", "ext-7^2x2"])
+def test_tables_match_reference(F):
+    pow_tab, dlog, zech = reference_tables(F)
+    assert F._pow.tolist() == pow_tab
+    assert F._dlog[1:].tolist() == dlog[1:]
+    assert F._zech == zech
+    assert [None if z < 0 else z for z in F._zech_arr.tolist()] == zech
+
+
+def test_prime_field_two():
+    F2 = field_make(2, 1)
+    assert F2.g_encoding == 1
+    one = F2.one()
+    assert one + one == F2.zero() and one * one == one and -one == one
+    assert [x.encoding for x in F2.elements()] == [0, 1]
+
+
+@pytest.mark.parametrize("enc", [-1, 7, 99])
+def test_from_encoding_rejects_out_of_range(enc):
+    with pytest.raises(FFError):
+        field_make(7, 1).from_encoding(enc)

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dwork_forge import hypergeom as hg
 from dwork_forge.cyclotomic import CyclotomicInt
 from dwork_forge.ff import embed, extension_of, field_make
 from dwork_forge.hypergeom import (BadPoint, NoSumZeroSet, char_poly,
@@ -125,6 +128,47 @@ def test_fast_equals_naive(N, n, q):
     assert len(fast) == q - 2
     for x, v in fast.items():
         assert v == trace_naive(params, F, x)
+
+
+# (p, f) with q = p^f small enough for the L^(n-1)-term naive sum per point
+SMALL_FIELDS = [(2, 2), (2, 3), (2, 4), (2, 6), (3, 1), (3, 2), (3, 3), (5, 1),
+                (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (19, 1), (31, 1),
+                (43, 1), (61, 1)]
+
+
+@st.composite
+def trace_cases(draw):
+    p, f = draw(st.sampled_from(SMALL_FIELDS))
+    q = p ** f
+    N = draw(st.sampled_from([d for d in range(2, q) if (q - 1) % d == 0]))
+    n = draw(st.integers(1, min(N - 1, 3 if q <= 32 else 2)))
+    R = draw(st.lists(st.integers(1, N - 1), min_size=n, max_size=n, unique=True))
+    tower = f > 1 and draw(st.booleans())
+    F = extension_of(field_make(p, 1), f) if tower else field_make(p, f)
+    return hg_params(N, n, R), F
+
+
+@settings(max_examples=40, deadline=None)
+@given(trace_cases())
+def test_fast_equals_naive_property(case):
+    params, F = case
+    fast = trace_all_fast(params, F)
+    assert len(fast) == F.q - 2
+    for x, v in fast.items():
+        assert v == trace_naive(params, F, x)
+
+
+def test_fast_cache_keyed_by_field_and_bounded():
+    params = select_chi(3, 2)
+    base = field_make(2, 1)
+    fields = [field_make(2, 2)] + [extension_of(base, 2 * d) for d in range(1, 6)] \
+        + [field_make(q, 1) for q in (7, 13, 19, 31, 37)]
+    maps = [trace_all_fast(params, F) for F in fields]
+    assert [key[1] for key in hg._fast_cache] == fields[-hg.FAST_CACHE_SIZE:]
+    # field_make(2, 2) and extension_of(F_2, 2) are distinct objects, so
+    # neither may be served the other's map
+    assert maps[0] is not maps[1]
+    assert trace_all_fast(params, fields[-1]) is maps[-1]
 
 
 def test_trace_conj_symmetry():
