@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import floor
 
 from .ff import FFElem
@@ -107,6 +108,8 @@ def _check_frame(top, bottom):
 
 def slope_data(s, t, e, p, f):
     """(n_i, r_i); the recurrence and r_i in [1, p] are asserted."""
+    if not len(s) == len(t) == f:
+        raise PreconditionViolated("s and t must each have f entries")
     den = p ** f - 1
     n = tuple(
         Fraction(sum(p ** (f - j) * (s[(j + i - 1) % f] - t[(j + i - 1) % f] - e)
@@ -205,6 +208,67 @@ def breuil_forbidden_degrees(problem: ExtProblem):
 # ---------------------------------------------------------------------------
 # the monodromy solver
 
+def _twists(top: RankOneBK, bottom: RankOneBK):
+    """The component coefficients ((a)_j, (b)_j) for j = 0..f-1: a and b at
+    index 0, 1 elsewhere."""
+    rest = [top.a.field.one()] * (top.f - 1)
+    return [top.a] + rest, [bottom.a] + rest
+
+
+def _y_constants(y, top: RankOneBK, bottom: RankOneBK):
+    """The y-terms of the monodromy equation as {(j, g): sum of (t_j - l) y_{j,l}}
+    over the terms of degree g = e - s_j + l < e with t_j - l != 0 mod p.
+
+    These constants move to the right-hand side with a minus sign. A key is
+    kept even when its terms cancel, because it still names a row.
+    """
+    p, f, e = top.p, top.f, top.e
+    F = top.a.field
+    s, t = top.s, bottom.s
+    out = {}
+    for (jj, l), cval in y.items():
+        j = jj % f
+        factor = (t[j] - l) % p
+        g = e - s[j] + l
+        if factor and not cval.is_zero() and g < e:
+            out[(j, g)] = out.get((j, g), F.zero()) + F.from_int(factor) * cval
+    return out
+
+
+def _monodromy_system(top: RankOneBK, bottom: RankOneBK, d_poly, y_degrees):
+    """Rows of the monodromy equation, one per (j, g) with g < e where a term
+    can appear: d * (a)_j * mu'_{j+1}, the phi-term, or a y-term at a key of
+    y_degrees. The unknown coefficient of u^m in mu'_j (1 <= m <= e-1) is
+    column j*(e-1) + m-1. Returns (row keys (j, g) in sorted order, rows).
+    """
+    p, f, e = top.p, top.f, top.e
+    F = top.a.field
+    s, t = top.s, bottom.s
+    ca, cb = _twists(top, bottom)
+
+    def unk(j, m):
+        return (j % f) * (e - 1) + (m - 1)
+
+    terms = {}   # (j, g) -> list of (unknown index, coefficient)
+    for j in range(f):
+        for m in range(1, e):
+            for dk, dv in d_poly.items():
+                if dk + m < e:
+                    terms.setdefault((j, dk + m), []).append(
+                        (unk(j + 1, m), dv * ca[j]))
+            g = e - s[j] + t[j] + p * m
+            if g < e:
+                terms.setdefault((j, g), []).append((unk(j, m), -cb[j]))
+    keys = sorted(set(terms) | set(y_degrees))
+    rows = []
+    for key in keys:
+        row = [F.zero()] * (f * (e - 1))
+        for idx, cf in terms.get(key, ()):
+            row[idx] = row[idx] + cf
+        rows.append(row)
+    return keys, rows
+
+
 def solve_monodromy(problem: ExtProblem, d_unit=None):
     """Solve the phi-N commutation constraint for mu'_j, or INFEASIBLE.
 
@@ -221,10 +285,8 @@ def solve_monodromy(problem: ExtProblem, d_unit=None):
     u-adic unit, as a constant in F^x or a truncated unit polynomial; verdicts
     do not depend on the choice.
     """
-    p, f, e = problem.frame
+    _, f, e = problem.frame
     F = problem.top.a.field
-    s, t = problem.top.s, problem.bottom.s
-    a, b = problem.top.a, problem.bottom.a
     if d_unit is None:
         d_poly = {0: F.one()}
     elif isinstance(d_unit, FFElem):
@@ -233,61 +295,15 @@ def solve_monodromy(problem: ExtProblem, d_unit=None):
         d_poly = {k: v for k, v in dict(d_unit).items() if not v.is_zero()}
     if 0 not in d_poly or d_poly[0].is_zero():
         raise ValueError("d must be a u-adic unit")
-
-    def coef_a(j):
-        return a if j % f == 0 else F.one()
-
-    def coef_b(j):
-        return b if j % f == 0 else F.one()
-
-    nunk = f * (e - 1)
-
-    def unk(j, m):  # mu'_j coefficient of u^m, 1 <= m <= e-1
-        return (j % f) * (e - 1) + (m - 1)
-
-    rows, rhs = [], []
-    for j in range(f):
-        # degree range: everything that can appear on either side
-        lhs_terms = {}   # degree -> list of (unknown index, coeff)
-        const_terms = {}  # degree -> constant in F
-        # LHS: d * (a)_j * mu'_{j+1}
-        for dk, dv in d_poly.items():
-            for m in range(1, e):
-                g = dk + m
-                if g < e:
-                    lhs_terms.setdefault(g, []).append(
-                        (unk(j + 1, m), dv * coef_a(j)))
-        # RHS phi-term: (b)_j u^(e-s_j+t_j) mu'_j(u^p)
-        for m in range(1, e):
-            g = e - s[j] + t[j] + p * m
-            if g < e:
-                lhs_terms.setdefault(g, []).append((unk(j, m), -coef_b(j)))
-        # RHS y-term: -(t_j - l) y_{j,l} u^(e-s_j+l)
-        for (jj, l), cval in problem.y.items():
-            if jj % f != j:
-                continue
-            factor = (t[j] - l) % p
-            if factor == 0 or cval.is_zero():
-                continue
-            g = e - s[j] + l
-            if g < e:
-                const_terms[g] = const_terms.get(g, F.zero()) + \
-                    F.from_int(factor) * cval
-        degrees = sorted(set(lhs_terms) | set(const_terms))
-        for g in degrees:
-            row = [F.zero()] * nunk
-            for idx, cf in lhs_terms.get(g, []):
-                row[idx] = row[idx] + cf
-            rows.append(row)
-            # move constants to the right-hand side: sum(lhs) = -const
-            rhs.append(-const_terms.get(g, F.zero()))
-    sol = solve_linear(rows, rhs, F)
+    consts = _y_constants(problem.y, problem.top, problem.bottom)
+    keys, rows = _monodromy_system(problem.top, problem.bottom, d_poly, consts)
+    sol = solve_linear(rows, [-consts.get(key, F.zero()) for key in keys], F)
     if sol is None:
         return INFEASIBLE
     mu = []
     for j in range(f):
-        mu.append({m: sol[unk(j, m)] for m in range(1, e)
-                   if not sol[unk(j, m)].is_zero()})
+        comp = sol[j * (e - 1):(j + 1) * (e - 1)]
+        mu.append({m: c for m, c in enumerate(comp, 1) if not c.is_zero()})
     return mu
 
 
@@ -338,80 +354,23 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
     subspace, so consistency reduces to null-vector orthogonality.
     """
     _check_frame(top, bottom)
-    p, f, e = top.p, top.f, top.e
     F = top.a.field
-    s, t = top.s, bottom.s
-    a, b = top.a, bottom.a
     degs, _ = bk_extension_degrees(top, bottom)
-
-    def coef_a(j):
-        return a if j % f == 0 else F.one()
-
-    def coef_b(j):
-        return b if j % f == 0 else F.one()
-
-    nunk = f * (e - 1)
-
-    def unk(j, m):
-        return (j % f) * (e - 1) + (m - 1)
-
-    row_keys = []
-    row_map = {}
-    lhs_terms = {}
-    for j in range(f):
-        gset = set()
-        for m in range(1, e):
-            gset.add(m)  # LHS d*mu'_{j+1} degrees (d unit: constant part)
-            g = e - s[j] + t[j] + p * m
-            if g < e:
-                gset.add(g)
-        for l in degs[j]:
-            if (t[j] - l) % p != 0:
-                g = e - s[j] + l
-                if g < e:
-                    gset.add(g)
-        for g in sorted(gset):
-            row_map[(j, g)] = len(row_keys)
-            row_keys.append((j, g))
-            lhs_terms[(j, g)] = []
-    for j in range(f):
-        for m in range(1, e):
-            if (j, m) in row_map:
-                lhs_terms[(j, m)].append((unk(j + 1, m), coef_a(j)))
-            g = e - s[j] + t[j] + p * m
-            if g < e and (j, g) in row_map:
-                lhs_terms[(j, g)].append((unk(j, m), -coef_b(j)))
-    A = []
-    for key in row_keys:
-        row = [F.zero()] * nunk
-        for idx, cf in lhs_terms[key]:
-            row[idx] = row[idx] + cf
-        A.append(row)
+    universe = _y_constants({(j, l): F.one() for j in range(top.f)
+                             for l in degs[j]}, top, bottom)
+    keys, A = _monodromy_system(top, bottom, {0: F.one()}, universe)
+    row_map = {key: i for i, key in enumerate(keys)}
+    nunk = top.f * (top.e - 1)
     null_vecs = left_null_space(A, F) if nunk else None
 
     def check(y: dict) -> bool:
-        bvec = [F.zero()] * len(row_keys)
-        for (jj, l), cval in y.items():
-            j = jj % f
-            factor = (t[j] - l) % p
-            if factor == 0 or cval.is_zero():
-                continue
-            g = e - s[j] + l
-            if g >= e:
-                continue
-            key = (j, g)
-            if key not in row_map:
-                return False  # a constant lands outside any representable row
-            bvec[row_map[key]] = bvec[row_map[key]] - F.from_int(factor) * cval
+        consts = _y_constants(y, top, bottom)
+        if any(key not in row_map for key in consts):
+            return False  # a constant lands outside any representable row
         if nunk == 0:
-            return all(x.is_zero() for x in bvec)
-        for v in null_vecs:
-            acc = F.zero()
-            for vi, bi in zip(v, bvec):
-                acc = acc + vi * bi
-            if not acc.is_zero():
-                return False
-        return True
+            return all(c.is_zero() for c in consts.values())
+        return all(sum((v[row_map[key]] * c for key, c in consts.items()),
+                       F.zero()).is_zero() for v in null_vecs)
 
     return degs, check
 
@@ -512,7 +471,6 @@ def _cov_system(given: dict, top: RankOneBK, bottom: RankOneBK,
     p, f, e = top.p, top.f, top.e
     F = top.a.field
     s, t = top.s, bottom.s
-    a, b = top.a, bottom.a
     data_degs = set(unknown_space) | set(given)
     G, L, U, e_low = _lambda_bounds(top, bottom, data_degs, margin)
     cls_index = {}
@@ -527,12 +485,7 @@ def _cov_system(given: dict, top: RankOneBK, bottom: RankOneBK,
             k += 1
     nunk = k
 
-    def coef_a(j):
-        return a if j % f == 0 else F.one()
-
-    def coef_b(j):
-        return b if j % f == 0 else F.one()
-
+    ca, cb = _twists(top, bottom)
     # orientation: the unknown class enters with +1; lambda terms carry the
     # sign that moves the given data to the right-hand side
     lam_sign = 1 if to_etale else -1
@@ -548,12 +501,12 @@ def _cov_system(given: dict, top: RankOneBK, bottom: RankOneBK,
             key = ((j - 1) % f, gl)
             if rem == 0 and key in lam_index:
                 idx = lam_index[key]
-                row[idx] = row[idx] + coef_b(j) * F.from_int(lam_sign)
+                row[idx] = row[idx] + cb[j] * F.from_int(lam_sign)
                 nontrivial = True
             key = (j, g - s[j])
             if key in lam_index:
                 idx = lam_index[key]
-                row[idx] = row[idx] - coef_a(j) * F.from_int(lam_sign)
+                row[idx] = row[idx] - ca[j] * F.from_int(lam_sign)
                 nontrivial = True
             rv = given.get((j, g), F.zero())
             if nontrivial or not rv.is_zero():
@@ -633,6 +586,27 @@ def normal_form_in_windows(y: dict, top: RankOneBK, bottom: RankOneBK):
 
 # ---------------------------------------------------------------------------
 # chain slope forcing
+
+def increasing_chains(d, e, f):
+    """Every chain s(1), ..., s(d) of heights in [0, e(d-1)]^f that meets the
+    increment condition sum_j(s(i+1)_j - s(i)_j - e) >= 0 at each step."""
+    if min(d, e, f) < 1:
+        raise PreconditionViolated("d, e and f must be at least 1")
+    hmax = e * (d - 1)
+    by_sum = {}
+    for level in product(range(hmax + 1), repeat=f):
+        by_sum.setdefault(sum(level), []).append(level)
+
+    def extend(chain, low):
+        if len(chain) == d:
+            yield chain
+            return
+        for total in range(low, hmax * f + 1):
+            for level in by_sum.get(total, ()):
+                yield from extend(chain + (level,), total + e * f)
+
+    yield from extend((), 0)
+
 
 def chain_slope_check(chain, e):
     """Generic-ordinarity slope forcing for a chain s(1), ..., s(d).

@@ -3,8 +3,7 @@
 Subcommands: hg-trace, hg-charpoly, hg-scan, ordinary-scan, breuil-generic,
 breuil-oracle, breuil-chain, unitary-normalize, unitary-sym, selftest.
 Outputs UTF-8 JSON (or CSV where stated) to --out or stdout; identical
-configuration and seed give byte-identical reports. DWORK_FORGE_THREADS caps
-the parallel map; it never changes output bytes.
+configuration and seed give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from . import breuil as br
 from . import hypergeom as hg
 from . import ordinarity as od
 from . import unitary as un
-from .ff import FFError, extension_of, field_make
+from .ff import FFError, extension_of, field_make, prime_power
 from .lambda_adic import lambda_prime
 from .unitary import gu_fields
-from .util import parallel_map, stable_json
+from .util import stable_json
 
 SCHEMA_VERSION = 1
 
@@ -32,26 +31,8 @@ class ConfigInvalid(ValueError):
     pass
 
 
-def _prime_power(q):
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    f = 0
-    while q > 1:
-        if q % p:
-            raise ConfigInvalid(f"q = {q} is not a prime power")
-        q //= p
-        f += 1
-    return p, f
-
-
 def _field_for(q):
-    p, f = _prime_power(q)
-    return field_make(p, f)
+    return field_make(*prime_power(q))
 
 
 def _params_from(args):
@@ -107,19 +88,16 @@ def cmd_hg_scan(args):
     _validate_hg(args, args.q)
     k = _field_for(args.q)
     lam = lambda_prime(params.N, args.l, args.tau) if args.l else None
-    points = sorted(hg.trace_all_fast(params, k), key=lambda e: e.k)
-
-    def work(x):
+    records = []
+    all_ok = True
+    for x in sorted(hg.trace_all_fast(params, k), key=lambda e: e.k):
         rec = hg.char_poly(params, k, x)
         if lam is not None:
             hg.newton_polygon(rec, lam)
         det = hg.verify_det(rec)
         pure = hg.verify_purity(rec)
-        return rec, det, pure
-
-    rows = parallel_map(work, points)
-    records = [rec.to_json_dict() for rec, _, _ in rows]
-    all_ok = all((d.passed and p) for _, d, p in rows)
+        records.append(rec.to_json_dict())
+        all_ok &= det.passed and pure
     payload = {"schema_version": SCHEMA_VERSION, "config": {
         "N": params.N, "n": params.n, "R": list(params.rho_exponents),
         "q": args.q, "l": args.l, "tau": args.tau,
@@ -243,27 +221,11 @@ def cmd_breuil_oracle(args):
 
 
 def cmd_breuil_chain(args):
-    from itertools import product as iproduct
     d, e, f = args.d, args.e, args.f
-    hmax = e * (d - 1)
-    levels = list(iproduct(range(hmax + 1), repeat=f))
     count = 0
-
-    def extend(chain, total):
-        nonlocal count
-        if len(chain) == d:
-            br.chain_slope_check(chain, e)
-            count += 1
-            return
-        for lv in levels:
-            if sum(lv) >= total + e * f:
-                extend(chain + (lv,), sum(lv))
-
-    if d == 1:
-        count = len(levels)
-    else:
-        for lv in levels:
-            extend((lv,), sum(lv))
+    for chain in br.increasing_chains(d, e, f):
+        br.chain_slope_check(chain, e)
+        count += 1
     payload = {"schema_version": SCHEMA_VERSION, "d": d, "e": e, "f": f,
                "chains_checked": count, "forced": True}
     _emit(args, stable_json(payload))
@@ -271,9 +233,17 @@ def cmd_breuil_chain(args):
 
 
 def _matrix_from_json(data, Fq2, p):
+    if not (isinstance(data, list) and data and all(
+            isinstance(row, list) and len(row) == len(data) for row in data)):
+        raise ConfigInvalid("--matrix must be a non-empty square list of rows")
+
     def elem(pair):
         if isinstance(pair, int):
             pair = [pair, 0]
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(v, int) for v in pair)):
+            raise ConfigInvalid(f"matrix entry {pair!r} is not an integer "
+                                "or an [a, b] pair")
         a, b = pair
         return Fq2.from_encoding((a % p) + (b % p) * p)
     return [[elem(v) for v in row] for row in data]
@@ -287,7 +257,7 @@ def _matrix_to_json(M, p):
 
 
 def cmd_unitary_normalize(args):
-    p, f = _prime_power(args.q)
+    p, f = prime_power(args.q)
     if f != 1:
         raise ConfigInvalid("unitary-normalize supports prime q")
     Fq, Fq2 = gu_fields(args.q)

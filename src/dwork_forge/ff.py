@@ -68,6 +68,18 @@ def _prime_factors(n):
     return out
 
 
+def prime_power(q):
+    """(p, f) with q = p^f for a prime p and f >= 1; NotPrime otherwise."""
+    factors = _prime_factors(q) if q >= 2 else []
+    if len(factors) != 1:
+        raise NotPrime(f"q = {q} is not a prime power")
+    p, f = factors[0], 0
+    while q > 1:
+        q //= p
+        f += 1
+    return p, f
+
+
 # -- dense polynomial arithmetic over F_p (ascending tuples) ---------------
 
 def _pmul(a, b, p):
@@ -79,19 +91,31 @@ def _pmul(a, b, p):
     return out
 
 
-def _pmod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], -1, p)
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            c = c * inv_lead % p
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
+def _ptrim(a, p):
+    """Coefficients reduced mod p, trailing zeros dropped (zero is [0])."""
+    a = [c % p for c in a]
     while len(a) > 1 and a[-1] == 0:
         a.pop()
     return a
+
+
+def _pdivmod(a, b, p):
+    """(quotient, remainder), both trimmed, of a by b over F_p; b[-1] != 0."""
+    a = list(a)
+    db = len(b) - 1
+    inv_lead = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - db, 1)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv_lead % p
+        if c:
+            quot[i - db] = c
+            for j in range(db + 1):
+                a[i - db + j] = (a[i - db + j] - c * b[j]) % p
+    return _ptrim(quot, p), _ptrim(a, p)
+
+
+def _pmod(a, m, p):
+    return _pdivmod(a, m, p)[1]
 
 
 def _ppowmod(base, n, m, p):
@@ -108,10 +132,8 @@ def _ppowmod(base, n, m, p):
 def _psub_x(a, p):
     """a(y) - y, trimmed."""
     out = list(a) + [0] * max(0, 2 - len(a))
-    out[1] = (out[1] - 1) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    out[1] -= 1
+    return _ptrim(out, p)
 
 
 def _pgcd(a, b, p):

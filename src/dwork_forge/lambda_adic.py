@@ -10,10 +10,11 @@ and l-adic valuations of cyclotomic integers without any ideal machinery.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from math import gcd, inf
 
 from .cyclotomic import CyclotomicInt, euler_phi_of
-from .ff import FFElem, FieldDesc, field_make, _is_prime
+from .ff import FFElem, FieldDesc, field_make, _is_prime, _pdivmod, _pmul, _ptrim
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -90,39 +91,14 @@ class _UnramifiedRing:
 def _field_inverse_mod_l(Rl, a):
     """Inverse in F_l[y]/(h) by extended Euclid."""
     l = Rl.l
-
-    def trim(c):
-        c = [x % l for x in c]
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return c
-
-    def pdivmod(num, den):
-        num = list(num)
-        dd = len(den) - 1
-        inv = pow(den[-1], -1, l)
-        quot = [0] * max(len(num) - dd, 1)
-        for i in range(len(num) - 1, dd - 1, -1):
-            c = num[i] * inv % l
-            if c:
-                quot[i - dd] = c
-                for j in range(dd + 1):
-                    num[i - dd + j] = (num[i - dd + j] - c * den[j]) % l
-        return trim(quot), trim(num)
-
-    r0, r1 = trim(Rl.h), trim(a)
+    r0, r1 = _ptrim(Rl.h, l), _ptrim(a, l)
     s0, s1 = [0], [1]
     while r1 != [0]:
-        q, r = pdivmod(r0, r1)
-        prod = [0] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            for j, sj in enumerate(s1):
-                prod[i + j] = (prod[i + j] + qi * sj) % l
-        s_new = [(x - y) % l for x, y in
-                 zip(s0 + [0] * max(0, len(prod) - len(s0)),
-                     prod + [0] * max(0, len(s0) - len(prod)))]
+        q, r = _pdivmod(r0, r1, l)
+        prod = _pmul(q, s1, l)
+        s_new = [x - y for x, y in zip_longest(s0, prod, fillvalue=0)]
         r0, r1 = r1, r
-        s0, s1 = s1, trim(s_new)
+        s0, s1 = s1, _ptrim(s_new, l)
     assert r0 != [0] and len(r0) == 1, "element not invertible mod l"
     c = pow(r0[0], -1, l)
     return tuple(x * c % l for x in s0)

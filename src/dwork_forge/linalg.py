@@ -67,33 +67,20 @@ def det(A):
     return d
 
 
-def mat_inv(A):
-    n = len(A)
-    field = A[0][0].field
-    M = [row[:] + ident_row for row, ident_row in zip(A, mat_identity(field, n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col].inv()
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and not M[r][col].is_zero():
-                factor = M[r][col]
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
+def _rref(M, ncols):
+    """Gauss-Jordan on the first ncols columns of M, in place.
 
-
-def null_space(rows, field: FieldDesc):
-    """Basis of {x : rows * x = 0}; deterministic free-variable order."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    M = [row[:] for row in rows]
+    Pivots are taken in column order, each from the first row at or below
+    the current one with a nonzero entry; pivot rows are scaled to 1 and
+    their column cleared in every other row. Returns the pivot columns; row
+    i of M holds pivot i, and rows past the last pivot are zero in the first
+    ncols columns.
+    """
     pivots = []
     r = 0
     for col in range(ncols):
+        if r == len(M):
+            break
         piv = next((i for i in range(r, len(M)) if not M[i][col].is_zero()), None)
         if piv is None:
             continue
@@ -106,8 +93,25 @@ def null_space(rows, field: FieldDesc):
                 M[i] = [x - factor * y for x, y in zip(M[i], M[r])]
         pivots.append(col)
         r += 1
-        if r == len(M):
-            break
+    return pivots
+
+
+def mat_inv(A):
+    n = len(A)
+    field = A[0][0].field
+    M = [row[:] + ident_row for row, ident_row in zip(A, mat_identity(field, n))]
+    if len(_rref(M, n)) < n:
+        raise SingularMatrix("matrix is singular")
+    return [row[n:] for row in M]
+
+
+def null_space(rows, field: FieldDesc):
+    """Basis of {x : rows * x = 0}; deterministic free-variable order."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    M = [row[:] for row in rows]
+    pivots = _rref(M, ncols)
     basis = []
     pivot_set = set(pivots)
     for free in range(ncols):
@@ -136,26 +140,9 @@ def solve_linear(rows, rhs, field: FieldDesc):
         return []
     ncols = len(rows[0])
     M = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(M)) if not M[i][col].is_zero()), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][col].inv()
-        M[r] = [x * inv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and not M[i][col].is_zero():
-                factor = M[i][col]
-                M[i] = [x - factor * y for x, y in zip(M[i], M[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(M):
-            break
-    for i in range(r, len(M)):
-        if not M[i][ncols].is_zero():
-            return None
+    pivots = _rref(M, ncols)
+    if any(not row[ncols].is_zero() for row in M[len(pivots):]):
+        return None
     x = [field.zero()] * ncols
     for i, col in enumerate(pivots):
         x[col] = M[i][ncols]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ff import FFElem, FieldDesc, embed, extension_of, field_make
+from .ff import FFElem, FieldDesc, embed, extension_of, field_make, prime_power
 from .linalg import det, mat_identity, mat_inv, mat_mul
 
 
@@ -27,25 +27,12 @@ class Degenerate(ValueError):
 def gu_fields(q, base_p=None, base_f=None):
     """(F_q, F_{q^2}) with the quadratic extension's embedding recorded."""
     if base_p is None:
-        p, f = _prime_power(q)
+        p, f = prime_power(q)
     else:
         p, f = base_p, base_f
     Fq = field_make(p, f)
     Fq2 = extension_of(Fq, 2)
     return Fq, Fq2
-
-
-def _prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            f = 0
-            while q > 1:
-                if q % p:
-                    raise ValueError(f"{q} is not a prime power")
-                q //= p
-                f += 1
-            return p, f
-    raise ValueError("q must be >= 2")
 
 
 def conj_q(x: FFElem, q: int) -> FFElem:
@@ -291,6 +278,8 @@ def sym_power_embed(beta: int, n: int, m: int, p: int):
     eigenvalue multiset of B equals {1, alpha^n, ..., alpha^(n(m-1))} up to a
     common scalar, alpha = beta^2 (verified by ratio normalization).
     """
+    if m < 1 or n < 0:
+        raise ValueError("need m >= 1 and n >= 0")
     if p <= max(2, m - 1):
         raise ValueError("need p odd and p > m-1 for the induced form")
     Fp, Fp2 = gu_fields(p)

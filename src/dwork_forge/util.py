@@ -1,35 +1,8 @@
-"""Small shared utilities: the parallel map and deterministic serialization."""
+"""Deterministic serialization shared by the CLI and the acceptance report."""
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-THREADS_ENV = "DWORK_FORGE_THREADS"
-
-
-def thread_count():
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map over independent work items.
-
-    Workers share only immutable tables; aggregation order is the input
-    order regardless of the degree of parallelism, so output bytes do not
-    depend on DWORK_FORGE_THREADS.
-    """
-    items = list(items)
-    nthreads = thread_count()
-    if nthreads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=nthreads) as ex:
-        return list(ex.map(fn, items))
 
 
 def stable_json(obj) -> str:

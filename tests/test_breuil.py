@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import pairwise, product
 
 import pytest
 
@@ -10,7 +10,8 @@ from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 chain_slope_check, change_of_variables_solver,
                                 chi_equal, etale_image_windows,
                                 genericity_obstruction, hom_exists,
-                                make_ext_problem, make_rank_one,
+                                increasing_chains, make_ext_problem,
+                                make_rank_one,
                                 monodromy_feasibility_checker,
                                 normal_form_in_windows, slope_data,
                                 solve_monodromy)
@@ -285,3 +286,20 @@ def test_chain_slope_check():
         chain_slope_check(((0,), (0,)), 1)               # increment fails
     with pytest.raises(PreconditionViolated):
         chain_slope_check(((0,), (2,)), 1)               # height too big
+
+
+@pytest.mark.parametrize("d,e,f", list(product((1, 2, 3, 4), (1, 2), (1, 2))))
+def test_increasing_chains_match_brute_force(d, e, f):
+    hmax = e * (d - 1)
+    total = {lv: sum(lv) for lv in product(range(hmax + 1), repeat=f)}
+    brute = {c for c in product(total, repeat=d)
+             if all(total[b] - total[a] >= e * f for a, b in pairwise(c))}
+    chains = list(increasing_chains(d, e, f))
+    assert len(chains) == len(brute) and set(chains) == brute
+
+
+@pytest.mark.parametrize("d,e,f", [(0, 1, 1), (-1, 1, 1), (2, -1, 1),
+                                   (2, 1, 0)])
+def test_increasing_chains_reject_small_parameters(d, e, f):
+    with pytest.raises(PreconditionViolated):
+        next(increasing_chains(d, e, f))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dwork_forge.cli import main
 
 
@@ -130,3 +132,23 @@ def test_unitary_normalize_over_f2(capsys):
                         "--matrix", "[[[0,0],[1,0]],[[1,0],[0,0]]]")
     assert code == 0
     assert json.loads(out)["certificate"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    "breuil-generic --p 5 --e 1 --f 2 --s 1 --t 1,1",
+    "unitary-normalize --q 7 --matrix []",
+    "unitary-normalize --q 7 --matrix [[1,0],[0]]",
+    "unitary-normalize --q 7 --matrix 5",
+    "unitary-normalize --q 7 --matrix [[1.5]]",
+    "unitary-sym --p 11 --beta 2 --n 2 --m 0",
+    "unitary-sym --p 11 --beta 2 --n 2 --m -1",
+    "unitary-sym --p 11 --beta 2 --n -1 --m 3",
+    "breuil-chain --d 0 --e 1 --f 1",
+    "breuil-chain --d -1 --e 1 --f 1",
+    "breuil-chain --d 2 --e -1 --f 1",
+])
+def test_bad_input_is_a_typed_error(capsys, argv):
+    code = main(argv.split(" "))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

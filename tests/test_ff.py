@@ -3,7 +3,8 @@ import pytest
 from dwork_forge.cyclotomic import CyclotomicInt
 from dwork_forge.ff import (FFError, IncompatibleFields, NNotDividingQMinus1,
                             NotPrime, TooLarge, char_exponent, char_value,
-                            embed, extension_of, field_make, norm_to_subfield)
+                            embed, extension_of, field_make, norm_to_subfield,
+                            prime_power)
 
 
 def reference_tables(F):
@@ -198,3 +199,15 @@ def test_prime_field_two():
 def test_from_encoding_rejects_out_of_range(enc):
     with pytest.raises(FFError):
         field_make(7, 1).from_encoding(enc)
+
+
+@pytest.mark.parametrize("q,want", [(2, (2, 1)), (49, (7, 2)),
+                                    (1 << 20, (2, 20)), (1048573, (1048573, 1))])
+def test_prime_power_decomposes(q, want):
+    assert prime_power(q) == want
+
+
+@pytest.mark.parametrize("q", [0, 1, -4, 6, 12])
+def test_prime_power_rejects(q):
+    with pytest.raises(NotPrime):
+        prime_power(q)

@@ -1,0 +1,128 @@
+"""Golden gate: pinned digests of CLI outputs and of the monodromy solvers.
+
+Each CLI digest is the sha256 of a command's stdout followed by its exit
+status, so a change to any output byte or status fails here. Refactors that
+keep behaviour must leave every digest as it is; a deliberate output change
+re-records the affected entry and says why.
+"""
+
+import hashlib
+import random
+from itertools import product
+
+import pytest
+
+from dwork_forge import breuil as br
+from dwork_forge.cli import main
+from dwork_forge.ff import field_make
+
+COMMANDS = [
+    "breuil-oracle --p 5 --e 2 --f 1 --s 3 --t 0 --y 1:1",
+    "breuil-oracle --p 5 --e 2 --f 2 --s 3,1 --t 0,2 --y 0.1:1,1.0:2",
+    "breuil-chain --d 1 --e 2 --f 2",
+    "breuil-chain --d 5 --e 1 --f 2",
+    "breuil-generic --p 5 --e 1 --f 1",
+    "breuil-generic --p 3 --e 2 --f 2 --s 0,1 --t 2,2",
+    "unitary-normalize --q 2 --matrix [[[0,0],[1,0]],[[1,0],[0,0]]]",
+    "unitary-normalize --q 7 --matrix [[[1,0],[2,1],[0,0]],[[2,6],[3,0],[1,0]],[[0,0],[1,0],[0,0]]]",
+    "unitary-sym --p 11 --beta 2 --n 2 --m 3",
+    "hg-scan --N 3 --n 2 --q 13 --l 7",
+    "hg-scan --N 3 --n 2 --q 11",
+    "ordinary-scan --N 3 --n 2 --l 7 --d 2",
+    "hg-charpoly --N 5 --n 2 --q 11 --x 3 --l 11",
+    "hg-charpoly --N 3 --n 2 --q 49 --x 10",
+    "hg-trace --N 3 --n 2 --q 49 --x 10",
+]
+
+DIGESTS = {
+    "breuil-oracle --p 5 --e 2 --f 1 --s 3 --t 0 --y 1:1":
+        "6a9d08b03f078e89f09ff3d99238fb867895fbe72514f3cad170acd1c9e874a6",
+    "breuil-oracle --p 5 --e 2 --f 2 --s 3,1 --t 0,2 --y 0.1:1,1.0:2":
+        "3421350ce0e969d3791440a514870d3b3a34ec7fa7e6974023d4904e5d55cf22",
+    "breuil-chain --d 1 --e 2 --f 2":
+        "7527402fd1f89a4550767134ab5f2ecf0622d538f793efca23f48a4ec5644d74",
+    "breuil-chain --d 5 --e 1 --f 2":
+        "7e7af866c0652f268fad7403d7c6e1df3e70aed8cdadb42401441a2e77a6177f",
+    "breuil-generic --p 5 --e 1 --f 1":
+        "ec7bc346db80e281e743cf4ac9ee23406ab598dbdf1d5d777140be969bc5b005",
+    "breuil-generic --p 3 --e 2 --f 2 --s 0,1 --t 2,2":
+        "c2722959dafa466dbdd016defa57ad652e6c1893e9bf7d419dfa00c3e3890520",
+    "unitary-normalize --q 2 --matrix [[[0,0],[1,0]],[[1,0],[0,0]]]":
+        "02df58c6c1573939bde887e5c242f6a4064129a016d31290e6b86aa97858e4d0",
+    "unitary-normalize --q 7 --matrix [[[1,0],[2,1],[0,0]],[[2,6],[3,0],[1,0]],[[0,0],[1,0],[0,0]]]":
+        "b6b04f0624e67d48ab972127770d4d53b7f7675d0a9e72198c00bdd3a9a54938",
+    "unitary-sym --p 11 --beta 2 --n 2 --m 3":
+        "31efe66ccc188983ed3396a3efcfc971d87a772e2222ea3eb9ce55ea04989f4c",
+    "hg-scan --N 3 --n 2 --q 13 --l 7":
+        "d05b6199b6eb05a3ba9210ee65a64fb8ecd3829a30aec19974da0a4da77488b6",
+    "hg-scan --N 3 --n 2 --q 11":
+        "2cd49a9c8da42577bd5cb11dbaa986e4d342c515b210a88a8829984a229e353f",
+    "ordinary-scan --N 3 --n 2 --l 7 --d 2":
+        "12e19729e31434c00b829ab650b4fa6a2d8089741358306acb89477eec2c362a",
+    "hg-charpoly --N 5 --n 2 --q 11 --x 3 --l 11":
+        "d5cad28ce9a410bf63c413c80704db6cc6c150e830ecc1fd921267786886b6aa",
+    "hg-charpoly --N 3 --n 2 --q 49 --x 10":
+        "862b1baebabeb12c4cf7f894ae7efe52729598f2db6279c342212520045c57c0",
+    "hg-trace --N 3 --n 2 --q 49 --x 10":
+        "fc2d19f580e0c5cd6830ac2d3568bd080b7eac9b8fdda623e778d9d9581696e4",
+}
+
+# (p, e, f) frames whose every (s, t) pair goes through the monodromy dump
+MONODROMY_FRAMES = [(3, 2, 1), (5, 2, 1), (5, 3, 1), (3, 2, 2), (5, 1, 2),
+                    (5, 2, 2)]
+MONODROMY_DIGEST = (
+    "31a91536ea53391efc36ab6b48df1e3df853f1be59ec4d3153a15babfdec5cc6")
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+def test_cli_digest(capsys, cmd):
+    code = main(cmd.split(" "))
+    assert _digest(f"{capsys.readouterr().out}#exit {code}\n") == DIGESTS[cmd]
+
+
+def _mu_text(mu):
+    if mu == br.INFEASIBLE:
+        return mu
+    return repr([sorted((m, c.encoding) for m, c in comp.items())
+                 for comp in mu])
+
+
+def monodromy_dump():
+    """solve_monodromy (d = 1 and a non-constant unit d) and the batch
+    checker over every (s, t) of MONODROMY_FRAMES, with seeded y and
+    non-trivial a, b on the f = 2 frames."""
+    rng = random.Random(11)
+    lines = []
+    for p, e, f in MONODROMY_FRAMES:
+        F = field_make(p, f)
+        hi = e * (p - 2)
+        for s in product(range(hi + 1), repeat=f):
+            for t in product(range(hi + 1), repeat=f):
+                a = F.from_dlog(rng.randrange(F.q - 1)) if f > 1 else F.one()
+                top = br.make_rank_one(p, f, e, s, a)
+                bot = br.make_rank_one(p, f, e, t, F.one())
+                degs, check = br.monodromy_feasibility_checker(top, bot)
+                keys = [(j, l) for j in range(f) for l in sorted(degs[j])]
+                d_unit = {0: F.from_dlog(rng.randrange(F.q - 1)),
+                          1: F.from_encoding(rng.randrange(F.q)),
+                          2: F.from_encoding(rng.randrange(F.q))}
+                for _ in range(3):
+                    y = {k: F.from_encoding(rng.randrange(F.q)) for k in keys
+                         if rng.random() < 0.5}
+                    y = {k: c for k, c in y.items() if not c.is_zero()}
+                    prob = br.make_ext_problem(top, bot, y=y)
+                    lines.append(" ".join([
+                        repr((p, e, f, s, t, a.encoding)),
+                        repr(sorted((k, c.encoding) for k, c in y.items())),
+                        _mu_text(br.solve_monodromy(prob)),
+                        _mu_text(br.solve_monodromy(prob, d_unit=d_unit)),
+                        str(check(y))]))
+    return "\n".join(lines) + "\n"
+
+
+def test_monodromy_digest():
+    assert _digest(monodromy_dump()) == MONODROMY_DIGEST

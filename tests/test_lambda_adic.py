@@ -1,10 +1,15 @@
 import random
+from itertools import zip_longest
 from math import inf
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwork_forge.cyclotomic import CyclotomicInt, cyclotomic_polynomial, euler_phi_of
-from dwork_forge.lambda_adic import (PrecisionExhausted, lambda_prime,
+from dwork_forge.ff import _pdivmod, _pmul, _ptrim, field_make
+from dwork_forge.lambda_adic import (PrecisionExhausted, _field_inverse_mod_l,
+                                     _UnramifiedRing, lambda_prime,
                                      reduce_mod_lambda, val_lambda,
                                      val_lambda_auto)
 
@@ -104,3 +109,21 @@ def test_tau_choice_changes_identification():
     # valuations agree on rational integers regardless of tau
     a = CyclotomicInt.from_int(5, 11 * 13)
     assert val_lambda(a, lam1) == val_lambda(a, lam2) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 7]), st.data())
+def test_fp_division_and_inverse_mod_l(p, data):
+    digits = st.lists(st.integers(0, p - 1), min_size=1, max_size=6)
+    a = data.draw(digits)
+    b = data.draw(digits) + [data.draw(st.integers(1, p - 1))]
+    q, r = _pdivmod(a, b, p)
+    assert r == [0] or len(r) < len(b)              # deg r < deg b
+    qb_plus_r = [x + y for x, y in zip_longest(_pmul(q, b, p), r, fillvalue=0)]
+    assert _ptrim(qb_plus_r, p) == _ptrim(a, p)
+    # inverse in F_p[y]/(h) for the defining polynomial h of F_{p^f}
+    f = data.draw(st.integers(1, 4))
+    ring = _UnramifiedRing(p, 1, field_make(p, f).defining_poly)
+    x = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
+                        .filter(any)))
+    assert ring.mul(_field_inverse_mod_l(ring, x), x) == (1,) + (0,) * (f - 1)
