@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from math import floor
 
-from .ff import FFElem
+from .ff import FFElem, field_make
 from .linalg import left_null_space, solve_linear
 
 
@@ -62,6 +62,16 @@ class RankOneBK:
         ok = all(si <= self.e * (self.p - 2) for si in self.s)
         if self.breuil_height_ok != ok:
             raise ValueError("breuil_height_ok flag mismatch")
+
+
+def frame_field(p, e, f):
+    """The coefficient field F_{p^f} of the frame (p, e, f), which needs an
+    odd prime p and e, f >= 1."""
+    if p % 2 == 0:
+        raise PreconditionViolated(f"p = {p} must be an odd prime")
+    if e < 1 or f < 1:
+        raise PreconditionViolated("e and f must be at least 1")
+    return field_make(p, f)
 
 
 def make_rank_one(p, f, e, s, a: FFElem) -> RankOneBK:
@@ -361,7 +371,7 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
     keys, A = _monodromy_system(top, bottom, {0: F.one()}, universe)
     row_map = {key: i for i, key in enumerate(keys)}
     nunk = top.f * (top.e - 1)
-    null_vecs = left_null_space(A, F) if nunk else None
+    null_vecs = [F.to_ks(v) for v in left_null_space(A, F)] if nunk else None
 
     def check(y: dict) -> bool:
         consts = _y_constants(y, top, bottom)
@@ -369,8 +379,9 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
             return False  # a constant lands outside any representable row
         if nunk == 0:
             return all(c.is_zero() for c in consts.values())
-        return all(sum((v[row_map[key]] * c for key, c in consts.items()),
-                       F.zero()).is_zero() for v in null_vecs)
+        rows = [row_map[key] for key in consts]
+        cs = F.to_ks(consts.values())
+        return all(F.k_dot([v[i] for i in rows], cs) is None for v in null_vecs)
 
     return degs, check
 
@@ -488,27 +499,29 @@ def _cov_system(given: dict, top: RankOneBK, bottom: RankOneBK,
     ca, cb = _twists(top, bottom)
     # orientation: the unknown class enters with +1; lambda terms carry the
     # sign that moves the given data to the right-hand side
-    lam_sign = 1 if to_etale else -1
+    lam_sign = F.from_int(1 if to_etale else -1)
+    zero, one = F.zero(), F.one()
     rows, rhs = [], []
     for j in range(f):
+        phi_cf, lam_cf = cb[j] * lam_sign, ca[j] * lam_sign
         for g in range(e_low, G + 1):
-            row = [F.zero()] * nunk
+            row = [zero] * nunk
             nontrivial = False
             if (j, g) in cls_index:
-                row[cls_index[(j, g)]] = F.one()
+                row[cls_index[(j, g)]] = one
                 nontrivial = True
             gl, rem = divmod(g - t[j], p)
             key = ((j - 1) % f, gl)
             if rem == 0 and key in lam_index:
                 idx = lam_index[key]
-                row[idx] = row[idx] + cb[j] * F.from_int(lam_sign)
+                row[idx] = row[idx] + phi_cf
                 nontrivial = True
             key = (j, g - s[j])
             if key in lam_index:
                 idx = lam_index[key]
-                row[idx] = row[idx] - ca[j] * F.from_int(lam_sign)
+                row[idx] = row[idx] - lam_cf
                 nontrivial = True
-            rv = given.get((j, g), F.zero())
+            rv = given.get((j, g), zero)
             if nontrivial or not rv.is_zero():
                 rows.append(row)
                 rhs.append(rv)

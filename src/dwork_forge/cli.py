@@ -171,7 +171,7 @@ def _frame_report(p, e, f, s, t, F):
 
 def cmd_breuil_generic(args):
     p, e, f = args.p, args.e, args.f
-    F = field_make(p, f)
+    F = br.frame_field(p, e, f)
     hi = e * (p - 2)
     from itertools import product as iproduct
     if args.s or args.t:
@@ -191,7 +191,7 @@ def cmd_breuil_generic(args):
 
 def cmd_breuil_oracle(args):
     p, e, f = args.p, args.e, args.f
-    F = field_make(p, f)
+    F = br.frame_field(p, e, f)
     one = F.one()
     s = tuple(int(v) for v in args.s.split(","))
     t = tuple(int(v) for v in args.t.split(","))

@@ -4,9 +4,11 @@ A FieldDesc fixes a deterministic defining polynomial (lexicographically first
 monic irreducible), a multiplicative generator g, a full dlog table and a Zech
 logarithm table, so multiplication is exponent arithmetic and addition is one
 table lookup. The tables are numpy int32 arrays built block-wise; the Zech
-table is also kept as a list, because FFElem addition reads it one entry at a
-time. Multiplicative characters valued in Z[zeta_N] are evaluated against a
-recorded N-torsion anchor; fields built with extension_of() inherit
+table is also kept as a list for the dlog-integer kernels (k_add, k_mul,
+k_neg, k_dot, k_row_sub), which read it one entry at a time: FFElem addition
+and the hot loops of linalg and unitary all add through k_add. Multiplicative
+characters valued in Z[zeta_N] are evaluated against a recorded N-torsion
+anchor; fields built with extension_of() inherit
 the anchor of their base through the recorded embedding, which is what makes
 "the same point over a bigger field" well defined.
 """
@@ -214,15 +216,12 @@ class FFElem:
             return other
         if other.k is None:
             return self
-        z = self.field._zech[(other.k - self.k) % (self.field.q - 1)]
-        if z is None:
-            return self.field.zero()
-        return FFElem(self.field, self.k + z)
+        return FFElem(self.field, self.field.k_add(self.k, other.k))
 
     def __neg__(self):
         if self.k is None or self.field.p == 2:
             return self
-        return FFElem(self.field, self.k + (self.field.q - 1) // 2)
+        return FFElem(self.field, self.field.k_neg(self.k))
 
     def __sub__(self, other):
         return self + (-other)
@@ -239,6 +238,12 @@ class FFElem:
         if self.k is None:
             return f"FF(0; {self.field.label})"
         return f"FF(g^{self.k}={self.encoding}; {self.field.label})"
+
+
+def _foreign(x):
+    if not isinstance(x, FFElem):
+        raise IncompatibleFields(f"expected FFElem, got {type(x).__name__}")
+    raise IncompatibleFields("elements of different fields")
 
 
 class FieldDesc:
@@ -345,9 +350,55 @@ class FieldDesc:
         self._pow = powtab
         self._dlog = dlog
         self._zech_arr = zech        # -1 where 1 + g^k = 0
+        self._half = 0 if p == 2 else L // 2     # dlog of -1
         zl = zech.tolist()
-        zl[0 if p == 2 else L // 2] = None
+        zl[self._half] = None
         self._zech = zl
+
+    # -- dlog-integer kernels ---------------------------------------------
+    # An element is its dlog k in [0, q-1), or None for zero. These are the
+    # inner loops of linalg and unitary; FFElem stays the public interface.
+    def to_ks(self, elems):
+        """Dlogs of FFElem entries of this field; IncompatibleFields otherwise."""
+        return [x.k if x.__class__ is FFElem and x.field is self else _foreign(x)
+                for x in elems]
+
+    def from_ks(self, ks):
+        """FFElem entries for a list of dlogs (one shared zero)."""
+        zero = FFElem(self, None)
+        return [zero if k is None else FFElem(self, k) for k in ks]
+
+    def k_add(self, a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        L = self.q - 1
+        z = self._zech[(b - a) % L]    # a + b = g^a (1 + g^(b-a))
+        return None if z is None else (a + z) % L
+
+    def k_mul(self, a, b):
+        return None if a is None or b is None else (a + b) % (self.q - 1)
+
+    def k_neg(self, a):
+        return None if a is None else (a + self._half) % (self.q - 1)
+
+    def k_dot(self, xs, ys):
+        """sum_i xs[i] * ys[i]."""
+        add, L = self.k_add, self.q - 1
+        acc = None
+        for a, b in zip(xs, ys):
+            if a is not None and b is not None:
+                acc = add(acc, (a + b) % L)
+        return acc
+
+    def k_row_sub(self, row, f, prow, cols):
+        """row[c] -= f * prow[c] in place, for the columns c in cols (f and
+        every prow[c] nonzero)."""
+        add, L = self.k_add, self.q - 1
+        nf = f + self._half
+        for c in cols:
+            row[c] = add(row[c], (nf + prow[c]) % L)
 
     # -- element constructors ---------------------------------------------
     def zero(self):

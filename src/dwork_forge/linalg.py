@@ -1,4 +1,10 @@
-"""Dense exact linear algebra over a FieldDesc (lists of FFElem rows)."""
+"""Exact linear algebra over a FieldDesc.
+
+Matrices are lists of FFElem rows at the interface. Inside, every routine
+works on dlog-integer rows through the FieldDesc kernels (an entry is its
+dlog, or None for zero): entries are converted and field-checked once on the
+way in, and FFElem objects are built only for the entries returned.
+"""
 
 from __future__ import annotations
 
@@ -15,17 +21,12 @@ def mat_identity(field: FieldDesc, n: int):
 
 
 def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
     field = A[0][0].field
+    cols = [field.to_ks(col) for col in zip(*B)]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = field.zero()
-            for t in range(k):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
+    for row in A:
+        ks = field.to_ks(row)
+        out.append(field.from_ks([field.k_dot(ks, col) for col in cols]))
     return out
 
 
@@ -33,64 +34,61 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_scalar(c: FFElem, A):
-    return [[c * x for x in row] for row in A]
-
-
-def mat_eq(A, B):
-    return all(x == y for ra, rb in zip(A, B) for x, y in zip(ra, rb))
-
-
-def mat_vec(A, v):
-    field = A[0][0].field
-    return [sum((a * x for a, x in zip(row, v)), field.zero()) for row in A]
-
-
 def det(A):
     n = len(A)
     field = A[0][0].field
-    M = [row[:] for row in A]
-    d = field.one()
+    M = [field.to_ks(row) for row in A]
+    d = 0
     for col in range(n):
-        piv = next((r for r in range(col, n) if not M[r][col].is_zero()), None)
+        piv = next((r for r in range(col, n) if M[r][col] is not None), None)
         if piv is None:
             return field.zero()
         if piv != col:
             M[col], M[piv] = M[piv], M[col]
-            d = -d
-        d = d * M[col][col]
-        inv = M[col][col].inv()
+            d = field.k_neg(d)
+        prow = M[col]
+        d = field.k_mul(d, prow[col])
+        cols = [c for c in range(col + 1, n) if prow[c] is not None]
         for r in range(col + 1, n):
-            if not M[r][col].is_zero():
-                factor = M[r][col] * inv
-                M[r] = [x - factor * y for x, y in zip(M[r], M[col])]
-    return d
+            x = M[r][col]
+            if x is not None:
+                # factor x / pivot; column col itself is never read again
+                field.k_row_sub(M[r], x - prow[col], prow, cols)
+    return FFElem(field, d)
 
 
-def _rref(M, ncols):
-    """Gauss-Jordan on the first ncols columns of M, in place.
+def _rref(R, ncols, field: FieldDesc):
+    """Gauss-Jordan on the first ncols columns of the dlog rows R, in place.
 
     Pivots are taken in column order, each from the first row at or below
     the current one with a nonzero entry; pivot rows are scaled to 1 and
-    their column cleared in every other row. Returns the pivot columns; row
-    i of M holds pivot i, and rows past the last pivot are zero in the first
-    ncols columns.
+    their column cleared in every other row. Each update touches only the
+    nonzero columns of the pivot row. Returns the pivot columns; row i of R
+    holds pivot i, and rows past the last pivot are zero in the first ncols
+    columns.
     """
+    L = field.q - 1
+    width = len(R[0])
     pivots = []
     r = 0
     for col in range(ncols):
-        if r == len(M):
+        if r == len(R):
             break
-        piv = next((i for i in range(r, len(M)) if not M[i][col].is_zero()), None)
+        piv = next((i for i in range(r, len(R)) if R[i][col] is not None), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = M[r][col].inv()
-        M[r] = [x * inv for x in M[r]]
-        for i in range(len(M)):
-            if i != r and not M[i][col].is_zero():
-                factor = M[i][col]
-                M[i] = [x - factor * y for x, y in zip(M[i], M[r])]
+        R[r], R[piv] = R[piv], R[r]
+        prow = R[r]
+        # columns left of col are zero in the pivot row
+        inv = -prow[col]
+        cols = []
+        for c in range(col, width):
+            if prow[c] is not None:
+                prow[c] = (prow[c] + inv) % L
+                cols.append(c)
+        for i, row in enumerate(R):
+            if i != r and row[col] is not None:
+                field.k_row_sub(row, row[col], prow, cols)
         pivots.append(col)
         r += 1
     return pivots
@@ -99,10 +97,11 @@ def _rref(M, ncols):
 def mat_inv(A):
     n = len(A)
     field = A[0][0].field
-    M = [row[:] + ident_row for row, ident_row in zip(A, mat_identity(field, n))]
-    if len(_rref(M, n)) < n:
+    R = [field.to_ks(row) + [0 if j == i else None for j in range(n)]
+         for i, row in enumerate(A)]
+    if len(_rref(R, n, field)) < n:
         raise SingularMatrix("matrix is singular")
-    return [row[n:] for row in M]
+    return [field.from_ks(row[n:]) for row in R]
 
 
 def null_space(rows, field: FieldDesc):
@@ -110,18 +109,18 @@ def null_space(rows, field: FieldDesc):
     if not rows:
         return []
     ncols = len(rows[0])
-    M = [row[:] for row in rows]
-    pivots = _rref(M, ncols)
+    R = [field.to_ks(row) for row in rows]
+    pivots = _rref(R, ncols, field)
     basis = []
     pivot_set = set(pivots)
     for free in range(ncols):
         if free in pivot_set:
             continue
-        v = [field.zero()] * ncols
-        v[free] = field.one()
+        v = [None] * ncols
+        v[free] = 0
         for i, col in enumerate(pivots):
-            v[col] = -M[i][free]
-        basis.append(v)
+            v[col] = field.k_neg(R[i][free])
+        basis.append(field.from_ks(v))
     return basis
 
 
@@ -139,11 +138,12 @@ def solve_linear(rows, rhs, field: FieldDesc):
     if not rows:
         return []
     ncols = len(rows[0])
-    M = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = _rref(M, ncols)
-    if any(not row[ncols].is_zero() for row in M[len(pivots):]):
+    rhs = field.to_ks(rhs)
+    R = [field.to_ks(row) + [b] for row, b in zip(rows, rhs)]
+    pivots = _rref(R, ncols, field)
+    if any(row[ncols] is not None for row in R[len(pivots):]):
         return None
-    x = [field.zero()] * ncols
+    x = [None] * ncols
     for i, col in enumerate(pivots):
-        x[col] = M[i][ncols]
-    return x
+        x[col] = R[i][ncols]
+    return field.from_ks(x)

@@ -11,6 +11,7 @@ matrix constructions used in the big-image arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .ff import FFElem, FieldDesc, embed, extension_of, field_make, prime_power
 from .linalg import det, mat_identity, mat_inv, mat_mul
@@ -125,16 +126,14 @@ def hermitian_space(q, gram) -> HermitianSpace:
 
 
 def _pairing(A, x, y, q):
-    """x-dagger A y for column vectors."""
+    """x-dagger A y for column vectors: sum_i x_i^q (A y)_i, on dlogs."""
     field = A[0][0].field
-    acc = field.zero()
-    for i in range(len(A)):
-        xi = x[i] ** q
-        if xi.is_zero():
-            continue
-        for j in range(len(A)):
-            acc = acc + xi * A[i][j] * y[j]
-    return acc
+    ys = field.to_ks(y)
+    acc = None
+    for row, k in zip(A, field.to_ks(x)):
+        if k is not None:    # x_i^q has dlog q k_i
+            acc = field.k_add(acc, field.k_mul(k * q, field.k_dot(field.to_ks(row), ys)))
+    return FFElem(field, acc)
 
 
 def diagonalize_to_identity(space: HermitianSpace):
@@ -159,12 +158,16 @@ def diagonalize_to_identity(space: HermitianSpace):
         v = [eta * x for x in v]
         assert _pairing(A, v, v, q) == Fq2.one()
         columns.append(v)
+        vk = Fq2.to_ks(v)
+        cols = [c for c, k in enumerate(vk) if k is not None]
         new_remaining = []
         for w in remaining:
-            proj = _pairing(A, v, w, q)
-            w2 = [wx - proj * vx for wx, vx in zip(w, v)]
-            if any(not x.is_zero() for x in w2):
-                new_remaining.append(w2)
+            proj = _pairing(A, v, w, q).k
+            w2 = Fq2.to_ks(w)
+            if proj is not None:
+                Fq2.k_row_sub(w2, proj, vk, cols)     # w - <v,w> v
+            if any(k is not None for k in w2):
+                new_remaining.append(Fq2.from_ks(w2))
         remaining = new_remaining
     C = [[columns[j][i] for j in range(n)] for i in range(n)]
     assert mat_mul(adjoint(C, q), mat_mul(A, C)) == mat_identity(Fq2, n)
@@ -176,13 +179,18 @@ def _find_anisotropic(A, vectors, q):
     for v in vectors:
         if not _pairing(A, v, v, q).is_zero():
             return v
-    # polarize: v + g^k w must work for some pair and scalar
+    # polarize: v + g^c w must work for some pair and scalar. Every vector is
+    # isotropic here and x -> x^q is additive (q is a power of p), so the
+    # first c in dlog order is found from
+    #   <v + g^c w, v + g^c w> = g^(cq) <w,v> + g^c <v,w>
+    add, mul = field.k_add, field.k_mul
     for i, v in enumerate(vectors):
         for w in vectors[i + 1:]:
-            for c in field.nonzero_elements():
-                cand = [x + c * y for x, y in zip(v, w)]
-                if not _pairing(A, cand, cand, q).is_zero():
-                    return cand
+            wv, vw = _pairing(A, w, v, q).k, _pairing(A, v, w, q).k
+            for c in range(field.q - 1):
+                if add(mul(c * q, wv), mul(c, vw)) is not None:
+                    vk, wk = field.to_ks(v), field.to_ks(w)
+                    return field.from_ks([add(x, mul(c, y)) for x, y in zip(vk, wk)])
     raise Degenerate("no anisotropic vector: form degenerate on the span")
 
 
@@ -317,41 +325,50 @@ def _multiset_match_up_to_scalar(eigs, expected):
 
 
 def char_poly_matrix(M):
-    """det(X I - M) as an ascending coefficient list over the entry field."""
+    """det(X I - M) as an ascending coefficient list over the entry field.
+
+    M is brought to upper Hessenberg form H by similarity (Gaussian
+    elimination below the subdiagonal, row swaps paired with column swaps),
+    then the leading principal minors p_k = det(X I - H_k) follow the
+    recurrence p_k = (X - h_kk) p_(k-1) - sum_(i<k) h_ik (h_(i+1,i) ...
+    h_(k,k-1)) p_(i-1). O(n^3) field operations, on dlogs.
+    """
     n = len(M)
     field = M[0][0].field
-    # cofactor expansion on degree-<=1 polynomial entries; n is tiny here
-    mat = [[((-M[i][j]), field.one() if i == j else field.zero())
-            for j in range(n)] for i in range(n)]
-
-    def pmul(u, v):
-        out = [field.zero()] * (len(u) + len(v) - 1)
-        for i, ui in enumerate(u):
-            if not ui.is_zero():
-                for j, vj in enumerate(v):
-                    out[i + j] = out[i + j] + ui * vj
-        return out
-
-    def padd(u, v):
-        L = max(len(u), len(v))
-        u = list(u) + [field.zero()] * (L - len(u))
-        v = list(v) + [field.zero()] * (L - len(v))
-        return [x + y for x, y in zip(u, v)]
-
-    def pneg(u):
-        return [-x for x in u]
-
-    def minor_det(rows, cols):
-        if len(rows) == 1:
-            return list(mat[rows[0]][cols[0]])
-        acc = [field.zero()]
-        for idx, c in enumerate(cols):
-            term = pmul(mat[rows[0]][c], minor_det(rows[1:], cols[:idx] + cols[idx + 1:]))
-            acc = padd(acc, term if idx % 2 == 0 else pneg(term))
-        return acc
-
-    out = minor_det(tuple(range(n)), tuple(range(n)))
-    return out + [field.zero()] * (n + 1 - len(out))
+    add, mul, neg = field.k_add, field.k_mul, field.k_neg
+    H = [field.to_ks(row) for row in M]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if H[i][m - 1] is not None), None)
+        if piv is None:
+            continue
+        if piv != m:
+            H[m], H[piv] = H[piv], H[m]
+            for row in H:
+                row[m], row[piv] = row[piv], row[m]
+        pk = H[m][m - 1]
+        for i in range(m + 1, n):
+            if H[i][m - 1] is None:
+                continue
+            u = H[i][m - 1] - pk              # row_i -= u row_m
+            field.k_row_sub(H[i], u, H[m],
+                            [c for c in range(n) if H[m][c] is not None])
+            for row in H:                     # col_m += u col_i
+                row[m] = add(row[m], mul(u, row[i]))
+    polys = [[0]]                             # p_0 = 1
+    for k in range(n):
+        p = [None] + polys[k]                 # X p_(k-1)
+        for d, c in enumerate(polys[k]):
+            p[d] = add(p[d], neg(mul(H[k][k], c)))
+        prod = 0                              # h_(i+1,i) ... h_(k,k-1)
+        for i in range(k - 1, -1, -1):
+            prod = mul(prod, H[i + 1][i])
+            if prod is None:
+                break
+            f = mul(H[i][k], prod)
+            for d, c in enumerate(polys[i]):
+                p[d] = add(p[d], neg(mul(f, c)))
+        polys.append(p)
+    return field.from_ks(polys[n])
 
 
 def matrix_eigenvalues(M, allow_extension=True):
@@ -373,31 +390,37 @@ def matrix_eigenvalues(M, allow_extension=True):
 
 
 def _roots_with_multiplicity(poly, field):
+    """Roots of poly in field, with multiplicity, scanning zero and then the
+    dlog order; also the cofactor without roots, as dlogs ([] if constant)."""
+    add, mul = field.k_add, field.k_mul
+
     def ev(pol, x):
-        acc = field.zero()
+        acc = None
         for c in reversed(pol):
-            acc = acc * x + c
+            acc = add(mul(acc, x), c)
         return acc
 
     def divide_linear(pol, r):
         # pol / (X - r), exact
         n = len(pol) - 1
-        q = [field.zero()] * n
+        q = [None] * n
         q[n - 1] = pol[n]
         for i in range(n - 1, 0, -1):
-            q[i - 1] = pol[i] + r * q[i]
-        assert (pol[0] + r * q[0]).is_zero()
+            q[i - 1] = add(pol[i], mul(r, q[i]))
+        assert add(pol[0], mul(r, q[0])) is None
         return q
 
     eigs = []
-    cur = list(poly)
+    cur = field.to_ks(poly)
+    missing = object()
     while len(cur) > 1:
-        root = next((x for x in field.elements() if ev(cur, x).is_zero()), None)
-        if root is None:
+        root = next((x for x in chain((None,), range(field.q - 1))
+                     if ev(cur, x) is None), missing)
+        if root is missing:
             break
         eigs.append(root)
         cur = divide_linear(cur, root)
-    return eigs, (cur if len(cur) > 1 else [])
+    return field.from_ks(eigs), (cur if len(cur) > 1 else [])
 
 
 def induced_spectrum(psi_values, field: FieldDesc, frobenius_case=1):

@@ -146,6 +146,13 @@ def test_unitary_normalize_over_f2(capsys):
     "breuil-chain --d 0 --e 1 --f 1",
     "breuil-chain --d -1 --e 1 --f 1",
     "breuil-chain --d 2 --e -1 --f 1",
+    "breuil-generic --p 2 --e 1 --f 1",
+    "breuil-generic --p 5 --e 0 --f 1",
+    "breuil-generic --p 5 --e 1 --f 0",
+    "breuil-oracle --p 2 --e 1 --f 1 --s 0 --t 0",
+    "breuil-oracle --p 5 --e 0 --f 1 --s 0 --t 0",
+    "breuil-oracle --p 5 --e 1 --f 0 --s 0 --t 0",
+    "breuil-generic --p 9 --e 1 --f 1",
 ])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code = main(argv.split(" "))

@@ -32,6 +32,9 @@ COMMANDS = [
     "hg-charpoly --N 5 --n 2 --q 11 --x 3 --l 11",
     "hg-charpoly --N 3 --n 2 --q 49 --x 10",
     "hg-trace --N 3 --n 2 --q 49 --x 10",
+    "unitary-sym --p 13 --beta 2 --n 1 --m 6",
+    "unitary-sym --p 41 --beta 3 --n 2 --m 8",
+    "breuil-generic --p 5 --e 2 --f 1",
 ]
 
 DIGESTS = {
@@ -65,6 +68,12 @@ DIGESTS = {
         "862b1baebabeb12c4cf7f894ae7efe52729598f2db6279c342212520045c57c0",
     "hg-trace --N 3 --n 2 --q 49 --x 10":
         "fc2d19f580e0c5cd6830ac2d3568bd080b7eac9b8fdda623e778d9d9581696e4",
+    "unitary-sym --p 13 --beta 2 --n 1 --m 6":
+        "529a6b7d1cca905473dce12e83a2136688d1c451255a0b0397125af66edbb22c",
+    "unitary-sym --p 41 --beta 3 --n 2 --m 8":
+        "c578bdafbfd3fb0532da63f51f608796b083da41ffc49c8ea06e8332bdc0ac96",
+    "breuil-generic --p 5 --e 2 --f 1":
+        "760eda9fa5e8dd2c5bdf1ecc0765e5f3d7045aee0921aecd8ba7537c32452b77",
 }
 
 # (p, e, f) frames whose every (s, t) pair goes through the monodromy dump

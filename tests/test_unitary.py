@@ -4,7 +4,8 @@ import pytest
 
 from dwork_forge.ff import embed, field_make
 from dwork_forge.linalg import det, mat_identity, mat_mul
-from dwork_forge.unitary import (Degenerate, adjoint, conjugate_into_gu,
+from dwork_forge.unitary import (Degenerate, _find_anisotropic, _pairing,
+                                 adjoint, conjugate_into_gu,
                                  diagonalize_to_identity, eigenvalue_genericity,
                                  gu_fields, hermitian_space, hilbert90_eta,
                                  induced_spectrum, is_gu, matrix_eigenvalues,
@@ -231,3 +232,37 @@ def test_norm_preimage():
         for c in Fq.nonzero_elements():
             eta = norm_preimage(embed(c, Fq2), q)
             assert eta ** (q + 1) == embed(c, Fq2)
+
+
+def test_find_anisotropic_matches_exhaustive_search():
+    # Hermitian forms with zero diagonal make every basis vector isotropic, so
+    # the polarization step runs; it must pick what the plain search over
+    # pairs and scalars v + c w (c in dlog order) picks.
+    def exhaustive(A, vectors, q):
+        field = A[0][0].field
+        for i, v in enumerate(vectors):
+            for w in vectors[i + 1:]:
+                for c in field.nonzero_elements():
+                    cand = [x + c * y for x, y in zip(v, w)]
+                    if not _pairing(A, cand, cand, q).is_zero():
+                        return cand
+        return None
+
+    rng = random.Random(5)
+    for q in (2, 3, 5, 7):
+        Fq, Fq2 = gu_fields(q)
+        for n in (2, 3, 4):
+            for _ in range(6):
+                A = [[Fq2.zero()] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < 0.6:
+                            A[i][j] = Fq2.from_encoding(rng.randrange(Fq2.q))
+                            A[j][i] = A[i][j] ** q
+                basis = mat_identity(Fq2, n)
+                want = exhaustive(A, basis, q)
+                if want is None:
+                    with pytest.raises(Degenerate):
+                        _find_anisotropic(A, basis, q)
+                else:
+                    assert _find_anisotropic(A, basis, q) == want
