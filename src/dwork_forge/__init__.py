@@ -3,9 +3,9 @@ data on the Dwork family, the rank-one Breuil module extension calculus, and
 constructive finite unitary group normalization."""
 
 from .cyclotomic import CyclotomicInt, ExactDivisionFailed, conj, embed_complex
-from .ff import (FFElem, FieldDesc, IncompatibleFields, NNotDividingQMinus1,
-                 NotPrime, TooLarge, char_value, extension_of, field_make,
-                 norm_to_subfield)
+from .ff import (FFElem, FieldDesc, IncompatibleFields, InvalidDegree,
+                 NNotDividingQMinus1, NotPrime, TooLarge, char_value,
+                 extension_of, field_make, norm_to_subfield)
 from .hypergeom import (CharPolyRecord, HGParams, NoSumZeroSet, char_poly,
                         newton_polygon, select_chi, trace_all_fast,
                         trace_naive, verify_det, verify_purity)

@@ -4,11 +4,15 @@ Each criterion function returns a JSON-serializable dict with a "passed" flag
 and enough detail to audit the run. Report payloads contain no wall-clock
 data, so two runs with the same seed are byte-identical; timings are carried
 separately. The selftest driver prints one pass/fail line per criterion.
+Criterion 12 compares the report with the one a fresh interpreter computes
+for the same seed, so no in-process cache can hide nondeterminism.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import time
 from itertools import product
 
@@ -278,6 +282,7 @@ def criterion_9(seed):
     p, f = 5, 1
     F = field_make(p, 1)
     one = F.one()
+    coef = [F.from_int(c) for c in range(p)]
     rng = random.Random(seed)
     pairs = 0
     y_checked = 0
@@ -306,8 +311,7 @@ def criterion_9(seed):
                 # monodromy feasibility == forbidden-degree predicate, all y
                 degs, check = br.monodromy_feasibility_checker(top, bot)
                 for coeffs in product(range(p), repeat=s_):
-                    y = {(0, l): F.from_int(c)
-                         for l, c in enumerate(coeffs) if c}
+                    y = {(0, l): coef[c] for l, c in enumerate(coeffs) if c}
                     feas = check(y)
                     clean_y = all(l not in forb for (_, l) in y)
                     assert feas == clean_y, (e, s_, t_, coeffs, feas)
@@ -316,8 +320,7 @@ def criterion_9(seed):
                 # with and without a random unit d
                 for _ in range(4):
                     coeffs = tuple(rng.randrange(p) for _ in range(s_))
-                    y = {(0, l): F.from_int(c)
-                         for l, c in enumerate(coeffs) if c}
+                    y = {(0, l): coef[c] for l, c in enumerate(coeffs) if c}
                     prob = br.make_ext_problem(top, bot, y=y)
                     v1 = br.solve_monodromy(prob) != br.INFEASIBLE
                     d_unit = {0: F.from_dlog(rng.randrange(p - 1)),
@@ -414,16 +417,71 @@ def run_report(seed=0):
     return report, timings
 
 
+# The criterion-12 child: import dwork_forge from the parent's source tree
+# (argv[1]), refuse any other copy (argv[2] is the parent's package
+# directory) and write the report for seed argv[3] to stdout.
+_RERUN = """\
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from dwork_forge import acceptance
+if os.path.dirname(os.path.abspath(acceptance.__file__)) != sys.argv[2]:
+    sys.exit("imported " + acceptance.__file__ + ", not the parent's package")
+from dwork_forge.util import stable_json
+sys.stdout.write(stable_json(acceptance.run_report(int(sys.argv[3]))[0]))
+"""
+
+
+def _launch_rerun(seed):
+    """Start a fresh interpreter that computes run_report(seed) and writes
+    its stable_json bytes to stdout; the caller reaps it."""
+    import subprocess   # only the selftest path pays for this import
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    return subprocess.Popen(
+        [sys.executable, "-c", _RERUN, os.path.dirname(pkg), pkg, str(seed)],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+
+
+def _rerun_verdict(child, expected: str):
+    """(passed, error) for the child's report against the expected bytes."""
+    out, err = child.communicate()
+    if child.returncode != 0:
+        lines = err.decode(errors="replace").strip().splitlines()
+        return False, (f"fresh interpreter exited with status {child.returncode}"
+                       + (f": {lines[-1]}" if lines else ""))
+    if out != expected.encode():
+        return False, "fresh interpreter's report differs"
+    return True, None
+
+
 def selftest(seed=0, include_determinism=True):
-    """Run every criterion; returns (report, timings, all_passed)."""
-    report, timings = run_report(seed)
+    """Run every criterion; returns (report, timings, all_passed).
+
+    With include_determinism, criterion 12 starts a fresh interpreter on the
+    same seed before this process computes its own report, so the two run
+    side by side; it passes only if the child exits with status 0 and its
+    report bytes equal this one's.
+    """
+    child = verdict = None
     if include_determinism:
-        t0 = time.monotonic()
-        r2, _ = run_report(seed)
-        same = stable_json(report) == stable_json(r2)
-        timings[12] = time.monotonic() - t0
-        report["criteria"].append({
-            "id": 12, "name": "determinism (byte-identical reports)",
-            "passed": same})
-        report["all_passed"] = report["all_passed"] and same
+        try:
+            child = _launch_rerun(seed)
+        except OSError as exc:
+            verdict = False, f"fresh interpreter did not start: {exc}"
+    try:
+        report, timings = run_report(seed)
+        if include_determinism:
+            t0 = time.monotonic()
+            same, error = verdict or _rerun_verdict(child, stable_json(report))
+            timings[12] = time.monotonic() - t0
+            entry = {"id": 12, "name": "determinism (byte-identical reports)",
+                     "passed": same}
+            if error:
+                entry["error"] = error
+            report["criteria"].append(entry)
+            report["all_passed"] = report["all_passed"] and same
+    finally:
+        if child is not None and child.returncode is None:
+            child.kill()
+            child.communicate()
     return report, timings, report["all_passed"]

@@ -117,20 +117,24 @@ def _check_frame(top, bottom):
 
 
 def slope_data(s, t, e, p, f):
-    """(n_i, r_i); the recurrence and r_i in [1, p] are asserted."""
+    """(n_i, r_i); the recurrence and r_i in [1, p] are asserted.
+
+    Works on the integer numerators N_i = (p^f - 1) n_i: the floors are
+    N_i // (p^f - 1) and the recurrence is checked as
+    N_j + (s - t - e)_{j-1} (p^f - 1) = p N_{j-1}.
+    """
     if not len(s) == len(t) == f:
         raise PreconditionViolated("s and t must each have f entries")
     den = p ** f - 1
-    n = tuple(
-        Fraction(sum(p ** (f - j) * (s[(j + i - 1) % f] - t[(j + i - 1) % f] - e)
-                     for j in range(1, f + 1)), den)
-        for i in range(f))
-    r = tuple(s[i] - t[i] - e + floor(n[(i + 1) % f]) - p * floor(n[i]) + 1
-              for i in range(f))
+    c = [s[i] - t[i] - e for i in range(f)]
+    N = [sum(p ** (f - j) * c[(j + i - 1) % f] for j in range(1, f + 1))
+         for i in range(f)]
+    fl = [Ni // den for Ni in N]
+    r = tuple(c[i] + fl[(i + 1) % f] - p * fl[i] + 1 for i in range(f))
     for j in range(f):
-        assert n[j] + (s[(j - 1) % f] - t[(j - 1) % f] - e) == p * n[(j - 1) % f]
-    assert all(1 <= ri <= p for ri in r), (s, t, e, p, f, n, r)
-    return n, r
+        assert N[j] + c[j - 1] * den == p * N[j - 1]
+    assert all(1 <= ri <= p for ri in r), (s, t, e, p, f, N, r)
+    return tuple(Fraction(Ni, den) for Ni in N), r
 
 
 @dataclass
@@ -225,23 +229,41 @@ def _twists(top: RankOneBK, bottom: RankOneBK):
     return [top.a] + rest, [bottom.a] + rest
 
 
-def _y_constants(y, top: RankOneBK, bottom: RankOneBK):
-    """The y-terms of the monodromy equation as {(j, g): sum of (t_j - l) y_{j,l}}
-    over the terms of degree g = e - s_j + l < e with t_j - l != 0 mod p.
+def _y_term(key, top: RankOneBK, bottom: RankOneBK):
+    """The row (j, g) with g = e - s_j + l and the dlog of t_j - l that the
+    y-term at key = (j, l) contributes, or None when it contributes nothing
+    (g >= e, or t_j - l = 0 mod p)."""
+    jj, l = key
+    j = jj % top.f
+    factor = (bottom.s[j] - l) % top.p
+    g = top.e - top.s[j] + l
+    if not factor or g >= top.e:
+        return None
+    return (j, g), top.a.field.from_int(factor).k
+
+
+def _y_constants(y, top: RankOneBK, bottom: RankOneBK, terms=None):
+    """The y-terms of the monodromy equation as {(j, g): dlog of the sum of
+    (t_j - l) y_{j,l}} (None for zero) over the terms of degree
+    g = e - s_j + l < e with t_j - l != 0 mod p.
 
     These constants move to the right-hand side with a minus sign. A key is
-    kept even when its terms cancel, because it still names a row.
+    kept even when its terms cancel, because it still names a row. terms
+    caches _y_term by key for callers that evaluate many y.
     """
-    p, f, e = top.p, top.f, top.e
     F = top.a.field
-    s, t = top.s, bottom.s
+    if terms is None:
+        terms = {}
     out = {}
-    for (jj, l), cval in y.items():
-        j = jj % f
-        factor = (t[j] - l) % p
-        g = e - s[j] + l
-        if factor and not cval.is_zero() and g < e:
-            out[(j, g)] = out.get((j, g), F.zero()) + F.from_int(factor) * cval
+    for key, k in zip(y, F.to_ks(y.values())):
+        if k is None:
+            continue
+        if key not in terms:
+            terms[key] = _y_term(key, top, bottom)
+        term = terms[key]
+        if term is not None:
+            row, c = term
+            out[row] = F.k_add(out.get(row), F.k_mul(c, k))
     return out
 
 
@@ -307,7 +329,8 @@ def solve_monodromy(problem: ExtProblem, d_unit=None):
         raise ValueError("d must be a u-adic unit")
     consts = _y_constants(problem.y, problem.top, problem.bottom)
     keys, rows = _monodromy_system(problem.top, problem.bottom, d_poly, consts)
-    sol = solve_linear(rows, [-consts.get(key, F.zero()) for key in keys], F)
+    rhs = F.from_ks([F.k_neg(consts.get(key)) for key in keys])
+    sol = solve_linear(rows, rhs, F)
     if sol is None:
         return INFEASIBLE
     mu = []
@@ -372,15 +395,16 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
     row_map = {key: i for i, key in enumerate(keys)}
     nunk = top.f * (top.e - 1)
     null_vecs = [F.to_ks(v) for v in left_null_space(A, F)] if nunk else None
+    terms = {}
 
     def check(y: dict) -> bool:
-        consts = _y_constants(y, top, bottom)
+        consts = _y_constants(y, top, bottom, terms)
         if any(key not in row_map for key in consts):
             return False  # a constant lands outside any representable row
         if nunk == 0:
-            return all(c.is_zero() for c in consts.values())
+            return all(c is None for c in consts.values())
         rows = [row_map[key] for key in consts]
-        cs = F.to_ks(consts.values())
+        cs = list(consts.values())
         return all(F.k_dot([v[i] for i in rows], cs) is None for v in null_vecs)
 
     return degs, check

@@ -189,6 +189,17 @@ def cmd_breuil_generic(args):
     return 0
 
 
+def _parse_y_term(part):
+    """((j, deg), coeff) from a --y term "deg:coeff" (j = 0) or "j.deg:coeff"."""
+    try:
+        spec, c = part.split(":")
+        j, l = spec.split(".") if "." in spec else (0, spec)
+        return (int(j), int(l)), int(c)
+    except ValueError:
+        raise ConfigInvalid(f"--y term {part!r} is not deg:coeff "
+                            "or j.deg:coeff with integers") from None
+
+
 def cmd_breuil_oracle(args):
     p, e, f = args.p, args.e, args.f
     F = br.frame_field(p, e, f)
@@ -200,12 +211,8 @@ def cmd_breuil_oracle(args):
     y = {}
     if args.y:
         for part in args.y.split(","):
-            spec_jl, c = part.split(":")
-            if "." in spec_jl:
-                j, l = (int(v) for v in spec_jl.split("."))
-            else:
-                j, l = 0, int(spec_jl)
-            y[(j, l)] = F.from_int(int(c))
+            key, c = _parse_y_term(part)
+            y[key] = F.from_int(c)
     prob = br.make_ext_problem(top, bot, y=y)
     forb = br.breuil_forbidden_degrees(prob)
     mono = br.solve_monodromy(prob)

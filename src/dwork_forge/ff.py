@@ -45,6 +45,10 @@ class NNotDividingQMinus1(FFError):
     pass
 
 
+class InvalidDegree(FFError):
+    pass
+
+
 def _is_prime(n):
     if n < 2:
         return False
@@ -252,6 +256,8 @@ class FieldDesc:
     def __init__(self, p, f, seed=0):
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
+        if f < 1:
+            raise InvalidDegree(f"field degree f = {f} must be at least 1")
         q = p ** f
         if q > TABLE_LIMIT:
             raise TooLarge(f"q = {q} exceeds table limit {TABLE_LIMIT}")
@@ -480,6 +486,8 @@ def field_make(p, f, seed=0) -> FieldDesc:
 @lru_cache(maxsize=None)
 def extension_of(base: FieldDesc, d: int) -> FieldDesc:
     """F_{q^d} over the given base, with embedding and anchor recorded."""
+    if d < 1:
+        raise InvalidDegree(f"extension degree d = {d} must be at least 1")
     if d == 1:
         return base
     big = FieldDesc(base.p, base.f * d, base.seed)

@@ -1,12 +1,21 @@
 """Acceptance gate: every spec criterion at its stated tolerance.
 
-Runs the selftest once per session (criterion 12 reruns the whole report to
-check byte determinism) and asserts each criterion, printing one line each.
+Runs the selftest once per module and asserts each criterion, printing one
+line each. Criterion 12 compares the report with the one a fresh interpreter
+computes for the same seed; the tests at the end swap the child launcher or
+the parent's report to check that every failure of that child is a failed
+verdict, never a crash or an orphan process.
 """
+
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
 from dwork_forge import acceptance
+from dwork_forge.util import stable_json
 
 DESCRIPTIONS = {
     1: "trace oracle equivalence (fast == naive, < 30 s)",
@@ -20,7 +29,7 @@ DESCRIPTIONS = {
     9: "non-surjectivity oracle (witness/window/monodromy)",
     10: "chain slope forcing, exhaustive",
     11: "unitary suite (normalization, sym powers, induced)",
-    12: "determinism: byte-identical same-seed reports",
+    12: "determinism: byte-identical report from a fresh interpreter",
 }
 
 
@@ -53,3 +62,95 @@ def test_advisory_full_ordinarity_reported(report):
     assert "advisory_fully_ordinary" in c5
     # expected (not asserted by the criterion) to hold at 100% here
     assert c5["advisory_fully_ordinary"] is True
+
+
+def _criterion_12(rep):
+    return next(c for c in rep["criteria"] if c["id"] == 12)
+
+
+FAKE_REPORT = {"schema_version": 1, "seed": 0, "criteria": [],
+               "all_passed": True}
+
+
+@pytest.fixture
+def fake_parent(monkeypatch):
+    """The parent computes a fixed, cheap report instead of the real one."""
+    monkeypatch.setattr(acceptance, "run_report",
+                        lambda seed: ({**FAKE_REPORT, "criteria": []}, {}))
+
+
+def _python_child(code):
+    return lambda seed: subprocess.Popen([sys.executable, "-c", code],
+                                         stdout=subprocess.PIPE,
+                                         stderr=subprocess.PIPE)
+
+
+def test_rerun_for_another_seed_fails(monkeypatch):
+    launch = acceptance._launch_rerun
+    monkeypatch.setattr(acceptance, "_launch_rerun", lambda seed: launch(seed + 1))
+    rep, _, ok = acceptance.selftest(seed=0)
+    assert not ok and _criterion_12(rep)["passed"] is False
+    assert all(c["passed"] for c in rep["criteria"] if c["id"] != 12)
+
+
+def test_child_exit_status_fails_even_with_equal_bytes(monkeypatch, fake_parent):
+    code = (f"import sys; sys.stdout.write({stable_json(FAKE_REPORT)!r}); "
+            "sys.exit(1)")
+    monkeypatch.setattr(acceptance, "_launch_rerun", _python_child(code))
+    rep, _, ok = acceptance.selftest(seed=0)
+    entry = _criterion_12(rep)
+    assert not ok and entry["passed"] is False
+    assert "status 1" in entry["error"]
+
+
+def test_child_that_cannot_start_fails(monkeypatch, fake_parent):
+    monkeypatch.setattr(acceptance.sys, "executable",
+                        os.path.join(os.sep, "nonexistent", "python3"))
+    rep, _, ok = acceptance.selftest(seed=0)
+    entry = _criterion_12(rep)
+    assert not ok and entry["passed"] is False
+    assert entry["error"].startswith("fresh interpreter did not start")
+
+
+def test_child_is_reaped_when_the_parent_report_raises(monkeypatch):
+    children = []
+
+    def launch(seed):
+        children.append(_python_child("import time; time.sleep(60)")(seed))
+        return children[-1]
+
+    def broken_report(seed):
+        raise RuntimeError("parent report failed")
+
+    monkeypatch.setattr(acceptance, "_launch_rerun", launch)
+    monkeypatch.setattr(acceptance, "run_report", broken_report)
+    with pytest.raises(RuntimeError):
+        acceptance.selftest(seed=0)
+    (child,) = children
+    assert child.returncode == -signal.SIGKILL
+    assert child.stdout.closed and child.stderr.closed
+
+
+def test_stale_parent_cache_is_caught(monkeypatch):
+    # An in-process rerun would re-read this emptied sweep and agree with it.
+    params, k, _ = acceptance._sweep(3, 2, 7)
+    monkeypatch.setitem(acceptance._sweep_cache, (3, 2, 7), (params, k, []))
+    rep, _, ok = acceptance.selftest(seed=0)
+    assert not ok and _criterion_12(rep)["passed"] is False
+
+
+def test_child_refuses_another_copy_of_the_package():
+    pkg = os.path.dirname(os.path.abspath(acceptance.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", acceptance._RERUN, os.path.dirname(pkg),
+         os.path.join(pkg, "elsewhere"), "0"], capture_output=True, timeout=60)
+    assert child.returncode != 0 and child.stdout == b""
+
+
+def test_cli_import_leaves_subprocess_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acceptance.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import dwork_forge.cli; print('subprocess' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "False\n"

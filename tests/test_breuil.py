@@ -1,11 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import pairwise, product
+from math import floor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
-                                SpecialDegreeNotInteger, alpha_invariants,
+                                SpecialDegreeNotInteger, _y_constants,
+                                alpha_invariants,
                                 bk_extension_degrees, breuil_forbidden_degrees,
                                 chain_slope_check, change_of_variables_solver,
                                 chi_equal, etale_image_windows,
@@ -15,7 +19,7 @@ from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 monodromy_feasibility_checker,
                                 normal_form_in_windows, slope_data,
                                 solve_monodromy)
-from dwork_forge.ff import field_make
+from dwork_forge.ff import IncompatibleFields, field_make
 
 F5 = field_make(5, 1)
 ONE = F5.one()
@@ -53,6 +57,40 @@ def test_slope_data_examples():
     assert n == (Fraction(-1, 4),) and r == (4,)
     n, r = slope_data((1, 1), (0, 0), 1, 5, 2)
     assert all(x == 0 for x in n) and r == (1, 1)
+
+
+def _slope_data_fractions(s, t, e, p, f):
+    """Reference slope data on exact rationals, straight from the formulas."""
+    den = p ** f - 1
+    n = tuple(
+        Fraction(sum(p ** (f - j) * (s[(j + i - 1) % f] - t[(j + i - 1) % f] - e)
+                     for j in range(1, f + 1)), den)
+        for i in range(f))
+    r = tuple(s[i] - t[i] - e + floor(n[(i + 1) % f]) - p * floor(n[i]) + 1
+              for i in range(f))
+    for j in range(f):
+        assert n[j] + (s[(j - 1) % f] - t[(j - 1) % f] - e) == p * n[(j - 1) % f]
+    assert all(1 <= ri <= p for ri in r)
+    return n, r
+
+
+@st.composite
+def frames(draw, primes, max_e, max_f):
+    """(p, e, f, s, t) with every height in [0, e(p-2)]."""
+    p = draw(st.sampled_from(primes))
+    e = draw(st.integers(1, max_e))
+    f = draw(st.integers(1, max_f))
+    heights = st.lists(st.integers(0, e * (p - 2)), min_size=f, max_size=f)
+    return p, e, f, tuple(draw(heights)), tuple(draw(heights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames((3, 5, 7, 11), 3, 3))
+def test_slope_data_matches_fraction_oracle(frame):
+    p, e, f, s, t = frame
+    n, r = slope_data(s, t, e, p, f)
+    assert (n, r) == _slope_data_fractions(s, t, e, p, f)
+    assert all(isinstance(x, Fraction) for x in n)
 
 
 def test_slope_recurrence_and_range_sweep():
@@ -135,6 +173,64 @@ def test_monodromy_f2():
         for l in ds:
             y = {(j, l): one}
             assert check(y) == (l not in forb[j]), (j, l)
+
+
+def _y_constants_ffelem(y, top, bottom):
+    """Reference y constants in FFElem arithmetic (zero for cancelled keys)."""
+    p, f, e = top.p, top.f, top.e
+    F = top.a.field
+    out = {}
+    for (jj, l), cval in y.items():
+        j = jj % f
+        factor = (bottom.s[j] - l) % p
+        g = e - top.s[j] + l
+        if factor and not cval.is_zero() and g < e:
+            out[(j, g)] = out.get((j, g), F.zero()) + F.from_int(factor) * cval
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames((3, 5, 7), 3, 2), st.data())
+def test_checker_matches_one_shot_solver(frame, data):
+    p, e, f, s, t = frame
+    F = field_make(p, f)
+    unit = st.integers(0, F.q - 2).map(F.from_dlog)
+    top = make_rank_one(p, f, e, s, data.draw(unit))
+    bot = make_rank_one(p, f, e, t, data.draw(unit))
+    degs, check = monodromy_feasibility_checker(top, bot)
+    keys = [(j, l) for j in range(f) for l in sorted(degs[j])]
+    coeff = st.integers(0, F.q - 1).map(F.from_encoding)
+    y = {key: data.draw(coeff) for key in keys
+         if data.draw(st.booleans())}
+    if keys and data.draw(st.booleans()):
+        # (j, l) and (j + f, l) land on one row; opposite coefficients cancel
+        j, l = data.draw(st.sampled_from(keys))
+        c = data.draw(coeff)
+        y[(j, l)], y[(j + f, l)] = c, -c
+    consts = _y_constants(y, top, bot)
+    assert dict(zip(consts, F.from_ks(consts.values()))) == \
+        _y_constants_ffelem(y, top, bot)
+    feasible = solve_monodromy(make_ext_problem(top, bot, y=y)) != INFEASIBLE
+    assert check(y) == feasible
+
+
+def test_cancelling_terms_keep_their_row():
+    # (0, 1) is forbidden; a zero total at its row is feasible again
+    top = make_rank_one(5, 1, 2, (3,), ONE)
+    bot = make_rank_one(5, 1, 2, (0,), ONE)
+    _, check = monodromy_feasibility_checker(top, bot)
+    y = {(0, 1): ONE, (1, 1): -ONE}
+    assert check({(0, 1): ONE}) is False
+    assert check(y) is True
+    assert solve_monodromy(make_ext_problem(top, bot, y=y)) != INFEASIBLE
+
+
+def test_checker_rejects_foreign_coefficients():
+    top = make_rank_one(5, 1, 2, (3,), ONE)
+    bot = make_rank_one(5, 1, 2, (0,), ONE)
+    _, check = monodromy_feasibility_checker(top, bot)
+    with pytest.raises(IncompatibleFields):
+        check({(0, 1): field_make(7, 1).one()})
 
 
 def test_genericity_obstruction_examples():

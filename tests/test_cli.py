@@ -159,3 +159,22 @@ def test_bad_input_is_a_typed_error(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", ["-1", "0"])
+def test_extension_degree_below_one_is_a_typed_error(capsys, d):
+    code = main(["ordinary-scan", "--N", "3", "--n", "2", "--l", "7",
+                 "--d", d])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: extension degree d = {d} must be at least 1\n"
+
+
+@pytest.mark.parametrize("term", ["abc", "0:x", "1.2.3:1", "1:", ":1"])
+def test_breuil_oracle_malformed_y_term(capsys, term):
+    code = main(["breuil-oracle", "--p", "5", "--e", "2", "--f", "1",
+                 "--s", "3", "--t", "0", "--y", f"1:1,{term}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"error: --y term {term!r} is not deg:coeff "
+                            "or j.deg:coeff with integers\n")

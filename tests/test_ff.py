@@ -1,10 +1,10 @@
 import pytest
 
 from dwork_forge.cyclotomic import CyclotomicInt
-from dwork_forge.ff import (FFError, IncompatibleFields, NNotDividingQMinus1,
-                            NotPrime, TooLarge, char_exponent, char_value,
-                            embed, extension_of, field_make, norm_to_subfield,
-                            prime_power)
+from dwork_forge.ff import (FFError, IncompatibleFields, InvalidDegree,
+                            NNotDividingQMinus1, NotPrime, TooLarge,
+                            char_exponent, char_value, embed, extension_of,
+                            field_make, norm_to_subfield, prime_power)
 
 
 def reference_tables(F):
@@ -211,3 +211,11 @@ def test_prime_power_decomposes(q, want):
 def test_prime_power_rejects(q):
     with pytest.raises(NotPrime):
         prime_power(q)
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_degree_below_one_rejected(degree):
+    with pytest.raises(InvalidDegree):
+        field_make(5, degree)
+    with pytest.raises(InvalidDegree):
+        extension_of(field_make(5, 1), degree)
