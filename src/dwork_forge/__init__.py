@@ -7,7 +7,7 @@ from .ff import (FFElem, FieldDesc, IncompatibleFields, InvalidDegree,
                  NNotDividingQMinus1, NotPrime, TooLarge, char_value,
                  extension_of, field_make, norm_to_subfield)
 from .hypergeom import (CharPolyRecord, HGParams, NoSumZeroSet, char_poly,
-                        newton_polygon, select_chi, trace_all_fast,
+                        newton_polygon, select_chi, trace_all_fast, trace_at,
                         trace_naive, verify_det, verify_purity)
 from .lambda_adic import (LambdaPrime, PrecisionExhausted, lambda_prime,
                           reduce_mod_lambda, val_lambda)

@@ -60,7 +60,7 @@ def cmd_hg_trace(args):
     _validate_hg(args, args.q)
     k = _field_for(args.q)
     x = k.from_encoding(args.x)
-    t = hg.trace_naive(params, k, x)
+    t = hg.trace_at(params, k, x)
     payload = {"schema_version": SCHEMA_VERSION, "N": params.N, "n": params.n,
                "R": list(params.rho_exponents), "q": args.q, "x_dlog": k.dlog(x),
                "trace": list(t.coeffs)}

@@ -317,9 +317,11 @@ class FieldDesc:
                 n >>= 1
             return r
 
-        # enc = 1 is a generator only of F_2^*, whose q - 1 has no prime factor
+        # enc = 1 is a generator only of F_2^*, whose q - 1 has no prime factor.
+        # For f > 1 the constants 1..p-1 lie in F_p^*, so none generates F_q^*
+        # and the search starts at enc = p with the same result.
         factors = _prime_factors(q - 1)
-        gen = next(enc for enc in range(1, q)
+        gen = next(enc for enc in range(1 if f == 1 else p, q)
                    if all(pow_enc(enc, (q - 1) // r) != 1 for r in factors))
         self.g_encoding = gen
 
@@ -447,13 +449,6 @@ class FieldDesc:
             yield FFElem(self, k)
 
     # -- subfield structure -------------------------------------------------
-    def embed_from(self, base):
-        """The recorded embedding base -> self, as a callable."""
-        if self._parent is None or self._parent[0] is not base:
-            raise IncompatibleFields("no recorded embedding from that field")
-        emb = self._parent[1]
-        return lambda x: emb[x.encoding]
-
     def zeta_anchor(self, N):
         """The N-torsion element anchoring characters of exponent conventions.
 

@@ -5,15 +5,19 @@ The trace at x in k (q = #k, N | q-1) is the character sum
     (-1)^(n-1) * sum_{x_1*...*x_n = x} prod_i chi_{m_i}(1 - x_i),
 
 with chi_m(0) = 0 and m_1,...,m_n the exponent set of the datum. trace_naive
-evaluates the sum literally (it is the oracle); trace_all_fast computes the
-whole map at once as n-1 cyclic convolutions, indexed by discrete logs, of the
-vectors f_i(y) = chi_{m_i}(1-y). Each convolution is a floating-point FFT that
-is certified exact or else recomputed by the exact Kronecker engine (see
-convolution.py), and the vectors come from one vectorized Zech-table lookup.
-Characteristic polynomials come from traces over extension fields via
-Newton's identities with exact division, and purity / determinant /
-Newton-polygon checks quantify the expected weight n-1, determinant
-q^(n(n-1)/2) and slope structure.
+evaluates the sum literally (it is the oracle). The fast engines index by
+discrete logs and share one cached prefix per (datum, field): the character
+rows f_i(y) = chi_{m_i}(1-y), from one vectorized Zech-table lookup, and the
+product of the first n-1 of them in the group ring Z[C_{q-1} x C_N], made by
+n-2 cyclic convolutions. Each convolution is a floating-point FFT that is
+certified exact or else recomputed by the exact Kronecker engine (see
+convolution.py). trace_all_fast multiplies the prefix by the last factor for
+the whole map at once; trace_at evaluates the last factor at one point only,
+with integer gathers. Characteristic polynomials take the trace over k from
+the full map and the traces over F_{q^d}, d = 2..n, from trace_at at the
+embedded point, and combine them via Newton's identities with exact
+division; purity / determinant / Newton-polygon checks quantify the expected
+weight n-1, determinant q^(n(n-1)/2) and slope structure.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from .convolution import conv2d_cyclic
 from .cyclotomic import CyclotomicInt, all_embeddings
 from .ff import FFElem, FieldDesc, _anchor_inverse, embed, extension_of
 from .lambda_adic import LambdaPrime, val_lambda_auto
-
-FAST_SCAN_LIMIT = 1 << 16
 
 
 class BadPoint(ValueError):
@@ -101,21 +103,22 @@ def select_chi(N, n) -> HGParams:
 
 def _char_rows(params: HGParams, k: FieldDesc):
     """Per-character tables: row[dlog y] = zeta-exponent of chi(1 - y), or -1
-    at y = 1, as int64 arrays.
+    at y = 1, in the smallest signed integer dtype that holds -N.
 
     1 - g^i = 1 + g^(i + (q-1)/2) (p odd; 1 + g^i when p = 2), so the dlog
     of 1 - g^i is one Zech lookup, and chi_m(g^d) = zeta_N^(m d j^-1).
     """
-    L = k.q - 1
-    shift = 0 if k.p == 2 else L // 2
-    d = np.roll(k._zech_arr, -shift).astype(np.int64)  # dlog(1 - g^i); d[0] = -1
-    valid = d >= 0
-    d %= params.N
-    jinv = _anchor_inverse(k, params.N)
+    N = params.N
+    shift = 0 if k.p == 2 else (k.q - 1) // 2
+    d = np.roll(k._zech_arr, -shift)  # dlog(1 - g^i); d[0] = -1
+    undefined = d < 0
+    d %= N
+    jinv = _anchor_inverse(k, N)
+    dtype = np.min_scalar_type(-N)
     rows = []
     for m in params.rho_exponents:
-        row = d * (m * jinv % params.N) % params.N
-        row[~valid] = -1
+        row = (np.arange(N) * (m * jinv % N) % N).astype(dtype)[d]
+        row[undefined] = -1
         rows.append(row)
     return rows
 
@@ -150,15 +153,92 @@ def trace_naive(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
 
 
 FAST_CACHE_SIZE = 8
+_prefix_cache: dict = {}   # (params, FieldDesc) -> (rows, prefix), oldest first
 _fast_cache: dict = {}     # (params, FieldDesc) -> trace map, oldest first
+
+
+def _remember(cache, key, value):
+    """Store value under key, dropping the oldest of FAST_CACHE_SIZE entries."""
+    if len(cache) >= FAST_CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
+
+
+def _indicator(row, N):
+    """The L x N 0/1 matrix of a row, 1 at (j, row[j]) where row[j] >= 0, as lists."""
+    mat = np.zeros((len(row), N), dtype=np.int8)
+    j = np.flatnonzero(row >= 0)
+    mat[j, row[j]] = 1
+    return mat.tolist()
+
+
+def _prefix(params: HGParams, k: FieldDesc):
+    """(rows, prefix): the character rows and the first n - 1 factors' product.
+
+    The product counts the tuples (y_1, ..., y_{n-1}) by (dlog of
+    y_1...y_{n-1}, zeta-exponent of chi_{m_1}(1 - y_1)...). For n >= 3 it is
+    an L x N array made by n - 2 certified convolutions. For n <= 2 it has at
+    most one count per dlog and is kept as a row, like a character row: the
+    first row itself for n = 2, and for n = 1 the empty product (exponent 0 at
+    dlog 0, undefined elsewhere). The last FAST_CACHE_SIZE pairs are cached.
+    """
+    key = (params, k)
+    hit = _prefix_cache.get(key)
+    if hit is not None:
+        return hit
+    N, n, L = params.N, params.n, k.q - 1
+    rows = _char_rows(params, k)
+    if n == 1:
+        prefix = np.full(L, -1, dtype=rows[0].dtype)
+        prefix[0] = 0
+    elif n == 2:
+        prefix = rows[0]
+    else:
+        C = _indicator(rows[0], N)
+        for row in rows[1:-1]:
+            C = conv2d_cyclic(C, _indicator(row, N), L, N)
+        # a readout adds up at most L^(n-1) counts
+        prefix = np.array(C, dtype=np.int64 if L ** (n - 1) < 1 << 63 else object)
+    return _remember(_prefix_cache, key, (rows, prefix))
+
+
+def trace_at(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
+    """The trace at one point, read off the cached prefix (see _prefix).
+
+    Only the last factor is evaluated, at dlog x alone: r[j] = last row at
+    (dlog x - j) mod L, i.e. the last row reversed and rolled to dlog x. A
+    row prefix gives the zeta-exponent counts as a bincount of
+    prefix[j] + r[j] over the j where both are defined; an array prefix C as
+    sum_j C[j, (z - r[j]) mod N] over the j where r[j] is. Integer
+    arithmetic throughout, so the value is exact.
+    """
+    if x.is_zero() or x == k.one():
+        raise BadPoint("trace is defined on k minus {0, 1}")
+    N = params.N
+    rows, prefix = _prefix(params, k)
+    r = np.roll(rows[-1][::-1], k.dlog(x) + 1)
+    if prefix.ndim == 1:
+        both = (prefix >= 0) & (r >= 0)
+        e = np.add(prefix, r, dtype=np.min_scalar_type(-2 * N))
+        counts = np.bincount((e % N)[both], minlength=N).tolist()
+    else:
+        j = np.flatnonzero(r >= 0)
+        base = j * N
+        rj = r[j].astype(np.intp)
+        flat = prefix.ravel()
+        counts = [int(flat[base + (z - rj) % N].sum()) for z in range(N)]
+    value = CyclotomicInt.from_zeta_counts(N, counts)
+    return -value if (params.n - 1) % 2 else value
 
 
 def trace_all_fast(params: HGParams, k: FieldDesc):
     """Map x -> trace for every x in k - {0,1}, by exact convolution.
 
-    Agrees with trace_naive pointwise (tested); the last FAST_CACHE_SIZE
-    (params, field) pairs are cached. The key holds the field itself, so a
-    cached entry can never be read back for a different field.
+    The cached prefix times the last factor's matrix; agrees with
+    trace_naive pointwise (tested). The last FAST_CACHE_SIZE (params, field)
+    pairs are cached. The key holds the field itself, so a cached entry can
+    never be read back for a different field.
     """
     key = (params, k)
     hit = _fast_cache.get(key)
@@ -166,31 +246,15 @@ def trace_all_fast(params: HGParams, k: FieldDesc):
         return hit
     N, n = params.N, params.n
     L = k.q - 1
-    C = None
-    for row in _char_rows(params, k):
-        mat = np.zeros((L, N), dtype=np.int8)
-        idx = np.flatnonzero(row >= 0)
-        mat[idx, row[idx]] = 1
-        mat = mat.tolist()
-        C = mat if C is None else conv2d_cyclic(C, mat, L, N)
+    rows, prefix = _prefix(params, k)
+    first = _indicator(prefix, N) if prefix.ndim == 1 else prefix.tolist()
+    C = conv2d_cyclic(first, _indicator(rows[-1], N), L, N)
     sign = -1 if (n - 1) % 2 else 1
     out = {}
     for idx in range(1, L):  # idx 0 is x = 1, excluded from T_1
         val = CyclotomicInt.from_zeta_counts(N, C[idx])
         out[k.from_dlog(idx)] = val * sign if sign < 0 else val
-    if len(_fast_cache) >= FAST_CACHE_SIZE:
-        del _fast_cache[next(iter(_fast_cache))]
-    _fast_cache[key] = out
-    return out
-
-
-def _trace_over_extension(params, k: FieldDesc, dd: int, x: FFElem):
-    """Trace of Frob^dd at x, i.e. the trace over F_{q^dd} at the embedded x."""
-    E = extension_of(k, dd)
-    xe = x if dd == 1 else embed(x, E)
-    if E.q - 1 <= FAST_SCAN_LIMIT:
-        return trace_all_fast(params, E)[xe]
-    return trace_naive(params, E, xe)
+    return _remember(_fast_cache, key, out)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +322,14 @@ def traces_from_newton_coeffs(e, N, n):
 
 
 def char_poly(params: HGParams, k: FieldDesc, x: FFElem) -> CharPolyRecord:
-    """det(X - Frob_x) from traces over F_{q^d}, d = 1..n."""
+    """det(X - Frob_x) from traces over F_{q^d}, d = 1..n: the d = 1 trace
+    from the full map of k, the others read at the embedded x alone."""
     if x.is_zero() or x == k.one():
         raise BadPoint("char_poly is defined on k minus {0, 1}")
     N, n = params.N, params.n
-    traces = tuple(_trace_over_extension(params, k, dd, x) for dd in range(1, n + 1))
+    extensions = [extension_of(k, dd) for dd in range(2, n + 1)]
+    traces = (trace_all_fast(params, k)[x],) + tuple(
+        trace_at(params, E, embed(x, E)) for E in extensions)
     e = newton_coeffs_from_traces(traces, N, n)
     assert tuple(traces_from_newton_coeffs(e, N, n)) == traces, \
         "Newton identity round trip failed"

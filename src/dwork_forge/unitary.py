@@ -36,10 +36,6 @@ def gu_fields(q, base_p=None, base_f=None):
     return Fq, Fq2
 
 
-def conj_q(x: FFElem, q: int) -> FFElem:
-    return x ** q
-
-
 def adjoint(M, q):
     """Conjugate transpose: (M^c)^t with c the q-power map."""
     n = len(M)

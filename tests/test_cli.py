@@ -29,6 +29,15 @@ def test_hg_charpoly_with_slopes(capsys):
     assert data["coeffs"][2] == [1, 0]
 
 
+def test_hg_charpoly_n3_over_a_large_cubic_extension(capsys):
+    # the d = 3 trace field F_43^3 has 79506 nonzero points; the readout
+    # evaluates only the embedded x there
+    code, out = run_cli(capsys, "hg-charpoly", "--N", "7", "--n", "3",
+                        "--q", "43", "--x", "5")
+    assert code == 0
+    assert json.loads(out)["checks"] == {"det": "pass", "purity": "pass"}
+
+
 def test_hg_scan_summary(capsys):
     code, out = run_cli(capsys, "hg-scan", "--N", "3", "--n", "2", "--q", "7")
     assert code == 0

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from dwork_forge.cyclotomic import CyclotomicInt
@@ -185,6 +187,22 @@ def test_tables_match_reference(F):
     assert F._dlog[1:].tolist() == dlog[1:]
     assert F._zech == zech
     assert [None if z < 0 else z for z in F._zech_arr.tolist()] == zech
+
+
+# every (p, f) built in this file, directly or through extension_of
+BUILT_FIELDS = [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1),
+                (5, 3), (7, 1), (7, 2), (7, 4), (7, 6), (11, 1), (13, 1),
+                (23, 3), (31, 1)]
+
+
+@pytest.mark.parametrize("p,f", BUILT_FIELDS)
+def test_generator_is_first_in_full_search(p, f):
+    # the generator search skips the prime-field constants when f > 1; the
+    # result is still the smallest encoding whose dlog is prime to q - 1
+    F = field_make(p, f)
+    q = F.q
+    first = next(enc for enc in range(1, q) if gcd(int(F._dlog[enc]), q - 1) == 1)
+    assert F.g_encoding == first
 
 
 def test_prime_field_two():

@@ -35,6 +35,8 @@ COMMANDS = [
     "unitary-sym --p 13 --beta 2 --n 1 --m 6",
     "unitary-sym --p 41 --beta 3 --n 2 --m 8",
     "breuil-generic --p 5 --e 2 --f 1",
+    "hg-scan --N 3 --n 2 --q 331 --l 7",
+    "hg-charpoly --N 3 --n 2 --q 331 --x 23 --l 7",
 ]
 
 DIGESTS = {
@@ -74,6 +76,12 @@ DIGESTS = {
         "c578bdafbfd3fb0532da63f51f608796b083da41ffc49c8ea06e8332bdc0ac96",
     "breuil-generic --p 5 --e 2 --f 1":
         "760eda9fa5e8dd2c5bdf1ecc0765e5f3d7045aee0921aecd8ba7537c32452b77",
+    # d = 2 trace fields F_331^2 above 2^16 points, recorded on the engine
+    # that summed the character sum literally there
+    "hg-scan --N 3 --n 2 --q 331 --l 7":
+        "448f3e2818653138d5197e68336baf994a588e9bd7d507c82552a69a7f9c6602",
+    "hg-charpoly --N 3 --n 2 --q 331 --x 23 --l 7":
+        "4304e98b379820ee30d6d4832ef3907d98c731cfc35a6f4bc688babd0230f0aa",
 }
 
 # (p, e, f) frames whose every (s, t) pair goes through the monodromy dump

@@ -120,14 +120,16 @@ def test_trace_bad_point():
         trace_naive(params, F7, F7.one())
 
 
-@pytest.mark.parametrize("N,n,q", [(3, 2, 7), (3, 2, 13), (5, 2, 11), (11, 3, 23)])
+# N = 65 sums two int8 rows past the int8 range; N = 131 has int16 rows
+@pytest.mark.parametrize("N,n,q", [(3, 2, 7), (3, 2, 13), (5, 2, 11), (11, 3, 23),
+                                   (65, 2, 131), (131, 2, 263)])
 def test_fast_equals_naive(N, n, q):
     params = select_chi(N, n)
     F = field_make(q, 1)
     fast = trace_all_fast(params, F)
     assert len(fast) == q - 2
     for x, v in fast.items():
-        assert v == trace_naive(params, F, x)
+        assert v == trace_naive(params, F, x) == hg.trace_at(params, F, x)
 
 
 # (p, f) with q = p^f small enough for the L^(n-1)-term naive sum per point
@@ -156,6 +158,78 @@ def test_fast_equals_naive_property(case):
     assert len(fast) == F.q - 2
     for x, v in fast.items():
         assert v == trace_naive(params, F, x)
+
+
+@st.composite
+def readout_cases(draw):
+    """(params, E, points): a datum with N | q - 1 over a base field of size
+    q, E = F_{q^d} through the tower, and the embedded base points plus a few
+    random points of E. The naive sum costs (q^d)^(n-1) steps per point."""
+    p, f = draw(st.sampled_from([pf for pf in SMALL_FIELDS if pf[0] ** pf[1] > 2]))
+    q = p ** f
+    base = field_make(p, f)
+    d = draw(st.sampled_from([d for d in (1, 2, 3) if q ** d <= 1024]))
+    E = extension_of(base, d)
+    N = draw(st.sampled_from([m for m in range(2, q) if (q - 1) % m == 0]))
+    n = draw(st.integers(1, min(N - 1, 3 if E.q <= 64 else 2)))
+    R = draw(st.lists(st.integers(1, N - 1), min_size=n, max_size=n, unique=True))
+    points = [x if d == 1 else embed(x, E) for x in list(base.nonzero_elements())[1:]]
+    points += [E.from_dlog(draw(st.integers(1, E.q - 2))) for _ in range(3)]
+    return hg_params(N, n, R), E, points
+
+
+@settings(max_examples=40, deadline=None)
+@given(readout_cases())
+def test_readout_equals_naive_property(case):
+    params, E, points = case
+    for y in points:
+        assert hg.trace_at(params, E, y) == trace_naive(params, E, y)
+
+
+def test_readout_equals_full_map_at_embedded_points():
+    # F_41^3 has 68920 nonzero points, above the size where char_poly used
+    # to stop building full maps; no 3-subset mod 5 sums to zero
+    params = hg_params(5, 3, (1, 2, 3))
+    F41 = field_make(41, 1)
+    E = extension_of(F41, 3)
+    full = trace_all_fast(params, E)
+    points = [embed(x, E) for x in list(F41.nonzero_elements())[1:]]
+    assert len(points) == 39
+    for y in points:
+        assert hg.trace_at(params, E, y) == full[y]
+
+
+def test_readout_on_an_object_prefix(monkeypatch):
+    # prefixes whose readout could pass 2^63 are kept as Python ints
+    params = select_chi(11, 3)
+    F = field_make(23, 1)
+    monkeypatch.setattr(hg, "_prefix_cache", {})
+    rows, prefix = hg._prefix(params, F)
+    hg._prefix_cache[(params, F)] = (rows, prefix.astype(object))
+    for x in list(F.nonzero_elements())[1:]:
+        assert hg.trace_at(params, F, x) == trace_naive(params, F, x)
+
+
+def test_readout_bad_point():
+    params = select_chi(3, 2)
+    F7 = field_make(7, 1)
+    for x in (F7.zero(), F7.one()):
+        with pytest.raises(BadPoint):
+            hg.trace_at(params, F7, x)
+
+
+def test_char_rows_built_once_per_field(monkeypatch):
+    params = select_chi(11, 3)
+    F = extension_of(field_make(23, 1), 2)
+    calls = []
+    rows = hg._char_rows
+    monkeypatch.setattr(hg, "_char_rows", lambda *a: calls.append(a) or rows(*a))
+    monkeypatch.setattr(hg, "_prefix_cache", {})
+    monkeypatch.setattr(hg, "_fast_cache", {})
+    for x in list(F.nonzero_elements())[1:4]:
+        hg.trace_at(params, F, x)
+    trace_all_fast(params, F)
+    assert calls == [(params, F)]
 
 
 def test_fast_cache_keyed_by_field_and_bounded():
