@@ -79,6 +79,12 @@ def make_rank_one(p, f, e, s, a: FFElem) -> RankOneBK:
     return RankOneBK(p, f, e, s, a, all(si <= e * (p - 2) for si in s))
 
 
+def require_breuil_height(*sides: RankOneBK):
+    """PreconditionViolated unless every side has Breuil height <= e(p-2)."""
+    if not all(side.breuil_height_ok for side in sides):
+        raise PreconditionViolated("both sides must have Breuil height <= e(p-2)")
+
+
 def alpha_invariants(s, p, f):
     """alpha_i = (1/(p^f-1)) sum_{j=1..f} p^(f-j) s_{(j+i) mod f}, exact."""
     den = p ** f - 1
@@ -207,8 +213,7 @@ def breuil_forbidden_degrees(problem: ExtProblem):
     at all). The threshold uses the exact rational n_{j+1}.
     """
     p, f, e = problem.frame
-    if not (problem.top.breuil_height_ok and problem.bottom.breuil_height_ok):
-        raise PreconditionViolated("both sides must have Breuil height <= e(p-2)")
+    require_breuil_height(problem.top, problem.bottom)
     s, t = problem.top.s, problem.bottom.s
     degs, _ = bk_extension_degrees(problem.top, problem.bottom)
     out = []

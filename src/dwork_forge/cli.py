@@ -179,6 +179,8 @@ def cmd_breuil_generic(args):
             raise ConfigInvalid("give both --s and --t or neither")
         s = tuple(int(v) for v in args.s.split(","))
         t = tuple(int(v) for v in args.t.split(","))
+        br.require_breuil_height(br.make_rank_one(p, f, e, s, F.one()),
+                                 br.make_rank_one(p, f, e, t, F.one()))
         tuples = [(s, t)]
     else:
         tuples = [(s, t) for s in iproduct(range(hi + 1), repeat=f)

@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
 from .ff import _is_prime, _prime_factors
 
 ROUND_LIMIT = 1 / 64
@@ -112,6 +110,7 @@ def _check_point(L, N):
 
 def _powers(w, n, P):
     """[w^0, ..., w^(n-1)] mod P as an int64 array, in sqrt(n) blocks."""
+    import numpy as np
     B = math.isqrt(n - 1) + 1
     small = [1] * B
     for i in range(1, B):
@@ -142,6 +141,7 @@ def _conv2d_fft(a, b, L, N):
     # sum v^2 <= max v * sum v bounds the Euclidean norms exactly
     if fft_error_bound(math.sqrt(max_a * sum_a), math.sqrt(max_b * sum_b), L * N) >= 0.5:
         return None
+    import numpy as np
     A = np.array(a, dtype=np.int64)
     B = np.array(b, dtype=np.int64)
     C = np.fft.irfft2(np.fft.rfft2(A) * np.fft.rfft2(B), s=(L, N))

@@ -3,13 +3,17 @@
 A FieldDesc fixes a deterministic defining polynomial (lexicographically first
 monic irreducible), a multiplicative generator g, a full dlog table and a Zech
 logarithm table, so multiplication is exponent arithmetic and addition is one
-table lookup. The tables are numpy int32 arrays built block-wise; the Zech
-table is also kept as a list for the dlog-integer kernels (k_add, k_mul,
-k_neg, k_dot, k_row_sub), which read it one entry at a time: FFElem addition
-and the hot loops of linalg and unitary all add through k_add. Multiplicative
-characters valued in Z[zeta_N] are evaluated against a recorded N-torsion
-anchor; fields built with extension_of() inherit
-the anchor of their base through the recorded embedding, which is what makes
+table lookup. Fields with q <= SCALAR_TABLE_LIMIT build their tables as
+Python lists, one multiplication by g at a time, so the algebra layers run
+without numpy; larger fields build numpy int32 arrays block-wise. The Zech
+table is kept as a list either way for the dlog-integer kernels (k_add,
+k_mul, k_neg, k_dot, k_row_sub), which read it one entry at a time: FFElem
+addition and the hot loops of linalg and unitary all add through k_add.
+zech_array() gives it as an array to the vectorized trace engine.
+
+Multiplicative characters valued in Z[zeta_N] are evaluated against a
+recorded N-torsion anchor; fields built with extension_of() inherit the
+anchor of their base through the recorded embedding, which is what makes
 "the same point over a bigger field" well defined.
 """
 
@@ -17,12 +21,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-
-import numpy as np
+from operator import mul
 
 from .cyclotomic import CyclotomicInt
 
 TABLE_LIMIT = 1 << 20
+SCALAR_TABLE_LIMIT = 1 << 12   # fields up to this size build list tables
 
 
 class FFError(Exception):
@@ -250,6 +254,59 @@ def _foreign(x):
     raise IncompatibleFields("elements of different fields")
 
 
+def _scalar_tables(cols, p, q):
+    """(powers, dlog, zech) of F_q as lists, one multiplication by g at a time.
+
+    cols[j] holds the digits of g * x^j; dlog[0] = -1 and zech[k] = -1 where
+    1 + g^k = 0.
+    """
+    rows = list(zip(*cols))
+    place = [p ** i for i in range(len(cols))]
+    v = [1] + [0] * (len(cols) - 1)
+    powtab = [0] * (q - 1)
+    for k in range(q - 1):
+        powtab[k] = sum(map(mul, place, v))
+        v = [sum(map(mul, row, v)) % p for row in rows]
+    dlog = [-1] * q
+    for k, e in enumerate(powtab):
+        dlog[e] = k
+    # 1 + g^k adds 1 to the constant digit of g^k's encoding, mod p
+    zech = [dlog[e - (p - 1) if e % p == p - 1 else e + 1] for e in powtab]
+    return powtab, dlog, zech
+
+
+def _block_tables(cols, p, q):
+    """(powers, dlog, zech) of F_q as numpy int32 arrays, as _scalar_tables.
+
+    Powers of g are built in blocks of about sqrt(q - 1): the first block
+    step by step, every later one as mul_g^B times the block before it.
+    """
+    import numpy as np
+    f, L = len(cols), q - 1
+    mul_g = np.array(cols, dtype=np.int64).T
+    B = math.isqrt(L - 1) + 1
+    block = np.empty((f, B), dtype=np.int64)
+    v = np.zeros(f, dtype=np.int64)
+    v[0] = 1
+    for i in range(B):
+        block[:, i] = v
+        v = mul_g @ v % p
+    step = np.eye(f, dtype=np.int64)
+    for i in range(B):
+        step = mul_g @ step % p
+    place = p ** np.arange(f, dtype=np.int64)
+    powtab = np.empty(B * (-(-L // B)), dtype=np.int32)
+    for start in range(0, L, B):
+        powtab[start:start + B] = place @ block
+        block = step @ block % p
+    powtab = powtab[:L]
+    dlog = np.empty(q, dtype=np.int32)
+    dlog[0] = -1
+    dlog[powtab] = np.arange(L, dtype=np.int32)
+    zech = dlog[np.where(powtab % p == p - 1, powtab - (p - 1), powtab + 1)]
+    return powtab, dlog, zech
+
+
 class FieldDesc:
     """Immutable description of F_{p^f} with dlog and Zech tables."""
 
@@ -325,43 +382,26 @@ class FieldDesc:
                    if all(pow_enc(enc, (q - 1) // r) != 1 for r in factors))
         self.g_encoding = gen
 
-        L = q - 1
-        # Multiplication by g is F_p-linear on coordinate vectors: column j of
-        # mul_g holds the digits of g * x^j. Powers of g are built in blocks
-        # of about sqrt(q - 1): the first block step by step, every later one
-        # as mul_g^B times the block before it.
-        mul_g = np.array([self._enc_to_poly(mul_enc(gen, p ** j)) for j in range(f)],
-                         dtype=np.int64).T
-        B = math.isqrt(L - 1) + 1
-        block = np.empty((f, B), dtype=np.int64)
-        v = np.zeros(f, dtype=np.int64)
-        v[0] = 1
-        for i in range(B):
-            block[:, i] = v
-            v = mul_g @ v % p
-        step = np.eye(f, dtype=np.int64)
-        for i in range(B):
-            step = mul_g @ step % p
-        place = p ** np.arange(f, dtype=np.int64)
-        powtab = np.empty(B * (-(-L // B)), dtype=np.int32)
-        for start in range(0, L, B):
-            powtab[start:start + B] = place @ block
-            block = step @ block % p
-        powtab = powtab[:L]
-        dlog = np.empty(q, dtype=np.int32)
-        dlog[0] = -1
-        dlog[powtab] = np.arange(L, dtype=np.int32)
-        # 1 + g^k adds 1 to the constant digit of g^k's encoding, mod p
-        plus_one = np.where(powtab % p == p - 1, powtab - (p - 1), powtab + 1)
-        zech = dlog[plus_one]
-        del plus_one
-        self._pow = powtab
-        self._dlog = dlog
-        self._zech_arr = zech        # -1 where 1 + g^k = 0
-        self._half = 0 if p == 2 else L // 2     # dlog of -1
-        zl = zech.tolist()
-        zl[self._half] = None
-        self._zech = zl
+        # Multiplication by g is F_p-linear on coordinate vectors: column j
+        # of its matrix holds the digits of g * x^j.
+        cols = [self._enc_to_poly(mul_enc(gen, p ** j)) for j in range(f)]
+        if q <= SCALAR_TABLE_LIMIT:
+            self._pow, self._dlog, zech = _scalar_tables(cols, p, q)
+            self._zech_arr = None    # made by zech_array() on first use
+        else:
+            self._pow, self._dlog, self._zech_arr = _block_tables(cols, p, q)
+            zech = self._zech_arr.tolist()
+        self._half = 0 if p == 2 else (q - 1) // 2     # dlog of -1
+        zech[self._half] = None      # the one k with 1 + g^k = 0
+        self._zech = zech
+
+    def zech_array(self):
+        """The Zech table as a numpy int32 array, -1 where 1 + g^k = 0."""
+        if self._zech_arr is None:
+            import numpy as np
+            self._zech_arr = np.array([-1 if z is None else z for z in self._zech],
+                                      dtype=np.int32)
+        return self._zech_arr
 
     # -- dlog-integer kernels ---------------------------------------------
     # An element is its dlog k in [0, q-1), or None for zero. These are the

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
-
 from .convolution import conv2d_cyclic
 from .cyclotomic import CyclotomicInt, all_embeddings
 from .ff import FFElem, FieldDesc, _anchor_inverse, embed, extension_of
@@ -108,9 +106,10 @@ def _char_rows(params: HGParams, k: FieldDesc):
     1 - g^i = 1 + g^(i + (q-1)/2) (p odd; 1 + g^i when p = 2), so the dlog
     of 1 - g^i is one Zech lookup, and chi_m(g^d) = zeta_N^(m d j^-1).
     """
+    import numpy as np
     N = params.N
     shift = 0 if k.p == 2 else (k.q - 1) // 2
-    d = np.roll(k._zech_arr, -shift)  # dlog(1 - g^i); d[0] = -1
+    d = np.roll(k.zech_array(), -shift)  # dlog(1 - g^i); d[0] = -1
     undefined = d < 0
     d %= N
     jinv = _anchor_inverse(k, N)
@@ -167,6 +166,7 @@ def _remember(cache, key, value):
 
 def _indicator(row, N):
     """The L x N 0/1 matrix of a row, 1 at (j, row[j]) where row[j] >= 0, as lists."""
+    import numpy as np
     mat = np.zeros((len(row), N), dtype=np.int8)
     j = np.flatnonzero(row >= 0)
     mat[j, row[j]] = 1
@@ -187,6 +187,7 @@ def _prefix(params: HGParams, k: FieldDesc):
     hit = _prefix_cache.get(key)
     if hit is not None:
         return hit
+    import numpy as np
     N, n, L = params.N, params.n, k.q - 1
     rows = _char_rows(params, k)
     if n == 1:
@@ -215,6 +216,7 @@ def trace_at(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
     """
     if x.is_zero() or x == k.one():
         raise BadPoint("trace is defined on k minus {0, 1}")
+    import numpy as np
     N = params.N
     rows, prefix = _prefix(params, k)
     r = np.roll(rows[-1][::-1], k.dlog(x) + 1)
@@ -421,6 +423,7 @@ def verify_det(rec: CharPolyRecord, tol=1e-6) -> DetReport:
 
 def verify_purity(rec: CharPolyRecord, tol=1e-6) -> bool:
     """Each complex root alpha satisfies |alpha|^2 = q^(n-1) within tol."""
+    import numpy as np
     n = rec.params.n
     coeffs = [c.embed_complex() for c in rec.coeffs]
     roots = np.roots(list(reversed(coeffs)))

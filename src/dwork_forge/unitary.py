@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .ff import FFElem, FieldDesc, embed, extension_of, field_make, prime_power
+from .ff import (FFElem, FieldDesc, NotPrime, _is_prime, embed, extension_of,
+                 field_make, prime_power)
 from .linalg import det, mat_identity, mat_inv, mat_mul
 
 
@@ -121,14 +122,21 @@ def hermitian_space(q, gram) -> HermitianSpace:
                           not det(gram).is_zero())
 
 
-def _pairing(A, x, y, q):
-    """x-dagger A y for column vectors: sum_i x_i^q (A y)_i, on dlogs."""
+def _gram_ks(A):
+    """(field, rows of A as dlogs): the form as _pairing reads it."""
     field = A[0][0].field
+    return field, [field.to_ks(row) for row in A]
+
+
+def _pairing(G, x, y, q):
+    """x-dagger A y for column vectors: sum_i x_i^q (A y)_i, on dlogs, with
+    G = _gram_ks(A)."""
+    field, rows = G
     ys = field.to_ks(y)
     acc = None
-    for row, k in zip(A, field.to_ks(x)):
+    for row, k in zip(rows, field.to_ks(x)):
         if k is not None:    # x_i^q has dlog q k_i
-            acc = field.k_add(acc, field.k_mul(k * q, field.k_dot(field.to_ks(row), ys)))
+            acc = field.k_add(acc, field.k_mul(k * q, field.k_dot(row, ys)))
     return FFElem(field, acc)
 
 
@@ -144,21 +152,22 @@ def diagonalize_to_identity(space: HermitianSpace):
     A = space.gram
     q, n = space.q, space.n
     Fq2 = A[0][0].field
+    G = _gram_ks(A)
     basis = mat_identity(Fq2, n)          # rows are current candidate vectors
     columns = []
     remaining = [row[:] for row in basis]
     for _ in range(n):
-        v = _find_anisotropic(A, remaining, q)
-        nv = _pairing(A, v, v, q)
+        v = _find_anisotropic(G, remaining, q)
+        nv = _pairing(G, v, v, q)
         eta = norm_preimage(nv.inv(), q)  # N(eta) = <v,v>^(-1)
         v = [eta * x for x in v]
-        assert _pairing(A, v, v, q) == Fq2.one()
+        assert _pairing(G, v, v, q) == Fq2.one()
         columns.append(v)
         vk = Fq2.to_ks(v)
         cols = [c for c, k in enumerate(vk) if k is not None]
         new_remaining = []
         for w in remaining:
-            proj = _pairing(A, v, w, q).k
+            proj = _pairing(G, v, w, q).k
             w2 = Fq2.to_ks(w)
             if proj is not None:
                 Fq2.k_row_sub(w2, proj, vk, cols)     # w - <v,w> v
@@ -170,10 +179,12 @@ def diagonalize_to_identity(space: HermitianSpace):
     return C
 
 
-def _find_anisotropic(A, vectors, q):
-    field = A[0][0].field
+def _find_anisotropic(G, vectors, q):
+    """The first anisotropic vector for the form G = _gram_ks(A): a given
+    vector, else v + g^c w for the first pair and scalar that works."""
+    field = G[0]
     for v in vectors:
-        if not _pairing(A, v, v, q).is_zero():
+        if not _pairing(G, v, v, q).is_zero():
             return v
     # polarize: v + g^c w must work for some pair and scalar. Every vector is
     # isotropic here and x -> x^q is additive (q is a power of p), so the
@@ -182,7 +193,7 @@ def _find_anisotropic(A, vectors, q):
     add, mul = field.k_add, field.k_mul
     for i, v in enumerate(vectors):
         for w in vectors[i + 1:]:
-            wv, vw = _pairing(A, w, v, q).k, _pairing(A, v, w, q).k
+            wv, vw = _pairing(G, w, v, q).k, _pairing(G, v, w, q).k
             for c in range(field.q - 1):
                 if add(mul(c * q, wv), mul(c, vw)) is not None:
                     vk, wk = field.to_ks(v), field.to_ks(w)
@@ -284,8 +295,10 @@ def sym_power_embed(beta: int, n: int, m: int, p: int):
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    if p <= max(2, m - 1):
-        raise ValueError("need p odd and p > m-1 for the induced form")
+    if p == 2 or not _is_prime(p):
+        raise NotPrime(f"p = {p} must be an odd prime")
+    if p <= m - 1:
+        raise ValueError("need p > m-1 for the induced form")
     Fp, Fp2 = gu_fields(p)
     b2 = embed(Fp.from_int(beta), Fp2)
     if b2.is_zero():

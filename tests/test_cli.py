@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dwork_forge
 from dwork_forge.cli import main
 
 
@@ -162,6 +166,7 @@ def test_unitary_normalize_over_f2(capsys):
     "breuil-oracle --p 5 --e 0 --f 1 --s 0 --t 0",
     "breuil-oracle --p 5 --e 1 --f 0 --s 0 --t 0",
     "breuil-generic --p 9 --e 1 --f 1",
+    "breuil-generic --p 3 --e 1 --f 1 --s 0 --t -3",
 ])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code = main(argv.split(" "))
@@ -187,3 +192,51 @@ def test_breuil_oracle_malformed_y_term(capsys, term):
     assert code == 2 and captured.out == ""
     assert captured.err == (f"error: --y term {term!r} is not deg:coeff "
                             "or j.deg:coeff with integers\n")
+
+
+@pytest.mark.parametrize("beta", [1, 2])
+@pytest.mark.parametrize("p", [1, 4, 8, 9])
+def test_unitary_sym_needs_an_odd_prime(capsys, p, beta):
+    # F_p^2 exists for a prime power p, but the form needs p an odd prime
+    code = main(["unitary-sym", "--p", str(p), "--beta", str(beta), "--n", "1",
+                 "--m", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: p = {p} must be an odd prime\n"
+
+
+@pytest.mark.parametrize("cmd", ["breuil-generic", "breuil-oracle"])
+def test_breuil_height_above_e_p_minus_2_is_rejected(capsys, cmd):
+    # e(p-2) = 1 for (p, e) = (3, 1): s = 9 is out of range for both commands
+    code = main([cmd, "--p", "3", "--e", "1", "--f", "1", "--s", "9", "--t", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: both sides must have Breuil height <= e(p-2)\n"
+
+
+ALGEBRA_COMMANDS = [
+    "breuil-generic --p 7 --e 1 --f 1",
+    "breuil-oracle --p 5 --e 2 --f 1 --s 3 --t 0 --y 1:1",
+    "breuil-chain --d 2 --e 1 --f 2",
+    "unitary-sym --p 61 --beta 2 --n 3 --m 3",
+    "unitary-normalize --q 5 --matrix [[[2,0],[0,0]],[[0,0],[3,0]]]",
+]
+
+
+def test_algebra_commands_leave_numpy_unloaded():
+    # numpy is imported by the first function that builds an array; fields
+    # up to SCALAR_TABLE_LIMIT (here up to F_61^2) build list tables, so the
+    # Breuil and unitary commands never load it, and hg-scan does
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwork_forge.__file__)))
+    code = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); "
+            "import dwork_forge.cli as cli; seen = ['numpy' in sys.modules]\n"
+            "for argv in sys.argv[2:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv.split(' ')) == 0, argv\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "print(seen)")
+    argv = ALGEBRA_COMMANDS + ["hg-scan --N 3 --n 2 --q 7"]
+    out = subprocess.run([sys.executable, "-c", code, src, *argv],
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert out == str([False] * (1 + len(ALGEBRA_COMMANDS)) + [True]) + "\n"

@@ -1,10 +1,11 @@
 from math import gcd
 
+import numpy as np
 import pytest
 
 from dwork_forge.cyclotomic import CyclotomicInt
-from dwork_forge.ff import (FFError, IncompatibleFields, InvalidDegree,
-                            NNotDividingQMinus1, NotPrime, TooLarge,
+from dwork_forge.ff import (SCALAR_TABLE_LIMIT, FFError, IncompatibleFields,
+                            InvalidDegree, NNotDividingQMinus1, NotPrime, TooLarge,
                             char_exponent, char_value, embed, extension_of,
                             field_make, norm_to_subfield, prime_power)
 
@@ -177,16 +178,31 @@ def test_char_value_consistent_along_embedding():
             assert e_big == (e_small * ratio) % N
 
 
+def as_ints(table):
+    """A table's entries as a list of Python ints, from a list or an array."""
+    out = table.tolist() if isinstance(table, np.ndarray) else list(table)
+    assert all(type(v) is int for v in out)
+    return out
+
+
+# both sides of SCALAR_TABLE_LIMIT = 2^12: 4093 is the largest prime below it
+# and 4099 the smallest prime power above it
 @pytest.mark.parametrize("F", [field_make(2, 1), field_make(2, 4), field_make(3, 5),
                                field_make(7, 2), field_make(23, 3),
-                               extension_of(field_make(7, 2), 2)],
-                         ids=["2^1", "2^4", "3^5", "7^2", "23^3", "ext-7^2x2"])
+                               extension_of(field_make(7, 2), 2),
+                               field_make(4093, 1), field_make(2, 12),
+                               field_make(3, 7), extension_of(field_make(61, 1), 2),
+                               field_make(4099, 1)],
+                         ids=["2^1", "2^4", "3^5", "7^2", "23^3", "ext-7^2x2",
+                              "4093", "2^12", "3^7", "ext-61x2", "4099"])
 def test_tables_match_reference(F):
     pow_tab, dlog, zech = reference_tables(F)
-    assert F._pow.tolist() == pow_tab
-    assert F._dlog[1:].tolist() == dlog[1:]
+    kind = list if F.q <= SCALAR_TABLE_LIMIT else np.ndarray
+    assert type(F._pow) is kind and type(F._dlog) is kind
+    assert as_ints(F._pow) == pow_tab
+    assert as_ints(F._dlog)[1:] == dlog[1:]
     assert F._zech == zech
-    assert [None if z < 0 else z for z in F._zech_arr.tolist()] == zech
+    assert [None if z < 0 else z for z in F.zech_array().tolist()] == zech
 
 
 # every (p, f) built in this file, directly or through extension_of

@@ -232,7 +232,10 @@ def test_char_rows_built_once_per_field(monkeypatch):
     assert calls == [(params, F)]
 
 
-def test_fast_cache_keyed_by_field_and_bounded():
+def test_fast_cache_keyed_by_field_and_bounded(monkeypatch):
+    # start empty: a map cached by an earlier test would be a hit that keeps
+    # its old place in the eviction order
+    monkeypatch.setattr(hg, "_fast_cache", {})
     params = select_chi(3, 2)
     base = field_make(2, 1)
     fields = [field_make(2, 2)] + [extension_of(base, 2 * d) for d in range(1, 6)] \

@@ -4,8 +4,8 @@ import pytest
 
 from dwork_forge.ff import embed, field_make
 from dwork_forge.linalg import det, mat_identity, mat_mul
-from dwork_forge.unitary import (Degenerate, _find_anisotropic, _pairing,
-                                 adjoint, conjugate_into_gu,
+from dwork_forge.unitary import (Degenerate, _find_anisotropic, _gram_ks,
+                                 _pairing, adjoint, conjugate_into_gu,
                                  diagonalize_to_identity, eigenvalue_genericity,
                                  gu_fields, hermitian_space, hilbert90_eta,
                                  induced_spectrum, is_gu, matrix_eigenvalues,
@@ -244,7 +244,7 @@ def test_find_anisotropic_matches_exhaustive_search():
             for w in vectors[i + 1:]:
                 for c in field.nonzero_elements():
                     cand = [x + c * y for x, y in zip(v, w)]
-                    if not _pairing(A, cand, cand, q).is_zero():
+                    if not _pairing(_gram_ks(A), cand, cand, q).is_zero():
                         return cand
         return None
 
@@ -263,6 +263,6 @@ def test_find_anisotropic_matches_exhaustive_search():
                 want = exhaustive(A, basis, q)
                 if want is None:
                     with pytest.raises(Degenerate):
-                        _find_anisotropic(A, basis, q)
+                        _find_anisotropic(_gram_ks(A), basis, q)
                 else:
-                    assert _find_anisotropic(A, basis, q) == want
+                    assert _find_anisotropic(_gram_ks(A), basis, q) == want
