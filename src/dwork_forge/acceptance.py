@@ -110,7 +110,7 @@ def criterion_3():
     ok = True
     for N, n, q in TRACE_CONFIGS:
         _, _, recs = _sweep(N, n, q)
-        this_ok = all(hg.verify_purity(rec, tol=1e-6) for rec in recs)
+        this_ok = all(hg.verify_purity(rec) for rec in recs)
         ok &= this_ok
         details.append({"N": N, "n": n, "q": q, "pure": this_ok})
     return {"id": 3, "name": "purity of weight n-1",
@@ -141,7 +141,7 @@ def criterion_4():
     for N, n, l in NORM_CONFIGS:
         test = _ordinary_test(N, n, l)
         for d in (1, 2):
-            rows = od.verify_norm_identity(test, d, sign=od.NORM_IDENTITY_SIGN)
+            rows = od.verify_norm_identity(test, d)
             failures = [r.x_dlog for r in rows if not r.ok]
             ok &= not failures
             details.append({"N": N, "n": n, "l": l, "d": d,
@@ -453,32 +453,30 @@ def _rerun_verdict(child, expected: str):
     return True, None
 
 
-def selftest(seed=0, include_determinism=True):
+def selftest(seed=0):
     """Run every criterion; returns (report, timings, all_passed).
 
-    With include_determinism, criterion 12 starts a fresh interpreter on the
-    same seed before this process computes its own report, so the two run
-    side by side; it passes only if the child exits with status 0 and its
-    report bytes equal this one's.
+    Criterion 12 starts a fresh interpreter on the same seed before this
+    process computes its own report, so the two run side by side; it passes
+    only if the child exits with status 0 and its report bytes equal this
+    one's.
     """
     child = verdict = None
-    if include_determinism:
-        try:
-            child = _launch_rerun(seed)
-        except OSError as exc:
-            verdict = False, f"fresh interpreter did not start: {exc}"
+    try:
+        child = _launch_rerun(seed)
+    except OSError as exc:
+        verdict = False, f"fresh interpreter did not start: {exc}"
     try:
         report, timings = run_report(seed)
-        if include_determinism:
-            t0 = time.monotonic()
-            same, error = verdict or _rerun_verdict(child, stable_json(report))
-            timings[12] = time.monotonic() - t0
-            entry = {"id": 12, "name": "determinism (byte-identical reports)",
-                     "passed": same}
-            if error:
-                entry["error"] = error
-            report["criteria"].append(entry)
-            report["all_passed"] = report["all_passed"] and same
+        t0 = time.monotonic()
+        same, error = verdict or _rerun_verdict(child, stable_json(report))
+        timings[12] = time.monotonic() - t0
+        entry = {"id": 12, "name": "determinism (byte-identical reports)",
+                 "passed": same}
+        if error:
+            entry["error"] = error
+        report["criteria"].append(entry)
+        report["all_passed"] = report["all_passed"] and same
     finally:
         if child is not None and child.returncode is None:
             child.kill()

@@ -52,16 +52,16 @@ class RankOneBK:
     e: int
     s: tuple
     a: FFElem
-    breuil_height_ok: bool
 
     def __post_init__(self):
         if len(self.s) != self.f or any(si < 0 for si in self.s):
             raise ValueError("s must be f nonnegative integers")
         if self.a.is_zero():
             raise ValueError("a must be nonzero")
-        ok = all(si <= self.e * (self.p - 2) for si in self.s)
-        if self.breuil_height_ok != ok:
-            raise ValueError("breuil_height_ok flag mismatch")
+
+    @property
+    def breuil_height_ok(self):
+        return all(si <= self.e * (self.p - 2) for si in self.s)
 
 
 def frame_field(p, e, f):
@@ -75,8 +75,7 @@ def frame_field(p, e, f):
 
 
 def make_rank_one(p, f, e, s, a: FFElem) -> RankOneBK:
-    s = tuple(s)
-    return RankOneBK(p, f, e, s, a, all(si <= e * (p - 2) for si in s))
+    return RankOneBK(p, f, e, tuple(s), a)
 
 
 def require_breuil_height(*sides: RankOneBK):
@@ -93,26 +92,37 @@ def alpha_invariants(s, p, f):
         for i in range(f))
 
 
-def hom_exists(top: RankOneBK, bottom: RankOneBK) -> bool:
-    """Nonzero map M(s;a) -> M(t;b) iff alpha_i(s)-alpha_i(t) in Z_{>=0} and a=b."""
+def _alpha_differences(top: RankOneBK, bottom: RankOneBK):
+    """alpha_i(s) - alpha_i(t) for i = 0..f-1, exact."""
     _check_frame(top, bottom)
-    if top.a != bottom.a:
-        return False
     al_s = alpha_invariants(top.s, top.p, top.f)
     al_t = alpha_invariants(bottom.s, top.p, top.f)
-    return all((d := x - y).denominator == 1 and d >= 0
-               for x, y in zip(al_s, al_t))
+    return [x - y for x, y in zip(al_s, al_t)]
 
 
 def chi_equal(top: RankOneBK, bottom: RankOneBK) -> bool:
     """Equality of the associated characters: a = b and all alpha-differences
     integral (integer shifts change the model, not the etale phi-module)."""
-    _check_frame(top, bottom)
-    if top.a != bottom.a:
-        return False
-    al_s = alpha_invariants(top.s, top.p, top.f)
-    al_t = alpha_invariants(bottom.s, top.p, top.f)
-    return all((x - y).denominator == 1 for x, y in zip(al_s, al_t))
+    diffs = _alpha_differences(top, bottom)
+    return top.a == bottom.a and all(d.denominator == 1 for d in diffs)
+
+
+def hom_exists(top: RankOneBK, bottom: RankOneBK) -> bool:
+    """Nonzero map M(s;a) -> M(t;b) iff alpha_i(s)-alpha_i(t) in Z_{>=0} and a=b."""
+    return chi_equal(top, bottom) and \
+        all(d >= 0 for d in _alpha_differences(top, bottom))
+
+
+def _special_degrees(top: RankOneBK, bottom: RankOneBK):
+    """The degrees s_j + alpha_j(s) - alpha_j(t), j = 0..f-1, of the one
+    special term; SpecialDegreeNotInteger unless every difference is an
+    integer (it is whenever chi_1 = chi_2)."""
+    out = []
+    for j, d in enumerate(_alpha_differences(top, bottom)):
+        if d.denominator != 1:
+            raise SpecialDegreeNotInteger(f"alpha difference {d} at index {j}")
+        out.append(top.s[j] + int(d))
+    return tuple(out)
 
 
 def _check_frame(top, bottom):
@@ -190,20 +200,10 @@ def bk_extension_degrees(top: RankOneBK, bottom: RankOneBK):
     """Allowed degree sets {0..s_i-1} per index, plus the special degree
     s_j + alpha_j(top) - alpha_j(bottom) (an integer, asserted) when a nonzero
     map top -> bottom exists. Returns (list of sets, special list | None)."""
-    _check_frame(top, bottom)
-    p, f = top.p, top.f
     degs = [set(range(si)) for si in top.s]
     if not hom_exists(top, bottom):
         return degs, None
-    al_s = alpha_invariants(top.s, p, f)
-    al_t = alpha_invariants(bottom.s, p, f)
-    special = []
-    for j in range(f):
-        d = al_s[j] - al_t[j]
-        if d.denominator != 1:
-            raise SpecialDegreeNotInteger(f"alpha difference {d} at index {j}")
-        special.append(top.s[j] + int(d))
-    return degs, special
+    return degs, list(_special_degrees(top, bottom))
 
 
 def breuil_forbidden_degrees(problem: ExtProblem):
@@ -359,18 +359,15 @@ class EtalePhiClass:
     y: dict
 
     def __post_init__(self):
-        p, f, e = self.top.p, self.top.f, self.top.e
-        windows, _, special = etale_image_windows(
-            self.top.s, self.bottom.s, e, p, f,
-            chi_equal_flag=chi_equal(self.top, self.bottom))
-        allowed = {(j, l) for j in range(f) for l in windows[j]}
-        if special is not None:
-            allowed |= {(j, special[j]) for j in range(f)}
+        f = self.top.f
+        windows, _, special = etale_image_windows(self.top, self.bottom)
+        in_windows = {(j, l) for j in range(f) for l in windows[j]}
+        specials = set() if special is None else set(enumerate(special))
         spec_used = [key for key in self.y
-                     if special is not None and key[1] == special[key[0] % f]
-                     and key not in {(j, l) for j in range(f) for l in windows[j]}]
+                     if (key[0] % f, key[1]) in specials and key not in in_windows]
         if len(spec_used) > 1:
             raise ValueError("only one special term is allowed")
+        allowed = in_windows | specials
         for (j, l), c in self.y.items():
             if (j % f, l) not in allowed:
                 raise ValueError(f"degree {l} at index {j} outside the windows")
@@ -441,30 +438,21 @@ def genericity_obstruction(s, t, e, p, f):
     raise AssertionError("no witness index: contradicts the lemma")
 
 
-def etale_image_windows(s, t, e, p, f, chi_equal_flag=False):
+def etale_image_windows(top: RankOneBK, bottom: RankOneBK):
     """Per-index degree windows [s_i + floor(n_{i+1}) - e + 1, s_i + floor(n_{i+1})]
     of the etale classes reached from G_K, the expected dimension e*f (or
-    e*f + 1 with the one special degree when chi_1 = chi_2)."""
-    n, _ = slope_data(s, t, e, p, f)
+    e*f + 1 with the one special degree when chi_1 = chi_2), and the special
+    degrees (None unless chi_1 = chi_2)."""
+    p, f, e = top.p, top.f, top.e
+    s = top.s
+    n, _ = slope_data(s, bottom.s, e, p, f)
     windows = []
     for i in range(f):
         top_deg = s[i] + floor(n[(i + 1) % f])
         windows.append(range(top_deg - e + 1, top_deg + 1))
-    dim = e * f
-    special = None
-    if chi_equal_flag:
-        den = p ** f - 1
-        diffs = []
-        for i in range(f):
-            d = Fraction(sum(p ** (f - j) * (s[(j + i) % f] - t[(j + i) % f])
-                             for j in range(1, f + 1)), den)
-            if d.denominator != 1:
-                raise SpecialDegreeNotInteger(
-                    f"special degree not integral at index {i}: {d}")
-            diffs.append(s[i] + int(d))
-        special = tuple(diffs)
-        dim += 1
-    return windows, dim, special
+    if not chi_equal(top, bottom):
+        return windows, e * f, None
+    return windows, e * f + 1, _special_degrees(top, bottom)
 
 
 def _lambda_bounds(top: RankOneBK, bottom: RankOneBK, data_degrees, margin=0):
@@ -581,10 +569,8 @@ def _bk_class_space(top: RankOneBK, bottom: RankOneBK):
 
 
 def _window_class_space(top: RankOneBK, bottom: RankOneBK):
-    p, f, e = top.p, top.f, top.e
-    windows, _, special = etale_image_windows(
-        top.s, bottom.s, e, p, f, chi_equal_flag=chi_equal(top, bottom))
-    space = [(j, l) for j in range(f) for l in windows[j]]
+    windows, _, special = etale_image_windows(top, bottom)
+    space = [(j, l) for j in range(top.f) for l in windows[j]]
     if special is not None and (0, special[0]) not in space:
         space.append((0, special[0]))
     return space

@@ -218,7 +218,7 @@ def cmd_breuil_oracle(args):
     prob = br.make_ext_problem(top, bot, y=y)
     forb = br.breuil_forbidden_degrees(prob)
     mono = br.solve_monodromy(prob)
-    windows, dim, _ = br.etale_image_windows(s, t, e, p, f)
+    windows, dim, _ = br.etale_image_windows(top, bot)
     payload = {"schema_version": SCHEMA_VERSION, "p": p, "e": e, "f": f,
                "s": list(s), "t": list(t), "d_unit": "1",
                "forbidden_degrees": [sorted(fs) for fs in forb],
@@ -312,7 +312,13 @@ def build_parser():
         description="Exact Frobenius/Breuil/unitary verification suite")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def hgopts(sp, point=False):
+    for name, help_text, fn, point, slopes in (
+            ("hg-trace", "one Frobenius trace", cmd_hg_trace, True, False),
+            ("hg-charpoly", "characteristic polynomial at x", cmd_hg_charpoly,
+             True, True),
+            ("hg-scan", "full point scan with det/purity checks", cmd_hg_scan,
+             False, True)):
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--N", type=int, required=True)
         sp.add_argument("--n", type=int, required=True)
         sp.add_argument("--R", type=str, default="",
@@ -321,22 +327,12 @@ def build_parser():
         if point:
             sp.add_argument("--x", type=int, required=True,
                             help="integer encoding of the point")
-        sp.add_argument("--l", type=int, default=0,
-                        help="prime for lambda-adic slopes (optional)")
-        sp.add_argument("--tau", type=int, default=1)
+        if slopes:
+            sp.add_argument("--l", type=int, default=0,
+                            help="prime for lambda-adic slopes (optional)")
+            sp.add_argument("--tau", type=int, default=1)
         sp.add_argument("--out", type=str, default="")
-
-    sp = sub.add_parser("hg-trace", help="one Frobenius trace")
-    hgopts(sp, point=True)
-    sp.set_defaults(fn=cmd_hg_trace)
-
-    sp = sub.add_parser("hg-charpoly", help="characteristic polynomial at x")
-    hgopts(sp, point=True)
-    sp.set_defaults(fn=cmd_hg_charpoly)
-
-    sp = sub.add_parser("hg-scan", help="full point scan with det/purity checks")
-    hgopts(sp)
-    sp.set_defaults(fn=cmd_hg_scan)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("ordinary-scan", help="norm identity / unit-root CSV")
     sp.add_argument("--N", type=int, required=True)

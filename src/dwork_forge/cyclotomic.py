@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from math import gcd, inf
+from math import gcd
 
 
 class ExactDivisionFailed(ArithmeticError):
@@ -231,14 +231,6 @@ class CyclotomicInt:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def is_rational(self):
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return self.coeffs[0]
-
     def galois_apply(self, c):
         """The automorphism zeta -> zeta^c for c coprime to N."""
         if gcd(c, self.N) != 1:
@@ -289,6 +281,3 @@ def embed_complex(a: CyclotomicInt, root_index: int = 1) -> complex:
 def all_embeddings(a: CyclotomicInt):
     """Complex images under every embedding of Q(zeta_N)."""
     return [a.embed_complex(c) for c in range(1, a.N + 1) if gcd(c, a.N) == 1]
-
-
-INFINITE_VALUATION = inf

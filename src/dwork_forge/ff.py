@@ -78,8 +78,24 @@ def _prime_factors(n):
     return out
 
 
+def _check_table_size(p, f):
+    """TooLarge when p^f exceeds TABLE_LIMIT (p >= 2, f >= 1).
+
+    Callers run it before any primality test. It decides a large f without
+    building p^f: p^f >= 2^f > TABLE_LIMIT once f reaches the limit's bit
+    length.
+    """
+    if p < 2 or f < 1:
+        return
+    if f >= TABLE_LIMIT.bit_length() or p ** f > TABLE_LIMIT:
+        q = p if f == 1 else f"{p}^{f}"
+        raise TooLarge(f"q = {q} exceeds table limit {TABLE_LIMIT}")
+
+
 def prime_power(q):
-    """(p, f) with q = p^f for a prime p and f >= 1; NotPrime otherwise."""
+    """(p, f) with q = p^f for a prime p and f >= 1; NotPrime otherwise, and
+    TooLarge above TABLE_LIMIT before any trial division."""
+    _check_table_size(q, 1)
     factors = _prime_factors(q) if q >= 2 else []
     if len(factors) != 1:
         raise NotPrime(f"q = {q} is not a prime power")
@@ -310,18 +326,16 @@ def _block_tables(cols, p, q):
 class FieldDesc:
     """Immutable description of F_{p^f} with dlog and Zech tables."""
 
-    def __init__(self, p, f, seed=0):
+    def __init__(self, p, f):
+        _check_table_size(p, f)
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if f < 1:
             raise InvalidDegree(f"field degree f = {f} must be at least 1")
         q = p ** f
-        if q > TABLE_LIMIT:
-            raise TooLarge(f"q = {q} exceeds table limit {TABLE_LIMIT}")
         self.p = p
         self.f = f
         self.q = q
-        self.seed = seed
         self.defining_poly = self._find_defining_poly()
         self._build_tables()
         self.label = f"F_{q}" if f == 1 else f"F_{p}^{f}"
@@ -513,9 +527,9 @@ class FieldDesc:
 
 
 @lru_cache(maxsize=None)
-def field_make(p, f, seed=0) -> FieldDesc:
+def field_make(p, f) -> FieldDesc:
     """Deterministic construction of F_{p^f} (cached, shared, immutable)."""
-    return FieldDesc(p, f, seed)
+    return FieldDesc(p, f)
 
 
 @lru_cache(maxsize=None)
@@ -525,7 +539,7 @@ def extension_of(base: FieldDesc, d: int) -> FieldDesc:
         raise InvalidDegree(f"extension degree d = {d} must be at least 1")
     if d == 1:
         return base
-    big = FieldDesc(base.p, base.f * d, base.seed)
+    big = FieldDesc(base.p, base.f * d)
     # image of the base's x-bar: first root of the base defining polynomial,
     # in dlog order; f=1 embeds the prime field canonically.
     if base.f == 1:

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .convolution import conv2d_cyclic
 from .cyclotomic import CyclotomicInt, all_embeddings
@@ -49,8 +50,6 @@ class HGParams:
     N: int
     n: int
     rho_exponents: tuple
-    sum_zero: bool
-    trivial_stabilizer: bool
 
     def __post_init__(self):
         R = self.rho_exponents
@@ -58,42 +57,42 @@ class HGParams:
             raise ValueError("exponent set must have n distinct elements")
         if any(m % self.N == 0 or not 0 < m < self.N for m in R):
             raise ValueError("exponents must be nonzero residues mod N")
-        if self.sum_zero != (sum(R) % self.N == 0):
-            raise ValueError("sum_zero flag does not match the exponent set")
-        if self.trivial_stabilizer != _has_trivial_stabilizer(self.N, R):
-            raise ValueError("trivial_stabilizer flag does not match")
 
+    @property
+    def sum_zero(self):
+        return sum(self.rho_exponents) % self.N == 0
 
-def _has_trivial_stabilizer(N, R):
-    Rset = set(R)
-    from math import gcd
-    return not any(gcd(m, N) == 1 and {m * r % N for r in R} == Rset
-                   for m in range(2, N))
+    @property
+    def trivial_stabilizer(self):
+        """No m != 1 in (Z/N)^x with m R = R."""
+        N, R = self.N, self.rho_exponents
+        Rset = set(R)
+        return not any(gcd(m, N) == 1 and {m * r % N for r in R} == Rset
+                       for m in range(2, N))
 
 
 def hg_params(N, n, R) -> HGParams:
-    R = tuple(sorted(r % N for r in R))
-    return HGParams(N, n, R, sum(R) % N == 0, _has_trivial_stabilizer(N, R))
+    return HGParams(N, n, tuple(sorted(r % N for r in R)))
 
 
 def select_chi(N, n) -> HGParams:
     """Lexicographically first sum-zero exponent set, preferring a trivial
     stabilizer in Gal(Q(zeta_N)/Q); falls back (with the flag cleared) when
     every sum-zero set is stabilized, which is unavoidable for n = 2."""
-    from math import gcd
     if N % 2 == 0 or N <= n or gcd(N, n) != 1:
         raise ValueError("need N odd, N > n, gcd(N, n) = 1")
     fallback = None
     for R in combinations(range(1, N), n):
         if sum(R) % N != 0:
             continue
-        if _has_trivial_stabilizer(N, R):
-            return hg_params(N, n, R)
+        params = HGParams(N, n, R)
+        if params.trivial_stabilizer:
+            return params
         if fallback is None:
-            fallback = R
+            fallback = params
     if fallback is None:
         raise NoSumZeroSet(f"no sum-zero {n}-subset mod {N}")
-    return hg_params(N, n, fallback)
+    return fallback
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +384,9 @@ def newton_polygon(rec: CharPolyRecord, lam: LambdaPrime):
     return rec.slopes
 
 
+TOL = 1e-6   # relative tolerance of the floating-point |.| comparisons
+
+
 @dataclass
 class DetReport:
     skipped: bool
@@ -397,10 +399,11 @@ class DetReport:
         return self.skipped or (self.abs_ok and self.sign is not None)
 
 
-def verify_det(rec: CharPolyRecord, tol=1e-6) -> DetReport:
-    """|const term| = q^(n(n-1)/2) in every embedding, and the exact signed
-    identity prod(eigenvalues) = sign * q^(n(n-1)/2). Non-sum-zero exponent
-    sets are skipped (the determinant formula needs prod rho_i = 1)."""
+def verify_det(rec: CharPolyRecord) -> DetReport:
+    """|const term| = q^(n(n-1)/2) in every embedding within relative TOL,
+    and the exact signed identity prod(eigenvalues) = sign * q^(n(n-1)/2).
+    Non-sum-zero exponent sets are skipped (the determinant formula needs
+    prod rho_i = 1)."""
     n = rec.params.n
     expected = rec.q ** (n * (n - 1) // 2)
     if not rec.params.sum_zero:
@@ -414,15 +417,16 @@ def verify_det(rec: CharPolyRecord, tol=1e-6) -> DetReport:
         sign = -1
     else:
         sign = None
-    abs_ok = all(abs(abs(z) - expected) <= tol * expected
+    abs_ok = all(abs(abs(z) - expected) <= TOL * expected
                  for z in all_embeddings(c0))
     rep = DetReport(False, abs_ok, sign, expected)
     rec.checks["det"] = "pass" if rep.passed else "fail"
     return rep
 
 
-def verify_purity(rec: CharPolyRecord, tol=1e-6) -> bool:
-    """Each complex root alpha satisfies |alpha|^2 = q^(n-1) within tol."""
+def verify_purity(rec: CharPolyRecord) -> bool:
+    """Each complex root alpha satisfies |alpha|^2 = q^(n-1) within relative
+    TOL."""
     import numpy as np
     n = rec.params.n
     coeffs = [c.embed_complex() for c in rec.coeffs]
@@ -436,6 +440,6 @@ def verify_purity(rec: CharPolyRecord, tol=1e-6) -> bool:
             raise RootFindingFailed(
                 f"root residual {abs(val):.3e} too big (scale {scale:.3e})")
     w = rec.q ** (n - 1)
-    ok = all(abs(abs(r) ** 2 - w) <= tol * w for r in roots)
+    ok = all(abs(abs(r) ** 2 - w) <= TOL * w for r in roots)
     rec.checks["purity"] = "pass" if ok else "fail"
     return ok

@@ -50,10 +50,9 @@ class OrdinaryTest:
         return acc
 
 
-def exponents_c(params: HGParams, l: int, tau_choice: int = 1,
-                precision: int = 64):
+def exponents_c(params: HGParams, l: int, tau_choice: int = 1):
     """The exponents c_i in [1, q_v - 2] with z^(c_i) = reduced chi_{m_i}(z)."""
-    lam = lambda_prime(params.N, l, tau_choice, precision)
+    lam = lambda_prime(params.N, l, tau_choice)
     K = lam.residue_field
     D = K.dlog(lam.zeta_image)
     q_v = K.q
@@ -82,9 +81,8 @@ def u_poly(c, n, l):
     return tuple(out)
 
 
-def build_ordinary_test(params: HGParams, l: int, tau_choice: int = 1,
-                        precision: int = 64) -> OrdinaryTest:
-    c, lam = exponents_c(params, l, tau_choice, precision)
+def build_ordinary_test(params: HGParams, l: int, tau_choice: int = 1) -> OrdinaryTest:
+    c, lam = exponents_c(params, l, tau_choice)
     u = u_poly(c, params.n, l)
     K = lam.residue_field
     if (K.q - 1) % params.N != 0:
@@ -110,8 +108,9 @@ class NormIdentityRow:
     ok: bool
 
 
-def verify_norm_identity(test: OrdinaryTest, d: int, sign: int = NORM_IDENTITY_SIGN):
-    """Check reduce_lambda(trace) = sign * Norm_{k/k(v)}(u(x)) at every point.
+def verify_norm_identity(test: OrdinaryTest, d: int):
+    """Check reduce_lambda(trace) = Norm_{k/k(v)}(u(x)) at every point; the
+    sign is the calibrated NORM_IDENTITY_SIGN = +1.
 
     Exact equality in k(v); failures are returned as data, not raised.
     """
@@ -122,8 +121,6 @@ def verify_norm_identity(test: OrdinaryTest, d: int, sign: int = NORM_IDENTITY_S
         t_red = reduce_mod_lambda(traces[x], test.lam)
         u_val = test.u_at(x)
         norm_u = norm_to_subfield(u_val, test.field_v)
-        if sign == -1:
-            norm_u = -norm_u
         rows.append(NormIdentityRow(K.dlog(x), not u_val.is_zero(),
                                     t_red, norm_u, t_red == norm_u))
     return rows

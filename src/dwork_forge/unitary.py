@@ -10,11 +10,11 @@ matrix constructions used in the big-image arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
-from .ff import (FFElem, FieldDesc, NotPrime, _is_prime, embed, extension_of,
-                 field_make, prime_power)
+from .ff import (FFElem, FieldDesc, NotPrime, _check_table_size, _is_prime,
+                 embed, extension_of, field_make, prime_power)
 from .linalg import det, mat_identity, mat_inv, mat_mul
 
 
@@ -26,15 +26,10 @@ class Degenerate(ValueError):
     pass
 
 
-def gu_fields(q, base_p=None, base_f=None):
+def gu_fields(q):
     """(F_q, F_{q^2}) with the quadratic extension's embedding recorded."""
-    if base_p is None:
-        p, f = prime_power(q)
-    else:
-        p, f = base_p, base_f
-    Fq = field_make(p, f)
-    Fq2 = extension_of(Fq, 2)
-    return Fq, Fq2
+    Fq = field_make(*prime_power(q))
+    return Fq, extension_of(Fq, 2)
 
 
 def adjoint(M, q):
@@ -105,21 +100,22 @@ def gu_element(M, q, Fq: FieldDesc) -> GUElement:
 @dataclass
 class HermitianSpace:
     q: int
-    n: int
     gram: list                 # n x n over F_{q^2}, gram-dagger = gram
-    nondegenerate: bool
+    nondegenerate: bool = dc_field(init=False)
 
     def __post_init__(self):
         A = self.gram
         if adjoint(A, self.q) != A:
             raise ValueError("gram matrix is not Hermitian")
-        if self.nondegenerate != (not det(A).is_zero()):
-            raise ValueError("nondegenerate flag mismatch")
+        self.nondegenerate = not det(A).is_zero()
+
+    @property
+    def n(self):
+        return len(self.gram)
 
 
 def hermitian_space(q, gram) -> HermitianSpace:
-    return HermitianSpace(q, len(gram), [row[:] for row in gram],
-                          not det(gram).is_zero())
+    return HermitianSpace(q, [row[:] for row in gram])
 
 
 def _gram_ks(A):
@@ -295,6 +291,7 @@ def sym_power_embed(beta: int, n: int, m: int, p: int):
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
+    _check_table_size(p, 2)
     if p == 2 or not _is_prime(p):
         raise NotPrime(f"p = {p} must be an odd prime")
     if p <= m - 1:
@@ -380,7 +377,7 @@ def char_poly_matrix(M):
     return field.from_ks(polys[n])
 
 
-def matrix_eigenvalues(M, allow_extension=True):
+def matrix_eigenvalues(M):
     """Eigenvalues (with multiplicity) by scanning the field for roots of the
     characteristic polynomial; extends the field if some roots live upstairs."""
     field = M[0][0].field
@@ -388,8 +385,6 @@ def matrix_eigenvalues(M, allow_extension=True):
     eigs, rem = _roots_with_multiplicity(cp, field)
     if not rem and len(eigs) == len(M):
         return eigs
-    if not allow_extension:
-        raise NoSolution("eigenvalues not all rational over the entry field")
     deg = len(rem) - 1
     E = extension_of(field, deg)
     cp_up = [embed(c, E) for c in cp]
@@ -432,27 +427,24 @@ def _roots_with_multiplicity(poly, field):
     return field.from_ks(eigs), (cur if len(cur) > 1 else [])
 
 
-def induced_spectrum(psi_values, field: FieldDesc, frobenius_case=1):
+def induced_spectrum(psi_values, field: FieldDesc):
     """Eigenvalues of the induced block-cycle matrix for a generator Frobenius.
 
     psi_values are the m nonzero values of the character on the sigma-orbit;
-    the matrix sends e_i to psi_i e_(i+shift). The eigenvalue multiset is
-    {lam * zeta^j} for zeta a primitive m-th root of unity (ratio-tested).
-    frobenius_case selects which generator of the cyclic group acts.
+    Frobenius acts by the generator 1 of Z/m, so the matrix sends e_i to
+    psi_i e_(i+1). The eigenvalue multiset is {lam * zeta^j} for zeta a
+    primitive m-th root of unity (ratio-tested).
     """
-    from math import gcd
     m = len(psi_values)
     if m < 2:
         raise ValueError("need m >= 2")
-    if gcd(frobenius_case, m) != 1:
-        raise ValueError("frobenius_case must generate Z/m")
     if (field.q - 1) % m != 0:
         raise ValueError("ambient field must contain mu_m")
     M = [[field.zero()] * m for _ in range(m)]
     for i, v in enumerate(psi_values):
         if v.is_zero():
             raise ValueError("psi values must be nonzero")
-        M[(i + frobenius_case) % m][i] = v
+        M[(i + 1) % m][i] = v
     eigs = matrix_eigenvalues(M)
     lam = eigs[0]
     ratios = sorted((e / lam).k for e in eigs)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
-                                SpecialDegreeNotInteger, _y_constants,
+                                SpecialDegreeNotInteger, _special_degrees,
+                                _y_constants,
                                 alpha_invariants,
                                 bk_extension_degrees, breuil_forbidden_degrees,
                                 chain_slope_check, change_of_variables_solver,
@@ -261,21 +262,26 @@ def test_genericity_obstruction_sweep_bounds():
 
 
 def test_etale_image_windows():
-    w, dim, special = etale_image_windows((3,), (0,), 2, 5, 1)
+    w, dim, special = etale_image_windows(make_rank_one(5, 1, 2, (3,), ONE),
+                                          make_rank_one(5, 1, 2, (0,), ONE))
     assert [list(r) for r in w] == [[2, 3]] and dim == 2 and special is None
     # every window has exactly e integers
     for (s, t, e, p, f) in [((1, 4), (2, 0), 3, 5, 2), ((0,), (3,), 2, 5, 1)]:
-        w, dim, _ = etale_image_windows(s, t, e, p, f)
+        one = field_make(p, f).one()
+        w, dim, _ = etale_image_windows(make_rank_one(p, f, e, s, one),
+                                        make_rank_one(p, f, e, t, one))
         assert all(len(r) == e for r in w) and dim == e * f
 
 
 def test_etale_windows_special_term():
     # chi_1 = chi_2 with integral alpha-differences adds one degree
-    w, dim, special = etale_image_windows((4,), (0,), 1, 5, 1, chi_equal_flag=True)
+    w, dim, special = etale_image_windows(make_rank_one(5, 1, 1, (4,), ONE),
+                                          make_rank_one(5, 1, 1, (0,), ONE))
     assert dim == 2 and special == (5,)
-    # a bogus flag on non-integral differences is surfaced, not skipped
+    # the special degree of a pair whose characters differ is not an integer
     with pytest.raises(SpecialDegreeNotInteger):
-        etale_image_windows((3,), (0,), 2, 5, 1, chi_equal_flag=True)
+        _special_degrees(make_rank_one(5, 1, 2, (3,), ONE),
+                         make_rank_one(5, 1, 2, (0,), ONE))
 
 
 def test_chi_equal():

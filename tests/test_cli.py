@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import dwork_forge
+from dwork_forge import breuil as br
 from dwork_forge.cli import main
 
 
@@ -167,6 +168,13 @@ def test_unitary_normalize_over_f2(capsys):
     "breuil-oracle --p 5 --e 1 --f 0 --s 0 --t 0",
     "breuil-generic --p 9 --e 1 --f 1",
     "breuil-generic --p 3 --e 1 --f 1 --s 0 --t -3",
+    # fields over the table limit (q = 2^61 - 1, p = 10^18 + 3, 7^(10^8)):
+    # the size is compared before trial division or building p^f
+    "hg-trace --N 3 --n 2 --q 2305843009213693951 --x 5",
+    "unitary-normalize --q 2305843009213693951 --matrix [[1]]",
+    "unitary-sym --p 1000000000000000003 --beta 1 --n 1 --m 2",
+    "breuil-generic --p 1000000000000000003 --e 1 --f 1 --s 1 --t 1",
+    "ordinary-scan --N 3 --n 2 --l 7 --d 100000000",
 ])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code = main(argv.split(" "))
@@ -240,3 +248,26 @@ def test_algebra_commands_leave_numpy_unloaded():
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout
     assert out == str([False] * (1 + len(ALGEBRA_COMMANDS)) + [True]) + "\n"
+
+
+def test_breuil_oracle_chi_equal_dimension_counts_the_special_term(capsys):
+    # s = 4, t = 0 at (p, e, f) = (5, 2, 1): alpha difference 1, so
+    # chi_1 = chi_2 and the special degree 5 joins the windows [3, 4]
+    code, out = run_cli(capsys, "breuil-oracle", "--p", "5", "--e", "2",
+                        "--f", "1", "--s", "4", "--t", "0")
+    assert code == 0
+    F = br.frame_field(5, 2, 1)
+    top = br.make_rank_one(5, 1, 2, (4,), F.one())
+    bot = br.make_rank_one(5, 1, 2, (0,), F.one())
+    assert br.chi_equal(top, bot)
+    assert json.loads(out)["image_dimension"] == \
+        len(br._window_class_space(top, bot)) == 3
+
+
+@pytest.mark.parametrize("flag", ["--l", "--tau"])
+def test_hg_trace_takes_no_slope_options(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["hg-trace", "--N", "3", "--n", "2", "--q", "7", "--x", "3",
+              flag, "7"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

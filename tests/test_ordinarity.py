@@ -6,10 +6,9 @@ import pytest
 from dwork_forge.ff import char_value, extension_of
 from dwork_forge.hypergeom import char_poly, newton_polygon, select_chi, trace_all_fast
 from dwork_forge.lambda_adic import reduce_mod_lambda
-from dwork_forge.ordinarity import (NORM_IDENTITY_SIGN, build_ordinary_test,
-                                    exponents_c, lucas_check, ordinary_locus,
-                                    u_poly, unit_root_check,
-                                    verify_norm_identity)
+from dwork_forge.ordinarity import (build_ordinary_test, exponents_c,
+                                    lucas_check, ordinary_locus, u_poly,
+                                    unit_root_check, verify_norm_identity)
 
 
 def test_exponents_c_standard_tau():
@@ -88,7 +87,7 @@ def test_ordinary_locus_linear_u():
 def test_norm_identity_exhaustive(N, n, l, d):
     params = select_chi(N, n)
     test = build_ordinary_test(params, l)
-    rows = verify_norm_identity(test, d, sign=NORM_IDENTITY_SIGN)
+    rows = verify_norm_identity(test, d)
     assert rows and all(r.ok for r in rows)
     # d = 1 degenerate form: trace = u(x) mod lambda directly
     if d == 1:

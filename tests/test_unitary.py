@@ -93,9 +93,6 @@ def test_diagonalize_degenerate_rejected():
     assert not sp.nondegenerate
     with pytest.raises(Degenerate):
         diagonalize_to_identity(sp)
-    from dwork_forge.unitary import HermitianSpace
-    with pytest.raises(ValueError):
-        HermitianSpace(q, 2, A, True)  # flag contradicts det = 0
 
 
 @pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (5, 2), (5, 4), (7, 3)])
