@@ -9,8 +9,8 @@ from .ff import (FFElem, FieldDesc, IncompatibleFields, InvalidDegree,
 from .hypergeom import (CharPolyRecord, HGParams, NoSumZeroSet, char_poly,
                         newton_polygon, select_chi, trace_all_fast, trace_at,
                         trace_naive, verify_det, verify_purity)
-from .lambda_adic import (LambdaPrime, PrecisionExhausted, lambda_prime,
-                          reduce_mod_lambda, val_lambda)
+from .lambda_adic import (LambdaPrime, lambda_prime, reduce_mod_lambda,
+                          val_lambda)
 from .ordinarity import (OrdinaryTest, build_ordinary_test, exponents_c,
                          lucas_check, ordinary_locus, u_poly, unit_root_check,
                          verify_norm_identity)

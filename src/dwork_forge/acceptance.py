@@ -20,7 +20,7 @@ from . import breuil as br
 from . import hypergeom as hg
 from . import ordinarity as od
 from . import unitary as un
-from .ff import extension_of, field_make
+from .ff import TABLE_LIMIT, extension_of, field_make
 from .lambda_adic import reduce_mod_lambda
 from .linalg import det as _det, mat_identity, mat_mul
 from .util import stable_json
@@ -66,8 +66,7 @@ def criterion_1():
 def _charpoly_sweep(N, n, q):
     params = _params(N, n)
     k = field_make(q, 1)
-    recs = [hg.char_poly(params, k, x)
-            for x in sorted(hg.trace_all_fast(params, k), key=lambda e: e.k)]
+    recs = [hg.char_poly(params, k, x) for x in hg.trace_all_fast(params, k)]
     return params, k, recs
 
 
@@ -170,10 +169,10 @@ def criterion_5():
         test = _ordinary_test(N, n, l)
         for d in (1, 2):
             K = extension_of(test.field_v, d)
-            if K.q ** n <= (1 << 20):
+            if K.q ** n <= TABLE_LIMIT:
                 params = test.params
-                points = sorted(hg.trace_all_fast(params, K), key=lambda e: e.k)
-                recs = [hg.char_poly(params, K, x) for x in points]
+                recs = [hg.char_poly(params, K, x)
+                        for x in hg.trace_all_fast(params, K)]
                 checked = skipped = full = 0
                 for rec in recs:
                     hg.newton_polygon(rec, test.lam)
@@ -193,7 +192,7 @@ def criterion_5():
                 traces = hg.trace_all_fast(test.params, K)
                 bad = []
                 checked = skipped = 0
-                for x in sorted(traces, key=lambda e: e.k):
+                for x in traces:
                     if test.u_at(x).is_zero():
                         skipped += 1
                         continue

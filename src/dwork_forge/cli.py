@@ -19,7 +19,7 @@ from . import breuil as br
 from . import hypergeom as hg
 from . import ordinarity as od
 from . import unitary as un
-from .ff import FFError, extension_of, field_make, prime_power
+from .ff import TABLE_LIMIT, FFError, extension_of, field_make, prime_power
 from .lambda_adic import lambda_prime
 from .unitary import gu_fields
 from .util import stable_json
@@ -90,7 +90,7 @@ def cmd_hg_scan(args):
     lam = lambda_prime(params.N, args.l, args.tau) if args.l else None
     records = []
     all_ok = True
-    for x in sorted(hg.trace_all_fast(params, k), key=lambda e: e.k):
+    for x in hg.trace_all_fast(params, k):
         rec = hg.char_poly(params, k, x)
         if lam is not None:
             hg.newton_polygon(rec, lam)
@@ -115,8 +115,8 @@ def cmd_ordinary_scan(args):
     K = extension_of(test.field_v, args.d)
     rows = od.verify_norm_identity(test, args.d)
     polygons = {}
-    if K.q ** params.n <= (1 << 20):
-        for x in sorted(hg.trace_all_fast(params, K), key=lambda e: e.k):
+    if K.q ** params.n <= TABLE_LIMIT:    # char_poly builds F_{q^n}
+        for x in hg.trace_all_fast(params, K):
             rec = hg.char_poly(params, K, x)
             hg.newton_polygon(rec, test.lam)
             od.unit_root_check(test, rec)
@@ -306,8 +306,17 @@ def cmd_selftest(args):
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other bad input: one line, status 2.
+    Subparsers are made with the same class."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dwork-forge",
         description="Exact Frobenius/Breuil/unitary verification suite")
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -30,7 +30,7 @@ from math import gcd
 from .convolution import conv2d_cyclic
 from .cyclotomic import CyclotomicInt, all_embeddings
 from .ff import FFElem, FieldDesc, _anchor_inverse, embed, extension_of
-from .lambda_adic import LambdaPrime, val_lambda_auto
+from .lambda_adic import LambdaPrime, val_lambda
 
 
 class BadPoint(ValueError):
@@ -236,10 +236,11 @@ def trace_at(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
 def trace_all_fast(params: HGParams, k: FieldDesc):
     """Map x -> trace for every x in k - {0,1}, by exact convolution.
 
-    The cached prefix times the last factor's matrix; agrees with
-    trace_naive pointwise (tested). The last FAST_CACHE_SIZE (params, field)
-    pairs are cached. The key holds the field itself, so a cached entry can
-    never be read back for a different field.
+    The keys come in dlog order 1..q-2, so callers iterate the map as it is;
+    a cache hit returns the same dict. The cached prefix times the last
+    factor's matrix; agrees with trace_naive pointwise (tested). The last
+    FAST_CACHE_SIZE (params, field) pairs are cached. The key holds the field
+    itself, so a cached entry can never be read back for a different field.
     """
     key = (params, k)
     hit = _fast_cache.get(key)
@@ -350,10 +351,7 @@ def newton_polygon(rec: CharPolyRecord, lam: LambdaPrime):
     Slopes are the root valuations (lower convex hull of (i, val(coeff_i))),
     divided by [k : F_l] when the point field has characteristic l.
     """
-    vals = []
-    for c in rec.coeffs:
-        v, lam = val_lambda_auto(c, lam)
-        vals.append(v)
+    vals = [val_lambda(c, lam) for c in rec.coeffs]
     assert vals[-1] == 0, "polynomial must be monic"
     assert not rec.coeffs[0].is_zero(), "zero constant term has no finite polygon"
     pts = [(i, v) for i, v in enumerate(vals) if v != float("inf")]

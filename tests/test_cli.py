@@ -271,3 +271,17 @@ def test_hg_trace_takes_no_slope_options(capsys, flag):
               flag, "7"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "hg-trace --N 3 --n 2 --q 7 --x 3 --l 7",      # unknown option
+    "hg-trace --N 3 --n 2 --x 3",                   # missing required option
+    "hg-trace --N 3 --n 2 --q seven --x 3",         # not an integer
+    "",                                             # no subcommand
+])
+def test_usage_error_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -2,12 +2,15 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwork_forge.cyclotomic import CyclotomicInt
 from dwork_forge.ff import (SCALAR_TABLE_LIMIT, FFError, IncompatibleFields,
                             InvalidDegree, NNotDividingQMinus1, NotPrime, TooLarge,
-                            char_exponent, char_value, embed, extension_of,
-                            field_make, norm_to_subfield, prime_power)
+                            _pmod, _pmul, char_exponent, char_value, embed,
+                            extension_of, field_make, norm_to_subfield,
+                            prime_power)
 
 
 def reference_tables(F):
@@ -253,3 +256,57 @@ def test_degree_below_one_rejected(degree):
         field_make(5, degree)
     with pytest.raises(InvalidDegree):
         extension_of(field_make(5, 1), degree)
+
+
+# (p, f) on both sides of SCALAR_TABLE_LIMIT = 2^12, p = 2 on each side
+KERNEL_FIELDS = [(2, 1), (2, 5), (3, 3), (7, 2), (4093, 1),
+                 (2, 13), (3, 8), (4099, 1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.data())
+def test_dlog_kernels_match_polynomial_arithmetic(pf, data):
+    F = field_make(*pf)
+    p, f, q = F.p, F.f, F.q
+    assert (q <= SCALAR_TABLE_LIMIT) == (type(F._pow) is list)
+
+    def digits(k):          # dlog (None for zero) -> coefficient list
+        enc = 0 if k is None else F.from_dlog(k).encoding
+        return [enc // p ** i % p for i in range(f)]
+
+    def dlog(poly):         # polynomial over F_p -> dlog, None for zero
+        return F.from_encoding(sum(c % p * p ** i for i, c in enumerate(poly))).k
+
+    def add(a, b):
+        return [(x + y) % p for x, y in zip(a, b)]
+
+    def mul(a, b):
+        return (_pmod(_pmul(a, b, p), F.defining_poly, p) + [0] * f)[:f]
+
+    def neg(a):
+        return [-x % p for x in a]
+
+    nonzero = st.integers(0, q - 2)
+    elem = st.none() | nonzero
+    a, b = data.draw(elem), data.draw(elem)
+    assert F.k_add(a, b) == dlog(add(digits(a), digits(b)))
+    assert F.k_mul(a, b) == dlog(mul(digits(a), digits(b)))
+    assert F.k_neg(a) == dlog(neg(digits(a)))
+
+    xs = data.draw(st.lists(elem, max_size=6))
+    ys = data.draw(st.lists(elem, min_size=len(xs), max_size=len(xs)))
+    dot = [0] * f
+    for x, y in zip(xs, ys):
+        dot = add(dot, mul(digits(x), digits(y)))
+    assert F.k_dot(xs, ys) == dlog(dot)
+
+    row = data.draw(st.lists(elem, max_size=6))
+    prow = data.draw(st.lists(nonzero, min_size=len(row), max_size=len(row)))
+    cols = data.draw(st.lists(st.sampled_from(range(len(row))), unique=True)
+                     if row else st.just([]))
+    fk = data.draw(nonzero)
+    want = list(row)
+    for c in cols:
+        want[c] = dlog(add(digits(row[c]), neg(mul(digits(fk), digits(prow[c])))))
+    F.k_row_sub(row, fk, prow, cols)
+    assert row == want

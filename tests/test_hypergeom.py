@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dwork_forge import hypergeom as hg
 from dwork_forge.cyclotomic import CyclotomicInt
-from dwork_forge.ff import embed, extension_of, field_make
+from dwork_forge.ff import embed, extension_of, field_make, prime_power
 from dwork_forge.hypergeom import (BadPoint, NoSumZeroSet, char_poly,
                                    hg_params, newton_polygon, select_chi,
                                    trace_all_fast, trace_naive, verify_det,
@@ -258,6 +258,17 @@ def test_fast_cache_keyed_by_field_and_bounded(monkeypatch):
     # neither may be served the other's map
     assert maps[0] is not maps[1]
     assert trace_all_fast(params, fields[-1]) is maps[-1]
+
+
+@pytest.mark.parametrize("N,n,q", [(3, 2, 7), (3, 2, 49), (11, 3, 23)])
+def test_fast_map_keys_in_dlog_order(monkeypatch, N, n, q):
+    # the scans iterate the map as it is, so its order is the report's order
+    monkeypatch.setattr(hg, "_fast_cache", {})
+    params = select_chi(N, n)
+    F = field_make(*prime_power(q))
+    for _ in range(2):      # a miss, then a cache hit
+        assert [x.k for x in trace_all_fast(params, F)] == list(range(1, q - 1))
+    assert len(hg._fast_cache) == 1
 
 
 def test_trace_conj_symmetry():

@@ -1,19 +1,18 @@
 import random
 from itertools import zip_longest
-from math import inf
+from math import gcd, inf
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwork_forge.cyclotomic import CyclotomicInt, cyclotomic_polynomial, euler_phi_of
-from dwork_forge.ff import _pdivmod, _pmul, _ptrim, field_make
-from dwork_forge.lambda_adic import (PrecisionExhausted, _field_inverse_mod_l,
-                                     _UnramifiedRing, lambda_prime,
-                                     reduce_mod_lambda, val_lambda,
-                                     val_lambda_auto)
+from dwork_forge.cyclotomic import CyclotomicInt, euler_phi_of
+from dwork_forge.ff import _pdivmod, _pmul, _ptrim
+from dwork_forge.lambda_adic import lambda_prime, reduce_mod_lambda, val_lambda
 
 CONFIGS = [(3, 7), (5, 11), (11, 23), (5, 7), (7, 3)]  # last two have d > 1
+# split (3,7), (5,11), (11,23); inert (5,7), (7,3); mixed (7,2), (13,3), (15,2)
+ORACLE_CONFIGS = CONFIGS + [(7, 2), (13, 3), (15, 2)]
 
 
 def rand_elem(rng, N, bound=20):
@@ -33,15 +32,6 @@ def test_residue_degree():
     assert lambda_prime(5, 7).d == 4     # ord(7 mod 5) = ord(2) = 4
     assert lambda_prime(7, 3).d == 6     # 3 is a primitive root mod 7
     assert lambda_prime(11, 23).d == 1
-
-
-def test_lifted_root_satisfies_phi():
-    lam = lambda_prime(3, 7, precision=32)
-    r = lam.lifted_root
-    phi = cyclotomic_polynomial(3)
-    val = sum(c * r ** i for i, c in enumerate(phi))
-    assert val % 7 ** 32 == 0
-    assert pow(r, 3, 7 ** 32) == 1
 
 
 def test_bad_inputs():
@@ -91,13 +81,50 @@ def test_val_multiplicative(N, l):
         assert (val_lambda(a, lam) == 0) == (not reduce_mod_lambda(a, lam).is_zero())
 
 
-def test_precision_exhausted_and_retry():
-    lam = lambda_prime(3, 7, precision=16)
-    deep = CyclotomicInt.from_int(3, 7 ** 16)
-    with pytest.raises(PrecisionExhausted):
-        val_lambda(deep, lam)
-    v, lam2 = val_lambda_auto(deep, lam)
-    assert v == 16 and lam2.precision == 32
+@pytest.mark.parametrize("N,l", CONFIGS)
+def test_deep_valuation_needs_no_precision(N, l):
+    lam = lambda_prime(N, l)
+    u = rand_unit(random.Random(N * 3 + l), N, lam)
+    assert val_lambda(u * l ** 200, lam) == 200
+
+
+def places_over(N, l):
+    """One LambdaPrime per place over l: one tau_choice per coset of <l>."""
+    seen, places = set(), []
+    for t in range(1, N):
+        if gcd(t, N) == 1 and t not in seen:
+            lam = lambda_prime(N, l, tau_choice=t)
+            seen.update(t * l ** j % N for j in range(lam.d))
+            places.append(lam)
+    return places
+
+
+@pytest.mark.parametrize("N,l", ORACLE_CONFIGS)
+def test_place_sum_is_the_norm_valuation(N, l):
+    # v_l(Norm(a)) = sum over the places lambda | l of d * v_lambda(a)
+    places = places_over(N, l)
+    assert len(places) * places[0].d == euler_phi_of(N)
+    rng = random.Random(N * 1000 + l)
+    for _ in range(12):
+        a = rand_elem(rng, N, bound=4) * l ** rng.randrange(3)
+        for lam in places:     # a factor in lambda, with its own exponent
+            h = sum((CyclotomicInt.zeta_pow(N, i) * c
+                     for i, c in enumerate(lam.min_poly_mod_l)),
+                    CyclotomicInt.zero(N))
+            a = a * h ** rng.randrange(3)
+        if a.is_zero():
+            continue
+        norm = CyclotomicInt.one(N)
+        for c in range(1, N):
+            if gcd(c, N) == 1:
+                norm = norm * a.galois_apply(c)
+        n = norm.coeffs[0]
+        assert norm == CyclotomicInt.from_int(N, n) and n != 0
+        v = 0
+        while n % l == 0:
+            n //= l
+            v += 1
+        assert places[0].d * sum(val_lambda(a, lam) for lam in places) == v
 
 
 def test_tau_choice_changes_identification():
@@ -113,7 +140,7 @@ def test_tau_choice_changes_identification():
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from([2, 3, 7]), st.data())
-def test_fp_division_and_inverse_mod_l(p, data):
+def test_fp_division(p, data):
     digits = st.lists(st.integers(0, p - 1), min_size=1, max_size=6)
     a = data.draw(digits)
     b = data.draw(digits) + [data.draw(st.integers(1, p - 1))]
@@ -121,9 +148,3 @@ def test_fp_division_and_inverse_mod_l(p, data):
     assert r == [0] or len(r) < len(b)              # deg r < deg b
     qb_plus_r = [x + y for x, y in zip_longest(_pmul(q, b, p), r, fillvalue=0)]
     assert _ptrim(qb_plus_r, p) == _ptrim(a, p)
-    # inverse in F_p[y]/(h) for the defining polynomial h of F_{p^f}
-    f = data.draw(st.integers(1, 4))
-    ring = _UnramifiedRing(p, 1, field_make(p, f).defining_poly)
-    x = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=f, max_size=f)
-                        .filter(any)))
-    assert ring.mul(_field_inverse_mod_l(ring, x), x) == (1,) + (0,) * (f - 1)
