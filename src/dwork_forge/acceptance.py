@@ -20,7 +20,7 @@ from . import breuil as br
 from . import hypergeom as hg
 from . import ordinarity as od
 from . import unitary as un
-from .ff import TABLE_LIMIT, extension_of, field_make
+from .ff import extension_of, field_make, table_fits
 from .lambda_adic import reduce_mod_lambda
 from .linalg import det as _det, mat_identity, mat_mul
 from .util import stable_json
@@ -169,7 +169,7 @@ def criterion_5():
         test = _ordinary_test(N, n, l)
         for d in (1, 2):
             K = extension_of(test.field_v, d)
-            if K.q ** n <= TABLE_LIMIT:
+            if table_fits(K.p, K.f * n):
                 params = test.params
                 recs = [hg.char_poly(params, K, x)
                         for x in hg.trace_all_fast(params, K)]

@@ -27,7 +27,7 @@ from itertools import product
 from math import floor
 
 from .ff import FFElem, field_make
-from .linalg import left_null_space, solve_linear
+from .linalg import sparse_left_null_space, sparse_solve
 
 
 class PreconditionViolated(ValueError):
@@ -272,38 +272,43 @@ def _y_constants(y, top: RankOneBK, bottom: RankOneBK, terms=None):
     return out
 
 
+def _add_term(row, idx, k, F):
+    """row[idx] += g^k in a sparse dlog row; an entry that cancels is
+    deleted."""
+    v = F.k_add(row.pop(idx, None), k)
+    if v is not None:
+        row[idx] = v
+
+
 def _monodromy_system(top: RankOneBK, bottom: RankOneBK, d_poly, y_degrees):
     """Rows of the monodromy equation, one per (j, g) with g < e where a term
     can appear: d * (a)_j * mu'_{j+1}, the phi-term, or a y-term at a key of
-    y_degrees. The unknown coefficient of u^m in mu'_j (1 <= m <= e-1) is
-    column j*(e-1) + m-1. Returns (row keys (j, g) in sorted order, rows).
+    y_degrees. d_poly maps a u-degree to the dlog of d's coefficient. The
+    unknown coefficient of u^m in mu'_j (1 <= m <= e-1) is column
+    j*(e-1) + m-1. Returns (row keys (j, g) in sorted order, sparse dlog rows
+    {column: dlog}); a key whose terms cancel keeps its (empty) row.
     """
     p, f, e = top.p, top.f, top.e
     F = top.a.field
     s, t = top.s, bottom.s
-    ca, cb = _twists(top, bottom)
+    ca, cb = (F.to_ks(c) for c in _twists(top, bottom))
 
     def unk(j, m):
         return (j % f) * (e - 1) + (m - 1)
 
-    terms = {}   # (j, g) -> list of (unknown index, coefficient)
+    terms = {}   # (j, g) -> {unknown index: dlog}
     for j in range(f):
         for m in range(1, e):
             for dk, dv in d_poly.items():
                 if dk + m < e:
-                    terms.setdefault((j, dk + m), []).append(
-                        (unk(j + 1, m), dv * ca[j]))
+                    _add_term(terms.setdefault((j, dk + m), {}), unk(j + 1, m),
+                              F.k_mul(dv, ca[j]), F)
             g = e - s[j] + t[j] + p * m
             if g < e:
-                terms.setdefault((j, g), []).append((unk(j, m), -cb[j]))
+                _add_term(terms.setdefault((j, g), {}), unk(j, m),
+                          F.k_neg(cb[j]), F)
     keys = sorted(set(terms) | set(y_degrees))
-    rows = []
-    for key in keys:
-        row = [F.zero()] * (f * (e - 1))
-        for idx, cf in terms.get(key, ()):
-            row[idx] = row[idx] + cf
-        rows.append(row)
-    return keys, rows
+    return keys, [terms.get(key, {}) for key in keys]
 
 
 def solve_monodromy(problem: ExtProblem, d_unit=None):
@@ -325,23 +330,23 @@ def solve_monodromy(problem: ExtProblem, d_unit=None):
     _, f, e = problem.frame
     F = problem.top.a.field
     if d_unit is None:
-        d_poly = {0: F.one()}
-    elif isinstance(d_unit, FFElem):
-        d_poly = {0: d_unit}
-    else:
-        d_poly = {k: v for k, v in dict(d_unit).items() if not v.is_zero()}
-    if 0 not in d_poly or d_poly[0].is_zero():
+        d_unit = F.one()
+    d_unit = {0: d_unit} if isinstance(d_unit, FFElem) else dict(d_unit)
+    d_poly = {k: v for k, v in zip(d_unit, F.to_ks(d_unit.values()))
+              if v is not None}
+    if 0 not in d_poly:
         raise ValueError("d must be a u-adic unit")
     consts = _y_constants(problem.y, problem.top, problem.bottom)
     keys, rows = _monodromy_system(problem.top, problem.bottom, d_poly, consts)
-    rhs = F.from_ks([F.k_neg(consts.get(key)) for key in keys])
-    sol = solve_linear(rows, rhs, F)
+    rhs = [F.k_neg(consts.get(key)) for key in keys]
+    sol = sparse_solve(rows, rhs, f * (e - 1), F)
     if sol is None:
         return INFEASIBLE
     mu = []
     for j in range(f):
         comp = sol[j * (e - 1):(j + 1) * (e - 1)]
-        mu.append({m: c for m, c in enumerate(comp, 1) if not c.is_zero()})
+        mu.append({m: F.from_dlog(k) for m, k in enumerate(comp, 1)
+                   if k is not None})
     return mu
 
 
@@ -393,10 +398,10 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
     degs, _ = bk_extension_degrees(top, bottom)
     universe = _y_constants({(j, l): F.one() for j in range(top.f)
                              for l in degs[j]}, top, bottom)
-    keys, A = _monodromy_system(top, bottom, {0: F.one()}, universe)
+    keys, A = _monodromy_system(top, bottom, {0: 0}, universe)
     row_map = {key: i for i, key in enumerate(keys)}
     nunk = top.f * (top.e - 1)
-    null_vecs = [F.to_ks(v) for v in left_null_space(A, F)] if nunk else None
+    null_vecs = sparse_left_null_space(A, nunk, F) if nunk else None
     terms = {}
 
     def check(y: dict) -> bool:
@@ -501,56 +506,45 @@ def _cov_system(given: dict, top: RankOneBK, bottom: RankOneBK,
     s, t = top.s, bottom.s
     data_degs = set(unknown_space) | set(given)
     G, L, U, e_low = _lambda_bounds(top, bottom, data_degs, margin)
-    cls_index = {}
-    k = 0
-    for key in sorted(unknown_space):
-        cls_index[key] = k
-        k += 1
-    lam_index = {}
+    cls_index = {key: k for k, key in enumerate(sorted(unknown_space))}
+    # lambda_{j,l} for L <= l <= U_j is the unknown lam_base[j] + l
+    lam_base, k = [], len(cls_index)
     for j in range(f):
-        for l in range(L, U[j] + 1):
-            lam_index[(j, l)] = k
-            k += 1
+        lam_base.append(k - L)
+        k += U[j] - L + 1
     nunk = k
 
-    ca, cb = _twists(top, bottom)
-    # orientation: the unknown class enters with +1; lambda terms carry the
-    # sign that moves the given data to the right-hand side
-    lam_sign = F.from_int(1 if to_etale else -1)
-    zero, one = F.zero(), F.one()
+    ca, cb = (F.to_ks(c) for c in _twists(top, bottom))
+    given = dict(zip(given, F.to_ks(given.values())))
     rows, rhs = [], []
     for j in range(f):
-        phi_cf, lam_cf = cb[j] * lam_sign, ca[j] * lam_sign
+        jp = (j - 1) % f
+        # orientation: the unknown class enters with +1; lambda terms carry
+        # the sign that moves the given data to the right-hand side
+        phi_k = cb[j] if to_etale else F.k_neg(cb[j])
+        lam_k = F.k_neg(ca[j]) if to_etale else ca[j]
         for g in range(e_low, G + 1):
-            row = [zero] * nunk
-            nontrivial = False
-            if (j, g) in cls_index:
-                row[cls_index[(j, g)]] = one
-                nontrivial = True
+            row = {}
+            idx = cls_index.get((j, g))
+            if idx is not None:
+                row[idx] = 0
             gl, rem = divmod(g - t[j], p)
-            key = ((j - 1) % f, gl)
-            if rem == 0 and key in lam_index:
-                idx = lam_index[key]
-                row[idx] = row[idx] + phi_cf
-                nontrivial = True
-            key = (j, g - s[j])
-            if key in lam_index:
-                idx = lam_index[key]
-                row[idx] = row[idx] - lam_cf
-                nontrivial = True
-            rv = given.get((j, g), zero)
-            if nontrivial or not rv.is_zero():
+            if rem == 0 and L <= gl <= U[jp]:
+                row[lam_base[jp] + gl] = phi_k
+            l = g - s[j]
+            if L <= l <= U[j]:
+                _add_term(row, lam_base[j] + l, lam_k, F)
+            b = given.get((j, g))
+            if row or b is not None:
                 rows.append(row)
-                rhs.append(rv)
-    sol = solve_linear(rows, rhs, F)
+                rhs.append(b)
+    sol = sparse_solve(rows, rhs, nunk, F)
     if sol is None:
         return INFEASIBLE
-    cls = {key: sol[idx] for key, idx in cls_index.items()
-           if not sol[idx].is_zero()}
-    lam = []
-    for j in range(f):
-        lam.append({l: sol[lam_index[(j, l)]] for l in range(L, U[j] + 1)
-                    if not sol[lam_index[(j, l)]].is_zero()})
+    cls = {key: F.from_dlog(sol[idx]) for key, idx in cls_index.items()
+           if sol[idx] is not None}
+    lam = [{l: F.from_dlog(sol[lam_base[j] + l]) for l in range(L, U[j] + 1)
+            if sol[lam_base[j] + l] is not None} for j in range(f)]
     return cls, lam
 
 

@@ -19,7 +19,8 @@ from . import breuil as br
 from . import hypergeom as hg
 from . import ordinarity as od
 from . import unitary as un
-from .ff import TABLE_LIMIT, FFError, extension_of, field_make, prime_power
+from .ff import (FFError, check_table_size, extension_of, field_make,
+                 prime_power, table_fits)
 from .lambda_adic import lambda_prime
 from .unitary import gu_fields
 from .util import stable_json
@@ -86,7 +87,9 @@ def cmd_hg_charpoly(args):
 def cmd_hg_scan(args):
     params = _params_from(args)
     _validate_hg(args, args.q)
-    k = _field_for(args.q)
+    p, f = prime_power(args.q)
+    check_table_size(p, f * params.n)     # char_poly builds F_{q^n}
+    k = field_make(p, f)
     lam = lambda_prime(params.N, args.l, args.tau) if args.l else None
     records = []
     all_ok = True
@@ -115,7 +118,7 @@ def cmd_ordinary_scan(args):
     K = extension_of(test.field_v, args.d)
     rows = od.verify_norm_identity(test, args.d)
     polygons = {}
-    if K.q ** params.n <= TABLE_LIMIT:    # char_poly builds F_{q^n}
+    if table_fits(K.p, K.f * params.n):    # char_poly builds F_{q^n}
         for x in hg.trace_all_fast(params, K):
             rec = hg.char_poly(params, K, x)
             hg.newton_polygon(rec, test.lam)

@@ -7,9 +7,11 @@ table lookup. Fields with q <= SCALAR_TABLE_LIMIT build their tables as
 Python lists, one multiplication by g at a time, so the algebra layers run
 without numpy; larger fields build numpy int32 arrays block-wise. The Zech
 table is kept as a list either way for the dlog-integer kernels (k_add,
-k_mul, k_neg, k_dot, k_row_sub), which read it one entry at a time: FFElem
-addition and the hot loops of linalg and unitary all add through k_add.
-zech_array() gives it as an array to the vectorized trace engine.
+k_mul, k_neg, k_dot, k_row_sub, k_sparse_sub), which read it one entry at a
+time: FFElem addition goes through k_add, unitary's dense row updates
+(Gram-Schmidt, the Hessenberg reduction) through k_row_sub, and the sparse
+elimination kernel of linalg through k_sparse_sub. zech_array() gives it as
+an array to the vectorized trace engine.
 
 Multiplicative characters valued in Z[zeta_N] are evaluated against a
 recorded N-torsion anchor; fields built with extension_of() inherit the
@@ -78,16 +80,20 @@ def _prime_factors(n):
     return out
 
 
-def _check_table_size(p, f):
-    """TooLarge when p^f exceeds TABLE_LIMIT (p >= 2, f >= 1).
+def table_fits(p, f):
+    """Whether F_{p^f} is within TABLE_LIMIT (p >= 2, f >= 1).
 
-    Callers run it before any primality test. It decides a large f without
-    building p^f: p^f >= 2^f > TABLE_LIMIT once f reaches the limit's bit
-    length.
+    A large f is decided without building p^f: p^f >= 2^f > TABLE_LIMIT
+    once f reaches the limit's bit length. Callers ask it of the top field
+    of a tower, (p, f*n), before they build any of it.
     """
-    if p < 2 or f < 1:
-        return
-    if f >= TABLE_LIMIT.bit_length() or p ** f > TABLE_LIMIT:
+    return f < TABLE_LIMIT.bit_length() and p ** f <= TABLE_LIMIT
+
+
+def check_table_size(p, f):
+    """TooLarge unless table_fits(p, f); callers run it before any primality
+    test."""
+    if p >= 2 and f >= 1 and not table_fits(p, f):
         q = p if f == 1 else f"{p}^{f}"
         raise TooLarge(f"q = {q} exceeds table limit {TABLE_LIMIT}")
 
@@ -95,7 +101,7 @@ def _check_table_size(p, f):
 def prime_power(q):
     """(p, f) with q = p^f for a prime p and f >= 1; NotPrime otherwise, and
     TooLarge above TABLE_LIMIT before any trial division."""
-    _check_table_size(q, 1)
+    check_table_size(q, 1)
     factors = _prime_factors(q) if q >= 2 else []
     if len(factors) != 1:
         raise NotPrime(f"q = {q} is not a prime power")
@@ -327,7 +333,7 @@ class FieldDesc:
     """Immutable description of F_{p^f} with dlog and Zech tables."""
 
     def __init__(self, p, f):
-        _check_table_size(p, f)
+        check_table_size(p, f)
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if f < 1:
@@ -461,6 +467,23 @@ class FieldDesc:
         nf = f + self._half
         for c in cols:
             row[c] = add(row[c], (nf + prow[c]) % L)
+
+    def k_sparse_sub(self, row, f, prow):
+        """row -= f * prow in place, for sparse rows {column: dlog} and f
+        nonzero; entries that cancel are deleted."""
+        zech, L = self._zech, self.q - 1
+        nf = f + self._half
+        for c, v in prow.items():
+            b = (nf + v) % L
+            a = row.get(c)
+            if a is None:
+                row[c] = b
+                continue
+            z = zech[(b - a) % L]      # a + b = g^a (1 + g^(b-a))
+            if z is None:
+                del row[c]
+            else:
+                row[c] = (a + z) % L
 
     # -- element constructors ---------------------------------------------
     def zero(self):

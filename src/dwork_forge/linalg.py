@@ -1,9 +1,20 @@
 """Exact linear algebra over a FieldDesc.
 
 Matrices are lists of FFElem rows at the interface. Inside, every routine
-works on dlog-integer rows through the FieldDesc kernels (an entry is its
-dlog, or None for zero): entries are converted and field-checked once on the
-way in, and FFElem objects are built only for the entries returned.
+works on dlogs through the FieldDesc kernels (an entry is its dlog, or None
+for zero): entries are converted and field-checked once on the way in, and
+FFElem objects are built only for the entries returned.
+
+Elimination has one kernel, on sparse rows {column: dlog} that hold only
+the nonzero entries. _echelon reduces the rows one at a time against the
+pivot rows found so far, and _back_reduce turns its echelon form into the
+reduced row echelon form. Pivot columns and the reduced form depend on the
+matrix alone, not on the order of elimination, so every result is the one
+column-order Gauss-Jordan gives. det reads the pivots of the echelon form;
+mat_inv, solve_linear, null_space and left_null_space read the reduced form
+of FFElem matrices, and sparse_solve, sparse_null_space and
+sparse_left_null_space that of sparse dlog rows, which is how the Breuil
+systems are built.
 """
 
 from __future__ import annotations
@@ -30,103 +41,146 @@ def mat_mul(A, B):
     return out
 
 
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
+# -- the elimination kernel ---------------------------------------------------
 
+def _echelon(rows, field: FieldDesc):
+    """Echelon form of the sparse dlog rows, which are left as they are.
+
+    Each row is reduced against the pivot rows found so far: while its
+    leading (smallest) column is a pivot column, the multiple of that pivot
+    row that clears it is subtracted. A row with an entry left becomes the
+    pivot row of its leading column; a row that cancels out is dropped.
+    Returns {pivot column: row} in the order the input rows came; pivot rows
+    are not scaled and are zero left of their pivot column.
+    """
+    sub = field.k_sparse_sub
+    pivots = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            sub(row, row[c] - prow[c], prow)
+    return pivots
+
+
+def _back_reduce(pivots, field: FieldDesc):
+    """The reduced row echelon form of _echelon's pivot rows, in place.
+
+    From the last pivot column back, each pivot row is cleared at the pivot
+    columns right of its own by rows that are already reduced (which adds
+    entries only at free columns), then scaled to 1 at its pivot. Returns
+    {pivot column: row} in increasing column order.
+    """
+    L = field.q - 1
+    done = {}
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for c2 in [k for k in row if k in done]:
+            field.k_sparse_sub(row, row[c2], done[c2])
+        inv = -row[c]
+        done[c] = {k: (v + inv) % L for k, v in row.items()}
+    return dict(reversed(done.items()))
+
+
+def _sparse(rows, field: FieldDesc):
+    """Sparse dlog rows of FFElem rows, field-checked."""
+    return [{j: k for j, k in enumerate(field.to_ks(row)) if k is not None}
+            for row in rows]
+
+
+def _transpose(rows, ncols):
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, k in row.items():
+            cols[j][i] = k
+    return cols
+
+
+# -- sparse dlog interface ----------------------------------------------------
+
+def sparse_solve(rows, rhs, ncols, field: FieldDesc):
+    """One solution of rows * x = rhs, for sparse dlog rows over ncols
+    columns and a dlog right-hand side.
+
+    Returns the dlogs of x with free variables set to zero, or None when the
+    system is inconsistent.
+    """
+    aug = [row if b is None else {**row, ncols: b} for row, b in zip(rows, rhs)]
+    pivots = _echelon(aug, field)
+    if ncols in pivots:
+        return None
+    x = [None] * ncols
+    for c, row in _back_reduce(pivots, field).items():
+        x[c] = row.get(ncols)
+    return x
+
+
+def sparse_null_space(rows, ncols, field: FieldDesc):
+    """Basis of {x : rows * x = 0} as dlog lists, one per free column in
+    increasing order: 1 at that column, 0 at the other free columns."""
+    R = _back_reduce(_echelon(rows, field), field)
+    basis = []
+    for free in range(ncols):
+        if free in R:
+            continue
+        v = [None] * ncols
+        v[free] = 0
+        for c, row in R.items():
+            v[c] = field.k_neg(row.get(free))
+        basis.append(v)
+    return basis
+
+
+def sparse_left_null_space(rows, ncols, field: FieldDesc):
+    """Basis of {v : v * rows = 0}, as sparse_null_space of the transpose."""
+    return sparse_null_space(_transpose(rows, ncols), len(rows), field)
+
+
+# -- FFElem interface ---------------------------------------------------------
 
 def det(A):
     n = len(A)
     field = A[0][0].field
-    M = [field.to_ks(row) for row in A]
-    d = 0
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] is not None), None)
-        if piv is None:
-            return field.zero()
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            d = field.k_neg(d)
-        prow = M[col]
-        d = field.k_mul(d, prow[col])
-        cols = [c for c in range(col + 1, n) if prow[c] is not None]
-        for r in range(col + 1, n):
-            x = M[r][col]
-            if x is not None:
-                # factor x / pivot; column col itself is never read again
-                field.k_row_sub(M[r], x - prow[col], prow, cols)
-    return FFElem(field, d)
-
-
-def _rref(R, ncols, field: FieldDesc):
-    """Gauss-Jordan on the first ncols columns of the dlog rows R, in place.
-
-    Pivots are taken in column order, each from the first row at or below
-    the current one with a nonzero entry; pivot rows are scaled to 1 and
-    their column cleared in every other row. Each update touches only the
-    nonzero columns of the pivot row. Returns the pivot columns; row i of R
-    holds pivot i, and rows past the last pivot are zero in the first ncols
-    columns.
-    """
-    L = field.q - 1
-    width = len(R[0])
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        if r == len(R):
-            break
-        piv = next((i for i in range(r, len(R)) if R[i][col] is not None), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        prow = R[r]
-        # columns left of col are zero in the pivot row
-        inv = -prow[col]
-        cols = []
-        for c in range(col, width):
-            if prow[c] is not None:
-                prow[c] = (prow[c] + inv) % L
-                cols.append(c)
-        for i, row in enumerate(R):
-            if i != r and row[col] is not None:
-                field.k_row_sub(row, row[col], prow, cols)
-        pivots.append(col)
-        r += 1
-    return pivots
+    pivots = _echelon(_sparse(A, field), field)
+    if len(pivots) < n:
+        return field.zero()
+    # Each row only had multiples of other rows subtracted, so det(A) is the
+    # product of the pivots times the sign of row i -> its pivot column.
+    cols = list(pivots)
+    d = sum(row[c] for c, row in pivots.items())
+    inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1:])
+    return FFElem(field, field.k_neg(d) if inversions % 2 else d)
 
 
 def mat_inv(A):
     n = len(A)
     field = A[0][0].field
-    R = [field.to_ks(row) + [0 if j == i else None for j in range(n)]
-         for i, row in enumerate(A)]
-    if len(_rref(R, n, field)) < n:
+    rows = [{**row, n + i: 0} for i, row in enumerate(_sparse(A, field))]
+    pivots = _echelon(rows, field)
+    if any(c >= n for c in pivots):
         raise SingularMatrix("matrix is singular")
-    return [field.from_ks(row[n:]) for row in R]
+    return [field.from_ks([row.get(n + j) for j in range(n)])
+            for row in _back_reduce(pivots, field).values()]
 
 
 def null_space(rows, field: FieldDesc):
     """Basis of {x : rows * x = 0}; deterministic free-variable order."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    R = [field.to_ks(row) for row in rows]
-    pivots = _rref(R, ncols, field)
-    basis = []
-    pivot_set = set(pivots)
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [None] * ncols
-        v[free] = 0
-        for i, col in enumerate(pivots):
-            v[col] = field.k_neg(R[i][free])
-        basis.append(field.from_ks(v))
-    return basis
+    return [field.from_ks(v) for v in
+            sparse_null_space(_sparse(rows, field), len(rows[0]), field)]
 
 
 def left_null_space(rows, field: FieldDesc):
-    """Basis of {v : v * rows = 0}."""
-    return null_space(mat_transpose(rows), field) if rows else []
+    """Basis of {v : v * rows = 0}; empty when rows has no columns."""
+    if not rows or not rows[0]:
+        return []
+    return [field.from_ks(v) for v in
+            sparse_left_null_space(_sparse(rows, field), len(rows[0]), field)]
 
 
 def solve_linear(rows, rhs, field: FieldDesc):
@@ -137,13 +191,5 @@ def solve_linear(rows, rhs, field: FieldDesc):
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    rhs = field.to_ks(rhs)
-    R = [field.to_ks(row) + [b] for row, b in zip(rows, rhs)]
-    pivots = _rref(R, ncols, field)
-    if any(row[ncols] is not None for row in R[len(pivots):]):
-        return None
-    x = [None] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = R[i][ncols]
-    return field.from_ks(x)
+    x = sparse_solve(_sparse(rows, field), field.to_ks(rhs), len(rows[0]), field)
+    return None if x is None else field.from_ks(x)

@@ -2,8 +2,8 @@
 
 Conjugation is x -> x^q; the adjoint is conjugate transpose. A Hermitian space
 is a Gram matrix A with A-dagger = A. Normalization to the identity form runs
-Hilbert 90 (exhaustive, desk scale), a rescale making the pairing Hermitian,
-and Hermitian Gram-Schmidt using surjectivity of the norm F_{q^2} -> F_q.
+Hilbert 90 (a dlog division), a rescale making the pairing Hermitian, and
+Hermitian Gram-Schmidt using surjectivity of the norm F_{q^2} -> F_q.
 The symmetric-power embedding and induced-representation spectra realize the
 matrix constructions used in the big-image arguments.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
-from .ff import (FFElem, FieldDesc, NotPrime, _check_table_size, _is_prime,
+from .ff import (FFElem, FieldDesc, NotPrime, _is_prime, check_table_size,
                  embed, extension_of, field_make, prime_power)
 from .linalg import det, mat_identity, mat_inv, mat_mul
 
@@ -61,26 +61,23 @@ def is_gu(M, q, Fq: FieldDesc):
 
 
 def hilbert90_eta(lam: FFElem, q: int) -> FFElem:
-    """eta with lam = eta^q / eta, for norm-one lam; exhaustive scan.
+    """The first eta (in dlog order) with lam = eta^q / eta, for lam of norm
+    one in F_{q^2}.
 
-    Hilbert 90 guarantees a solution; its absence is asserted, not returned.
+    eta = g^k gives eta^q / eta = g^(k(q-1)), and lam has norm one exactly
+    when q - 1 divides its dlog, so eta is g^(dlog(lam) / (q-1)).
     """
-    Fq2 = lam.field
-    if lam ** (q + 1) != Fq2.one():
+    if lam.is_zero() or lam.k % (q - 1):
         raise ValueError("input must have norm 1")
-    for eta in Fq2.nonzero_elements():
-        if eta ** q / eta == lam:
-            return eta
-    raise NoSolution("Hilbert 90 violated")  # pragma: no cover
+    return lam.field.from_dlog(lam.k // (q - 1))
 
 
 def norm_preimage(c: FFElem, q: int) -> FFElem:
-    """First eta (in dlog order) with eta^(q+1) = c, c in F_q^x embedded."""
-    Fq2 = c.field
-    for eta in Fq2.nonzero_elements():
-        if eta ** (q + 1) == c:
-            return eta
-    raise NoSolution(f"no norm preimage of {c}")  # pragma: no cover
+    """The first eta (in dlog order) with eta^(q+1) = c, for c in F_q^x
+    embedded in F_{q^2}: g^(dlog(c) / (q+1))."""
+    if c.is_zero() or c.k % (q + 1):
+        raise NoSolution(f"no norm preimage of {c}")
+    return c.field.from_dlog(c.k // (q + 1))
 
 
 @dataclass
@@ -291,7 +288,7 @@ def sym_power_embed(beta: int, n: int, m: int, p: int):
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
-    _check_table_size(p, 2)
+    check_table_size(p, 2)
     if p == 2 or not _is_prime(p):
         raise NotPrime(f"p = {p} must be an odd prime")
     if p <= m - 1:

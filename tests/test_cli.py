@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -53,6 +54,18 @@ def test_hg_scan_summary(capsys):
 def test_hg_scan_rejects_bad_config(capsys):
     code, _ = run_cli(capsys, "hg-scan", "--N", "3", "--n", "2", "--q", "11")
     assert code == 2  # 3 does not divide 10
+
+
+def test_hg_scan_fails_fast_on_an_oversized_extension(capsys):
+    # char_poly would need F_{1000003^2}, past TABLE_LIMIT: the scan stops
+    # before it builds F_q or the trace map
+    t0 = time.perf_counter()
+    code = main(["hg-scan", "--N", "3", "--n", "2", "--q", "1000003",
+                 "--l", "7"])
+    assert time.perf_counter() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: q = 1000003^2 exceeds table limit 1048576\n"
 
 
 def test_ordinary_scan_csv(capsys):

@@ -37,6 +37,8 @@ COMMANDS = [
     "breuil-generic --p 5 --e 2 --f 1",
     "hg-scan --N 3 --n 2 --q 331 --l 7",
     "hg-charpoly --N 3 --n 2 --q 331 --x 23 --l 7",
+    "breuil-generic --p 7 --e 3 --f 1",
+    "breuil-generic --p 3 --e 2 --f 2",
 ]
 
 DIGESTS = {
@@ -82,6 +84,12 @@ DIGESTS = {
         "448f3e2818653138d5197e68336baf994a588e9bd7d507c82552a69a7f9c6602",
     "hg-charpoly --N 3 --n 2 --q 331 --x 23 --l 7":
         "4304e98b379820ee30d6d4832ef3907d98c731cfc35a6f4bc688babd0230f0aa",
+    # the full sweeps of the algebra benchmark workload, recorded before the
+    # Breuil systems moved to the sparse elimination kernel
+    "breuil-generic --p 7 --e 3 --f 1":
+        "61e31752ba8f4e1949cada82df28f3b37825973cf0d376ebbb9aac0f905fe29a",
+    "breuil-generic --p 3 --e 2 --f 2":
+        "5b80bda770855164c86a2081e8be16c4eea457cfa3ae55ebb8585a67216bbe49",
 }
 
 # (p, e, f) frames whose every (s, t) pair goes through the monodromy dump
@@ -143,3 +151,52 @@ def monodromy_dump():
 
 def test_monodromy_digest():
     assert _digest(monodromy_dump()) == MONODROMY_DIGEST
+
+
+# (p, e, f) frames whose every (s, t) pair goes through the change-of-variables
+# dump; recorded on the dense FFElem rows the systems were built from before
+# the sparse elimination kernel
+COV_FRAMES = [(3, 2, 1), (5, 2, 1), (5, 3, 1), (3, 1, 2), (3, 2, 2)]
+COV_DIGEST = (
+    "638047567a3bfb254a700fda639b0b78742085b4c6e8270af0aa89f8b34efe1a")
+
+
+def _cov_text(verdict):
+    if verdict == br.INFEASIBLE:
+        return verdict
+    cls, lam = verdict
+    return repr([sorted((k, c.encoding) for k, c in cls.items()),
+                 [sorted((l, c.encoding) for l, c in comp.items())
+                  for comp in lam]])
+
+
+def cov_dump():
+    """The full solution (class and lambda) of the change-of-variables system
+    in both directions over every (s, t) of COV_FRAMES, with seeded a, b and
+    given data; the CLI prints verdicts only, and with a = b = 1."""
+    rng = random.Random(13)
+    lines = []
+    for p, e, f in COV_FRAMES:
+        F = field_make(p, f)
+        hi = e * (p - 2)
+        for s in product(range(hi + 1), repeat=f):
+            for t in product(range(hi + 1), repeat=f):
+                a, b = (F.from_dlog(rng.randrange(F.q - 1)) for _ in "ab")
+                top = br.make_rank_one(p, f, e, s, a)
+                bot = br.make_rank_one(p, f, e, t, b)
+                bk = br._bk_class_space(top, bot)
+                windows = br._window_class_space(top, bot)
+                for space, data, to_etale in ((bk, windows, False),
+                                              (windows, bk, True)):
+                    given = {k: F.from_encoding(rng.randrange(F.q))
+                             for k in data if rng.random() < 0.5}
+                    verdict = br._cov_system(given, top, bot, space, to_etale)
+                    lines.append(" ".join([
+                        repr((p, e, f, s, t, a.encoding, b.encoding, to_etale)),
+                        repr(sorted((k, c.encoding) for k, c in given.items())),
+                        _cov_text(verdict)]))
+    return "\n".join(lines) + "\n"
+
+
+def test_cov_digest():
+    assert _digest(cov_dump()) == COV_DIGEST

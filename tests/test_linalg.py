@@ -164,6 +164,39 @@ def matrices(draw, square=False, max_dim=6):
                     for j, k in enumerate(row)] for i, row in enumerate(ks)]
 
 
+@st.composite
+def sparse_matrices(draw, square=False, max_dim=64):
+    """(field, matrix) shaped like the Breuil systems: up to max_dim columns,
+    at most three nonzero entries a row, and zero rows and repeated (scaled)
+    rows among them; tall, wide or square. Unlike on matrices(), elimination
+    fills in entries here. Half the square matrices hold every diagonal
+    entry and no zero or repeated row, so large invertible ones come up."""
+    field = draw(st.sampled_from(FIELDS))
+    ncols = draw(st.integers(1, max_dim))
+    nrows = ncols if square else draw(st.integers(1, max_dim + 8))
+    dlog = st.integers(0, field.q - 2)
+    full = square and draw(st.booleans())
+    rows = []
+    for i in range(nrows):
+        kind = "sparse" if full else draw(
+            st.sampled_from(["sparse"] * 3 + ["zero", "repeat"]))
+        if kind == "zero":
+            row = {}
+        elif kind == "repeat" and rows:
+            scale = draw(dlog)
+            row = {j: (k + scale) % (field.q - 1)
+                   for j, k in draw(st.sampled_from(rows)).items()}
+        else:
+            diagonal = full or (square and draw(st.booleans()))
+            row = draw(st.dictionaries(st.integers(0, ncols - 1), dlog,
+                                       max_size=2 if diagonal else 3))
+            if diagonal:
+                row[i] = draw(dlog)
+        rows.append(row)
+    return field, [[field.from_dlog(row[j]) if j in row else field.zero()
+                    for j in range(ncols)] for row in rows]
+
+
 def vector(draw, field, n):
     return [field.zero() if k is None else field.from_dlog(k)
             for k in draw(st.lists(st.one_of(st.none(), st.integers(0, field.q - 2)),
@@ -183,6 +216,46 @@ def test_solve_linear_matches_oracle(fm, data):
     assert sol == ref_solve(A, b, field)
     if sol is not None:
         assert [row[0] for row in ref_mat_mul(A, [[x] for x in sol])] == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_sparse_solve_matches_oracle(fm, data):
+    field, A = fm
+    x0 = vector(data.draw, field, len(A[0]))
+    b = [row[0] for row in ref_mat_mul(A, [[x] for x in x0])]
+    inconsistent = data.draw(st.booleans())
+    if inconsistent:
+        b = vector(data.draw, field, len(A))
+    sol = solve_linear(A, b, field)
+    assert sol == ref_solve(A, b, field)
+    if not inconsistent:
+        assert sol is not None
+    if sol is not None:
+        assert [row[0] for row in ref_mat_mul(A, [[x] for x in sol])] == b
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices())
+def test_sparse_null_spaces_match_oracle(fm):
+    field, A = fm
+    assert null_space(A, field) == ref_null_space(A, field)
+    At = [list(col) for col in zip(*A)]
+    assert left_null_space(A, field) == ref_null_space(At, field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices(square=True, max_dim=24))
+def test_sparse_det_and_inverse_match_oracle(fm):
+    field, A = fm
+    assert det(A) == ref_det(A)
+    try:
+        want = ref_mat_inv(A)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            mat_inv(A)
+    else:
+        assert mat_inv(A) == want
 
 
 @settings(max_examples=150, deadline=None)

@@ -4,8 +4,8 @@ import pytest
 
 from dwork_forge.ff import embed, field_make
 from dwork_forge.linalg import det, mat_identity, mat_mul
-from dwork_forge.unitary import (Degenerate, _find_anisotropic, _gram_ks,
-                                 _pairing, adjoint, conjugate_into_gu,
+from dwork_forge.unitary import (Degenerate, NoSolution, _find_anisotropic,
+                                 _gram_ks, _pairing, adjoint, conjugate_into_gu,
                                  diagonalize_to_identity, eigenvalue_genericity,
                                  gu_fields, hermitian_space, hilbert90_eta,
                                  induced_spectrum, is_gu, matrix_eigenvalues,
@@ -67,6 +67,45 @@ def test_hilbert90():
             assert eta ** q / eta == lam
         with pytest.raises(ValueError):
             hilbert90_eta(Fq2.gen(), q)  # generator has norm != 1
+
+
+# -- oracles: the exhaustive scans the closed forms replaced ------------------
+
+def scan_hilbert90_eta(lam, q):
+    """First eta in dlog order with lam = eta^q / eta; ValueError unless lam
+    has norm 1."""
+    Fq2 = lam.field
+    if lam ** (q + 1) != Fq2.one():
+        raise ValueError("input must have norm 1")
+    for eta in Fq2.nonzero_elements():
+        if eta ** q / eta == lam:
+            return eta
+    raise NoSolution("Hilbert 90 violated")
+
+
+def scan_norm_preimage(c, q):
+    """First eta in dlog order with eta^(q+1) = c."""
+    for eta in c.field.nonzero_elements():
+        if eta ** (q + 1) == c:
+            return eta
+    raise NoSolution(f"no norm preimage of {c}")
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, NoSolution) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+def test_closed_forms_match_the_scans(q):
+    # every element of F_{q^2}: norm-one inputs and F_q^x inputs get the
+    # scan's first solution, all others the scan's exception type
+    Fq, Fq2 = gu_fields(q)
+    for x in Fq2.elements():
+        assert outcome(hilbert90_eta, x, q) == outcome(scan_hilbert90_eta, x, q)
+        assert outcome(norm_preimage, x, q) == outcome(scan_norm_preimage, x, q)
 
 
 def test_diagonalize_examples():
