@@ -204,62 +204,24 @@ def vector(draw, field, n):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices(), st.data())
+@given(st.one_of(matrices(), sparse_matrices()), st.data())
 def test_solve_linear_matches_oracle(fm, data):
     field, A = fm
     x0 = vector(data.draw, field, len(A[0]))
     b = ref_mat_mul(A, [[x] for x in x0])
     b = [row[0] for row in b]
-    if data.draw(st.booleans()):
+    random_rhs = data.draw(st.booleans())
+    if random_rhs:
         b = vector(data.draw, field, len(A))   # usually inconsistent
     sol = solve_linear(A, b, field)
     assert sol == ref_solve(A, b, field)
+    assert random_rhs or sol is not None
     if sol is not None:
         assert [row[0] for row in ref_mat_mul(A, [[x] for x in sol])] == b
-
-
-@settings(max_examples=40, deadline=None)
-@given(sparse_matrices(), st.data())
-def test_sparse_solve_matches_oracle(fm, data):
-    field, A = fm
-    x0 = vector(data.draw, field, len(A[0]))
-    b = [row[0] for row in ref_mat_mul(A, [[x] for x in x0])]
-    inconsistent = data.draw(st.booleans())
-    if inconsistent:
-        b = vector(data.draw, field, len(A))
-    sol = solve_linear(A, b, field)
-    assert sol == ref_solve(A, b, field)
-    if not inconsistent:
-        assert sol is not None
-    if sol is not None:
-        assert [row[0] for row in ref_mat_mul(A, [[x] for x in sol])] == b
-
-
-@settings(max_examples=40, deadline=None)
-@given(sparse_matrices())
-def test_sparse_null_spaces_match_oracle(fm):
-    field, A = fm
-    assert null_space(A, field) == ref_null_space(A, field)
-    At = [list(col) for col in zip(*A)]
-    assert left_null_space(A, field) == ref_null_space(At, field)
-
-
-@settings(max_examples=40, deadline=None)
-@given(sparse_matrices(square=True, max_dim=24))
-def test_sparse_det_and_inverse_match_oracle(fm):
-    field, A = fm
-    assert det(A) == ref_det(A)
-    try:
-        want = ref_mat_inv(A)
-    except SingularMatrix:
-        with pytest.raises(SingularMatrix):
-            mat_inv(A)
-    else:
-        assert mat_inv(A) == want
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices())
+@given(st.one_of(matrices(), sparse_matrices()))
 def test_null_spaces_match_oracle(fm):
     field, A = fm
     assert null_space(A, field) == ref_null_space(A, field)
@@ -268,7 +230,7 @@ def test_null_spaces_match_oracle(fm):
 
 
 @settings(max_examples=150, deadline=None)
-@given(matrices(square=True))
+@given(st.one_of(matrices(square=True), sparse_matrices(square=True, max_dim=24)))
 def test_det_and_inverse_match_oracle(fm):
     field, A = fm
     assert det(A) == ref_det(A)
