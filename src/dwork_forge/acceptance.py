@@ -22,7 +22,6 @@ from . import ordinarity as od
 from . import unitary as un
 from .ff import extension_of, field_make, table_fits
 from .lambda_adic import reduce_mod_lambda
-from .linalg import det as _det, mat_identity, mat_mul
 from .util import stable_json
 
 TRACE_CONFIGS = [
@@ -352,18 +351,18 @@ def criterion_11(seed):
     for q in (3, 5, 7):
         for n in (2, 3, 4):
             Fq, Fq2 = un.gu_fields(q)
+            add = Fq2.k_add
             done = 0
             while done < 200:
-                M = [[Fq2.from_encoding(rng.randrange(Fq2.q))
+                M = [[Fq2.k_of_encoding(rng.randrange(Fq2.q))
                       for _ in range(n)] for _ in range(n)]
-                A = [[x + y for x, y in zip(r1, r2)]
-                     for r1, r2 in zip(M, un.adjoint(M, q))]
-                if _det(A).is_zero():
+                A = [[add(x, y) for x, y in zip(r1, r2)]
+                     for r1, r2 in zip(M, un.adjoint_ks(Fq2, M, q))]
+                sp = un.HermitianSpace(q, Fq2, A)
+                if not sp.nondegenerate:
                     continue
-                sp = un.hermitian_space(q, A)
-                C = un.diagonalize_to_identity(sp)
-                assert mat_mul(un.adjoint(C, q), mat_mul(A, C)) == \
-                    mat_identity(Fq2, n)
+                C = un.normal_form(sp)
+                assert un.certifies_identity(Fq2, A, C, q)
                 done += 1
             details[f"normalize_q{q}_n{n}"] = done
     for p, m, n in ((7, 2, 1), (11, 3, 2), (13, 2, 3)):

@@ -93,35 +93,41 @@ def alpha_invariants(s, p, f):
 
 
 def _alpha_differences(top: RankOneBK, bottom: RankOneBK):
-    """alpha_i(s) - alpha_i(t) for i = 0..f-1, exact."""
+    """(D, den) with alpha_i(s) - alpha_i(t) = D_i / den for i = 0..f-1:
+    the integer numerators D_i = sum_{j=1..f} p^(f-j) (s - t)_{(j+i) mod f}
+    over den = p^f - 1, as in slope_data."""
     _check_frame(top, bottom)
-    al_s = alpha_invariants(top.s, top.p, top.f)
-    al_t = alpha_invariants(bottom.s, top.p, top.f)
-    return [x - y for x, y in zip(al_s, al_t)]
+    p, f = top.p, top.f
+    c = [x - y for x, y in zip(top.s, bottom.s)]
+    D = [sum(p ** (f - j) * c[(j + i) % f] for j in range(1, f + 1))
+         for i in range(f)]
+    return D, p ** f - 1
 
 
 def chi_equal(top: RankOneBK, bottom: RankOneBK) -> bool:
     """Equality of the associated characters: a = b and all alpha-differences
     integral (integer shifts change the model, not the etale phi-module)."""
-    diffs = _alpha_differences(top, bottom)
-    return top.a == bottom.a and all(d.denominator == 1 for d in diffs)
+    D, den = _alpha_differences(top, bottom)
+    return top.a == bottom.a and all(d % den == 0 for d in D)
 
 
 def hom_exists(top: RankOneBK, bottom: RankOneBK) -> bool:
     """Nonzero map M(s;a) -> M(t;b) iff alpha_i(s)-alpha_i(t) in Z_{>=0} and a=b."""
-    return chi_equal(top, bottom) and \
-        all(d >= 0 for d in _alpha_differences(top, bottom))
+    D, den = _alpha_differences(top, bottom)
+    return top.a == bottom.a and all(d >= 0 and d % den == 0 for d in D)
 
 
 def _special_degrees(top: RankOneBK, bottom: RankOneBK):
     """The degrees s_j + alpha_j(s) - alpha_j(t), j = 0..f-1, of the one
     special term; SpecialDegreeNotInteger unless every difference is an
     integer (it is whenever chi_1 = chi_2)."""
+    D, den = _alpha_differences(top, bottom)
     out = []
-    for j, d in enumerate(_alpha_differences(top, bottom)):
-        if d.denominator != 1:
-            raise SpecialDegreeNotInteger(f"alpha difference {d} at index {j}")
-        out.append(top.s[j] + int(d))
+    for j, d in enumerate(D):
+        if d % den:
+            raise SpecialDegreeNotInteger(
+                f"alpha difference {Fraction(d, den)} at index {j}")
+        out.append(top.s[j] + d // den)
     return tuple(out)
 
 
@@ -247,25 +253,20 @@ def _y_term(key, top: RankOneBK, bottom: RankOneBK):
     return (j, g), top.a.field.from_int(factor).k
 
 
-def _y_constants(y, top: RankOneBK, bottom: RankOneBK, terms=None):
+def _y_constants(y, top: RankOneBK, bottom: RankOneBK):
     """The y-terms of the monodromy equation as {(j, g): dlog of the sum of
     (t_j - l) y_{j,l}} (None for zero) over the terms of degree
     g = e - s_j + l < e with t_j - l != 0 mod p.
 
     These constants move to the right-hand side with a minus sign. A key is
-    kept even when its terms cancel, because it still names a row. terms
-    caches _y_term by key for callers that evaluate many y.
+    kept even when its terms cancel, because it still names a row.
     """
     F = top.a.field
-    if terms is None:
-        terms = {}
     out = {}
     for key, k in zip(y, F.to_ks(y.values())):
         if k is None:
             continue
-        if key not in terms:
-            terms[key] = _y_term(key, top, bottom)
-        term = terms[key]
+        term = _y_term(key, top, bottom)
         if term is not None:
             row, c = term
             out[row] = F.k_add(out.get(row), F.k_mul(c, k))
@@ -391,28 +392,48 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
     Builds the linear system once over the full degree universe, computes the
     left null space, and returns (allowed_degrees, check) where check maps a
     y dict to the same verdict solve_monodromy would give. Feasible y form a
-    subspace, so consistency reduces to null-vector orthogonality.
+    subspace, so consistency reduces to null-vector orthogonality: check adds
+    each y-term's weights v[row] * (t_j - l) (cached per key) times its
+    coefficient into one running sum per null vector v. With no unknowns
+    (e = 1) the null vectors are the unit vectors, one per row.
     """
     _check_frame(top, bottom)
     F = top.a.field
+    add, L = F.k_add, F.q - 1
     degs, _ = bk_extension_degrees(top, bottom)
     universe = _y_constants({(j, l): F.one() for j in range(top.f)
                              for l in degs[j]}, top, bottom)
     keys, A = _monodromy_system(top, bottom, {0: 0}, universe)
     row_map = {key: i for i, key in enumerate(keys)}
-    nunk = top.f * (top.e - 1)
-    null_vecs = sparse_left_null_space(A, nunk, F) if nunk else None
-    terms = {}
+    null_vecs = sparse_left_null_space(A, top.f * (top.e - 1), F)
+    weights = {}
+
+    def key_weights(key):
+        # [(null vector index, dlog of v[row] * c)], or None when the term
+        # lands outside any representable row
+        term = _y_term(key, top, bottom)
+        if term is None:
+            return []
+        row, c = term
+        i = row_map.get(row)
+        if i is None:
+            return None
+        return [(n, (v[i] + c) % L) for n, v in enumerate(null_vecs)
+                if v[i] is not None]
 
     def check(y: dict) -> bool:
-        consts = _y_constants(y, top, bottom, terms)
-        if any(key not in row_map for key in consts):
-            return False  # a constant lands outside any representable row
-        if nunk == 0:
-            return all(c is None for c in consts.values())
-        rows = [row_map[key] for key in consts]
-        cs = list(consts.values())
-        return all(F.k_dot([v[i] for i in rows], cs) is None for v in null_vecs)
+        sums = [None] * len(null_vecs)
+        for key, k in zip(y, F.to_ks(y.values())):
+            if k is None:
+                continue
+            if key not in weights:
+                weights[key] = key_weights(key)
+            w = weights[key]
+            if w is None:
+                return False
+            for n, wk in w:
+                sums[n] = add(sums[n], (wk + k) % L)
+        return all(sm is None for sm in sums)
 
     return degs, check
 

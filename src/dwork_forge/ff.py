@@ -8,10 +8,13 @@ Python lists, one multiplication by g at a time, so the algebra layers run
 without numpy; larger fields build numpy int32 arrays block-wise. The Zech
 table is kept as a list either way for the dlog-integer kernels (k_add,
 k_mul, k_neg, k_dot, k_row_sub, k_sparse_sub), which read it one entry at a
-time: FFElem addition goes through k_add, unitary's dense row updates
-(Gram-Schmidt, the Hessenberg reduction) through k_row_sub, and the sparse
-elimination kernel of linalg through k_sparse_sub. zech_array() gives it as
-an array to the vectorized trace engine.
+time: FFElem addition goes through k_add; unitary's dlog Gram-Schmidt and
+its C-dagger A C = I certificate through k_dot, and its dense row updates
+(the Gram-Schmidt projections, the Hessenberg reduction) through k_row_sub;
+the sparse elimination kernel of linalg through k_sparse_sub.
+k_of_encoding reads the dlog table for callers that draw encodings and
+work on dlogs. zech_array() gives the Zech table as an array to the
+vectorized trace engine.
 
 Multiplicative characters valued in Z[zeta_N] are evaluated against a
 recorded N-torsion anchor; fields built with extension_of() inherit the
@@ -435,6 +438,10 @@ class FieldDesc:
         """FFElem entries for a list of dlogs (one shared zero)."""
         zero = FFElem(self, None)
         return [zero if k is None else FFElem(self, k) for k in ks]
+
+    def k_of_encoding(self, enc):
+        """The dlog of the element with integer encoding enc (None for 0)."""
+        return None if enc == 0 else int(self._dlog[enc])
 
     def k_add(self, a, b):
         if a is None:

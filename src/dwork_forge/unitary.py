@@ -4,6 +4,14 @@ Conjugation is x -> x^q; the adjoint is conjugate transpose. A Hermitian space
 is a Gram matrix A with A-dagger = A. Normalization to the identity form runs
 Hilbert 90 (a dlog division), a rescale making the pairing Hermitian, and
 Hermitian Gram-Schmidt using surjectivity of the norm F_{q^2} -> F_q.
+
+The normalization layer runs on dlog rows (an entry is its dlog, or None for
+zero; conjugation multiplies a dlog by q). HermitianSpace holds the Gram
+matrix that way and checks it once; normal_form is the one Gram-Schmidt
+kernel and certifies_identity the one check of C-dagger A C = I. FFElem
+matrices appear only at the interface: hermitian_space, diagonalize_to_identity,
+_pairing and _find_anisotropic convert on the way in and out.
+
 The symmetric-power embedding and induced-representation spectra realize the
 matrix constructions used in the big-image arguments.
 """
@@ -15,7 +23,7 @@ from itertools import chain
 
 from .ff import (FFElem, FieldDesc, NotPrime, _is_prime, check_table_size,
                  embed, extension_of, field_make, prime_power)
-from .linalg import det, mat_identity, mat_inv, mat_mul
+from .linalg import _echelon, det, mat_identity, mat_inv, mat_mul
 
 
 class NoSolution(ArithmeticError):
@@ -94,25 +102,45 @@ def gu_element(M, q, Fq: FieldDesc) -> GUElement:
     return GUElement([row[:] for row in M], mult)
 
 
+def _conj(ks, q, L):
+    """x -> x^q on dlogs k in [0, L): k -> q k mod L."""
+    return [None if k is None else k * q % L for k in ks]
+
+
+def adjoint_ks(field: FieldDesc, M, q):
+    """The conjugate transpose of the dlog rows M."""
+    return [_conj(col, q, field.q - 1) for col in zip(*M)]
+
+
 @dataclass
 class HermitianSpace:
+    """A Hermitian form on F_{q^2}^n as the dlog rows of its Gram matrix A.
+
+    Construction checks A-dagger = A and decides nondegeneracy from one
+    sparse echelon form of A.
+    """
     q: int
-    gram: list                 # n x n over F_{q^2}, gram-dagger = gram
+    field: FieldDesc           # F_{q^2}
+    rows: list                 # n x n dlogs (None for zero)
     nondegenerate: bool = dc_field(init=False)
 
     def __post_init__(self):
-        A = self.gram
-        if adjoint(A, self.q) != A:
+        A = self.rows
+        if any(len(row) != len(A) for row in A) or \
+                adjoint_ks(self.field, A, self.q) != A:
             raise ValueError("gram matrix is not Hermitian")
-        self.nondegenerate = not det(A).is_zero()
+        sparse = [{j: k for j, k in enumerate(row) if k is not None}
+                  for row in A]
+        self.nondegenerate = len(_echelon(sparse, self.field)) == len(A)
 
     @property
     def n(self):
-        return len(self.gram)
+        return len(self.rows)
 
 
 def hermitian_space(q, gram) -> HermitianSpace:
-    return HermitianSpace(q, [row[:] for row in gram])
+    """The space of an FFElem Gram matrix over F_{q^2}."""
+    return HermitianSpace(q, *_gram_ks(gram))
 
 
 def _gram_ks(A):
@@ -121,63 +149,83 @@ def _gram_ks(A):
     return field, [field.to_ks(row) for row in A]
 
 
+def _pair(field, A, x, y, q):
+    """x-dagger A y for dlog column vectors: sum_i x_i^q (A y)_i."""
+    dot = field.k_dot
+    return dot(_conj(x, q, field.q - 1), [dot(row, y) for row in A])
+
+
 def _pairing(G, x, y, q):
-    """x-dagger A y for column vectors: sum_i x_i^q (A y)_i, on dlogs, with
-    G = _gram_ks(A)."""
-    field, rows = G
-    ys = field.to_ks(y)
-    acc = None
-    for row, k in zip(rows, field.to_ks(x)):
-        if k is not None:    # x_i^q has dlog q k_i
-            acc = field.k_add(acc, field.k_mul(k * q, field.k_dot(row, ys)))
-    return FFElem(field, acc)
+    """x-dagger A y for FFElem column vectors, with G = _gram_ks(A)."""
+    field, A = G
+    return FFElem(field, _pair(field, A, field.to_ks(x), field.to_ks(y), q))
 
 
-def diagonalize_to_identity(space: HermitianSpace):
-    """Basis change C with C-dagger A C = I, by Hermitian Gram-Schmidt.
+def normal_form(space: HermitianSpace):
+    """The dlog rows of a basis change C with C-dagger A C = I, by Hermitian
+    Gram-Schmidt on the standard basis.
 
-    Each step finds an anisotropic vector (deterministically: standard basis
-    vectors first, then e_i + g^k e_j sweeps), scales it by a norm preimage,
-    and splits off its orthogonal complement. Exact by construction.
+    Each step takes the first anisotropic vector v (_anisotropic), scales it
+    by eta with N(eta) = <v,v>^(-1) (a dlog division: <v,v> lies in F_q^x),
+    and subtracts <v,w> v from every remaining w. Exact by construction;
+    certifies_identity checks the result.
     """
     if not space.nondegenerate:
         raise Degenerate("the form is degenerate")
-    A = space.gram
-    q, n = space.q, space.n
-    Fq2 = A[0][0].field
-    G = _gram_ks(A)
-    basis = mat_identity(Fq2, n)          # rows are current candidate vectors
+    field, A, q = space.field, space.rows, space.q
+    n, L, dot = space.n, field.q - 1, field.k_dot
+    remaining = [[0 if i == j else None for j in range(n)] for i in range(n)]
     columns = []
-    remaining = [row[:] for row in basis]
     for _ in range(n):
-        v = _find_anisotropic(G, remaining, q)
-        nv = _pairing(G, v, v, q)
-        eta = norm_preimage(nv.inv(), q)  # N(eta) = <v,v>^(-1)
-        v = [eta * x for x in v]
-        assert _pairing(G, v, v, q) == Fq2.one()
+        v = _anisotropic(field, A, remaining, q)
+        # v-dagger A, the conjugate of A v for A Hermitian: <v, w> = vA . w
+        vA = _conj([dot(row, v) for row in A], q, L)
+        eta, rem = divmod(-dot(vA, v) % L, q + 1)
+        assert not rem, "<v,v> is not in F_q"
+        v = [None if k is None else (k + eta) % L for k in v]
+        vA = [None if k is None else (k + eta * q) % L for k in vA]
         columns.append(v)
-        vk = Fq2.to_ks(v)
-        cols = [c for c, k in enumerate(vk) if k is not None]
+        cols = [c for c, k in enumerate(v) if k is not None]
         new_remaining = []
         for w in remaining:
-            proj = _pairing(G, v, w, q).k
-            w2 = Fq2.to_ks(w)
+            proj = dot(vA, w)
             if proj is not None:
-                Fq2.k_row_sub(w2, proj, vk, cols)     # w - <v,w> v
-            if any(k is not None for k in w2):
-                new_remaining.append(Fq2.from_ks(w2))
+                field.k_row_sub(w, proj, v, cols)     # w - <v,w> v
+            if any(k is not None for k in w):
+                new_remaining.append(w)
         remaining = new_remaining
-    C = [[columns[j][i] for j in range(n)] for i in range(n)]
-    assert mat_mul(adjoint(C, q), mat_mul(A, C)) == mat_identity(Fq2, n)
+    C = [list(row) for row in zip(*columns)]
+    assert certifies_identity(field, A, C, q)
     return C
 
 
-def _find_anisotropic(G, vectors, q):
-    """The first anisotropic vector for the form G = _gram_ks(A): a given
-    vector, else v + g^c w for the first pair and scalar that works."""
-    field = G[0]
+def diagonalize_to_identity(space: HermitianSpace):
+    """normal_form as FFElem rows: C with C-dagger A C = I."""
+    return [space.field.from_ks(row) for row in normal_form(space)]
+
+
+def certifies_identity(field: FieldDesc, A, C, q):
+    """Whether C-dagger A C = I, for square dlog rows A and C over F_{q^2}.
+
+    Entry (i, j) is <c_i, c_j> for the columns c of C; every entry is
+    computed, so a non-Hermitian A is rejected too.
+    """
+    L, dot = field.q - 1, field.k_dot
+    cols = list(zip(*C))
+    ACs = [[dot(row, c) for row in A] for c in cols]
+    for i, c in enumerate(cols):
+        cq = _conj(c, q, L)
+        for j, ac in enumerate(ACs):
+            if dot(cq, ac) != (0 if i == j else None):
+                return False
+    return True
+
+
+def _anisotropic(field, A, vectors, q):
+    """The first anisotropic dlog vector for the form A: a given vector, else
+    v + g^c w for the first pair and scalar that works."""
     for v in vectors:
-        if not _pairing(G, v, v, q).is_zero():
+        if _pair(field, A, v, v, q) is not None:
             return v
     # polarize: v + g^c w must work for some pair and scalar. Every vector is
     # isotropic here and x -> x^q is additive (q is a power of p), so the
@@ -186,12 +234,18 @@ def _find_anisotropic(G, vectors, q):
     add, mul = field.k_add, field.k_mul
     for i, v in enumerate(vectors):
         for w in vectors[i + 1:]:
-            wv, vw = _pairing(G, w, v, q).k, _pairing(G, v, w, q).k
+            wv, vw = _pair(field, A, w, v, q), _pair(field, A, v, w, q)
             for c in range(field.q - 1):
                 if add(mul(c * q, wv), mul(c, vw)) is not None:
-                    vk, wk = field.to_ks(v), field.to_ks(w)
-                    return field.from_ks([add(x, mul(c, y)) for x, y in zip(vk, wk)])
+                    return [add(x, mul(c, y)) for x, y in zip(v, w)]
     raise Degenerate("no anisotropic vector: form degenerate on the span")
+
+
+def _find_anisotropic(G, vectors, q):
+    """_anisotropic for the form G = _gram_ks(A) and FFElem vectors."""
+    field, A = G
+    ks = [field.to_ks(v) for v in vectors]
+    return field.from_ks(_anisotropic(field, A, ks, q))
 
 
 def conjugate_into_gu(generators, P, q):

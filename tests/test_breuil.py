@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
-                                SpecialDegreeNotInteger, _special_degrees,
-                                _y_constants,
+                                SpecialDegreeNotInteger, _alpha_differences,
+                                _special_degrees, _y_constants,
                                 alpha_invariants,
                                 bk_extension_degrees, breuil_forbidden_degrees,
                                 chain_slope_check, change_of_variables_solver,
@@ -92,6 +92,29 @@ def test_slope_data_matches_fraction_oracle(frame):
     n, r = slope_data(s, t, e, p, f)
     assert (n, r) == _slope_data_fractions(s, t, e, p, f)
     assert all(isinstance(x, Fraction) for x in n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frames((3, 5, 7, 11), 3, 3), st.booleans())
+def test_alpha_differences_match_the_fractions(frame, same_a):
+    p, e, f, s, t = frame
+    F = field_make(p, f)
+    top = make_rank_one(p, f, e, s, F.one())
+    bot = make_rank_one(p, f, e, t, F.one() if same_a else F.gen())
+    D, den = _alpha_differences(top, bot)
+    diffs = [x - y for x, y in zip(alpha_invariants(s, p, f),
+                                   alpha_invariants(t, p, f))]
+    assert [Fraction(d, den) for d in D] == diffs
+    integral = all(d.denominator == 1 for d in diffs)
+    assert chi_equal(top, bot) == (same_a and integral)
+    assert hom_exists(top, bot) == (same_a and integral and
+                                    all(d >= 0 for d in diffs))
+    if integral:
+        assert _special_degrees(top, bot) == \
+            tuple(s[j] + int(d) for j, d in enumerate(diffs))
+    else:
+        with pytest.raises(SpecialDegreeNotInteger):
+            _special_degrees(top, bot)
 
 
 def test_slope_recurrence_and_range_sweep():
@@ -213,6 +236,42 @@ def test_checker_matches_one_shot_solver(frame, data):
         _y_constants_ffelem(y, top, bot)
     feasible = solve_monodromy(make_ext_problem(top, bot, y=y)) != INFEASIBLE
     assert check(y) == feasible
+
+
+# (p, e, f, coefficient dlogs): e = 1 leaves the system without unknowns
+@pytest.mark.parametrize("p,e,f,coeffs", [
+    (3, 1, 1, None), (5, 1, 1, None), (3, 1, 2, None),
+    (5, 1, 2, (1,)), (3, 2, 2, (0, 1)),
+])
+def test_checker_matches_solver_on_every_y(p, e, f, coeffs):
+    # every y over the degree universe with coefficients in F (or, on the
+    # larger sweeps, zero and the units g^k for k in coeffs), top a = g
+    F = field_make(p, f)
+    values = list(F.elements()) if coeffs is None else \
+        [F.zero()] + [F.from_dlog(k) for k in coeffs]
+    hi = e * (p - 2)
+    for s in product(range(hi + 1), repeat=f):
+        for t in product(range(hi + 1), repeat=f):
+            top = make_rank_one(p, f, e, s, F.gen())
+            bot = make_rank_one(p, f, e, t, F.one())
+            degs, check = monodromy_feasibility_checker(top, bot)
+            keys = [(j, l) for j in range(f) for l in sorted(degs[j])]
+            for cs in product(values, repeat=len(keys)):
+                y = dict(zip(keys, cs))
+                feasible = solve_monodromy(make_ext_problem(top, bot, y=y))
+                assert check(y) == (feasible != INFEASIBLE), (s, t, y)
+
+
+def test_checker_rejects_keys_outside_the_universe():
+    # (0, -1) lands on the row of degree e - s_0 - 1 = -3, which no term of
+    # the system reaches; a zero coefficient there contributes nothing
+    top = make_rank_one(5, 1, 1, (3,), ONE)
+    bot = make_rank_one(5, 1, 1, (0,), ONE)
+    _, check = monodromy_feasibility_checker(top, bot)
+    assert check({(0, 0): ONE}) is True
+    assert check({(0, -1): ONE}) is False
+    assert check({(0, 0): ONE, (0, -1): ONE}) is False
+    assert check({(0, 0): ONE, (0, -1): F5.zero()}) is True
 
 
 def test_cancelling_terms_keep_their_row():

@@ -1,4 +1,5 @@
-"""Golden gate: pinned digests of CLI outputs and of the monodromy solvers.
+"""Golden gate: pinned digests of CLI outputs, of the monodromy solvers and
+of the unitary normal forms.
 
 Each CLI digest is the sha256 of a command's stdout followed by its exit
 status, so a change to any output byte or status fails here. Refactors that
@@ -13,8 +14,10 @@ from itertools import product
 import pytest
 
 from dwork_forge import breuil as br
+from dwork_forge import unitary as un
 from dwork_forge.cli import main
 from dwork_forge.ff import field_make
+from dwork_forge.linalg import det
 
 COMMANDS = [
     "breuil-oracle --p 5 --e 2 --f 1 --s 3 --t 0 --y 1:1",
@@ -200,3 +203,35 @@ def cov_dump():
 
 def test_cov_digest():
     assert _digest(cov_dump()) == COV_DIGEST
+
+
+# the 1800 normal forms C that criterion 11 computes for seed 0, in order:
+# the same draws and the same det filter; recorded on the FFElem
+# Gram-Schmidt, before it moved onto dlog rows. The report keeps only counts,
+# so this is what pins the choices Gram-Schmidt makes.
+NORMAL_FORM_DIGEST = (
+    "b5906918352a83051f7d61ebe9194b0306c853f16a2e1a4f9a20f98f02bb213c")
+
+
+def normal_form_dump(seed):
+    rng = random.Random(seed)
+    lines = []
+    for q in (3, 5, 7):
+        for n in (2, 3, 4):
+            Fq, Fq2 = un.gu_fields(q)
+            done = 0
+            while done < 200:
+                M = [[Fq2.from_encoding(rng.randrange(Fq2.q))
+                      for _ in range(n)] for _ in range(n)]
+                A = [[x + y for x, y in zip(r1, r2)]
+                     for r1, r2 in zip(M, un.adjoint(M, q))]
+                if det(A).is_zero():
+                    continue
+                C = un.diagonalize_to_identity(un.hermitian_space(q, A))
+                lines.append(repr([[x.encoding for x in row] for row in C]))
+                done += 1
+    return "\n".join(lines) + "\n"
+
+
+def test_normal_form_digest():
+    assert _digest(normal_form_dump(0)) == NORMAL_FORM_DIGEST

@@ -1,11 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwork_forge.ff import embed, field_make
 from dwork_forge.linalg import det, mat_identity, mat_mul
 from dwork_forge.unitary import (Degenerate, NoSolution, _find_anisotropic,
-                                 _gram_ks, _pairing, adjoint, conjugate_into_gu,
+                                 _gram_ks, _pairing, adjoint,
+                                 certifies_identity, conjugate_into_gu,
                                  diagonalize_to_identity, eigenvalue_genericity,
                                  gu_fields, hermitian_space, hilbert90_eta,
                                  induced_spectrum, is_gu, matrix_eigenvalues,
@@ -302,3 +305,72 @@ def test_find_anisotropic_matches_exhaustive_search():
                         _find_anisotropic(_gram_ks(A), basis, q)
                 else:
                     assert _find_anisotropic(_gram_ks(A), basis, q) == want
+
+
+def random_hermitian(rng, field, n, q):
+    """A nondegenerate M + M-dagger for random M over F_{q^2}."""
+    while True:
+        M = rand_matrix(rng, field, n)
+        A = [[x + y for x, y in zip(r1, r2)]
+             for r1, r2 in zip(M, adjoint(M, q))]
+        if not det(A).is_zero():
+            return A
+
+
+def certifies(A, C, q):
+    field = A[0][0].field
+    return certifies_identity(field, [field.to_ks(row) for row in A],
+                              [field.to_ks(row) for row in C], q)
+
+
+def ffelem_certifies(A, C, q):
+    return mat_mul(adjoint(C, q), mat_mul(A, C)) == \
+        mat_identity(A[0][0].field, len(A))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4),
+       st.integers(0, 2 ** 32))
+def test_certificate_matches_the_ffelem_oracle(q, n, seed):
+    rng = random.Random(seed)
+    Fq, Fq2 = gu_fields(q)
+    A = random_hermitian(rng, Fq2, n, q)
+    C = diagonalize_to_identity(hermitian_space(q, A))
+    assert certifies(A, C, q) and ffelem_certifies(A, C, q)
+
+    def check(A2, C2, want):
+        assert certifies(A2, C2, q) == ffelem_certifies(A2, C2, q) == want
+
+    # swapping two columns keeps C-dagger A C = I
+    i, j = rng.randrange(n), rng.randrange(n)
+    swapped = [row[:] for row in C]
+    for row in swapped:
+        row[i], row[j] = row[j], row[i]
+    check(A, swapped, True)
+    # one entry changed: this keeps C-dagger A C = I only when column j is
+    # a multiple of e_i and the entry is multiplied by a unit of norm one
+    i, j = rng.randrange(n), rng.randrange(n)
+    old = C[i][j]
+    new = Fq2.from_encoding(rng.choice(
+        [e for e in range(Fq2.q) if e != old.encoding]))
+    changed = [row[:] for row in C]
+    changed[i][j] = new
+    keeps = all(C[r][j].is_zero() for r in range(n) if r != i) and \
+        not new.is_zero() and (new / old) ** (q + 1) == Fq2.one()
+    check(A, changed, keeps)
+    # one column scaled by a unit whose norm is not one (over F_4 every unit
+    # has norm one)
+    if q > 2:
+        u = Fq2.from_dlog(rng.choice(
+            [k for k in range(Fq2.q - 1) if k % (q - 1)]))
+        scaled = [row[:] for row in C]
+        for row in scaled:
+            row[j] = row[j] * u
+        check(A, scaled, False)
+    # a non-Hermitian A, at every entry: g is not in F_q, so A[i][j] + g is
+    # neither the conjugate of A[j][i] nor, on the diagonal, in F_q
+    for i in range(n):
+        for j in range(n):
+            bad = [row[:] for row in A]
+            bad[i][j] = bad[i][j] + Fq2.gen()
+            check(bad, C, False)
