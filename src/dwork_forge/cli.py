@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import acceptance
@@ -403,6 +404,11 @@ def build_parser():
 
 
 def main(argv=None):
+    # Nothing here calls BLAS, but numpy's bundled OpenBLAS starts a worker
+    # thread at import that spins on a spare core; one thread means no pool.
+    # Set before any subcommand imports numpy; a user's own value is kept,
+    # and the selftest rerun child inherits it.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -225,10 +225,11 @@ def trace_at(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
         counts = np.bincount((e % N)[both], minlength=N).tolist()
     else:
         j = np.flatnonzero(r >= 0)
-        base = j * N
-        rj = r[j].astype(np.intp)
-        flat = prefix.ravel()
-        counts = [int(flat[base + (z - rj) % N].sum()) for z in range(N)]
+        z = np.arange(N)
+        shift = (z - z[:, None]) % N            # shift[s, z] = (z - s) mod N
+        idx = shift[r[j]]                       # one row per j, read at r[j]
+        idx += (j * N)[:, None]
+        counts = prefix.ravel().take(idx).sum(axis=0).tolist()
     value = CyclotomicInt.from_zeta_counts(N, counts)
     return -value if (params.n - 1) % 2 else value
 

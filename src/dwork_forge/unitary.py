@@ -446,7 +446,11 @@ def matrix_eigenvalues(M):
 
 def _roots_with_multiplicity(poly, field):
     """Roots of poly in field, with multiplicity, scanning zero and then the
-    dlog order; also the cofactor without roots, as dlogs ([] if constant)."""
+    dlog order; also the cofactor without roots, as dlogs ([] if constant).
+
+    A candidate that is no root of the cofactor is no root of any factor of
+    it, so the scan never goes back: it stays on a root until that root is
+    divided out completely, then moves on."""
     add, mul = field.k_add, field.k_mul
 
     def ev(pol, x):
@@ -467,14 +471,15 @@ def _roots_with_multiplicity(poly, field):
 
     eigs = []
     cur = field.to_ks(poly)
+    candidates = chain((None,), range(field.q - 1))
     missing = object()
-    while len(cur) > 1:
-        root = next((x for x in chain((None,), range(field.q - 1))
-                     if ev(cur, x) is None), missing)
-        if root is missing:
-            break
-        eigs.append(root)
-        cur = divide_linear(cur, root)
+    x = next(candidates)
+    while len(cur) > 1 and x is not missing:
+        if ev(cur, x) is None:
+            eigs.append(x)
+            cur = divide_linear(cur, x)
+        else:
+            x = next(candidates, missing)
     return field.from_ks(eigs), (cur if len(cur) > 1 else [])
 
 

@@ -263,6 +263,42 @@ def test_algebra_commands_leave_numpy_unloaded():
     assert out == str([False] * (1 + len(ALGEBRA_COMMANDS)) + [True]) + "\n"
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_process_starts_no_blas_worker_threads():
+    # numpy's bundled OpenBLAS starts a worker pool at import unless
+    # OPENBLAS_NUM_THREADS says one thread; main sets it before numpy loads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwork_forge.__file__)))
+    code = ("import contextlib, io, os, sys; sys.path.insert(0, sys.argv[1]); "
+            "import dwork_forge.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[2].split(' ')) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run([sys.executable, "-c", code, src,
+                          "hg-trace --N 3 --n 2 --q 7 --x 3"], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert out == "1 1\n"
+
+
+def test_cli_keeps_a_user_blas_thread_count(capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    code, _ = run_cli(capsys, "hg-trace", "--N", "3", "--n", "2", "--q", "7", "--x", "3")
+    assert code == 0 and os.environ["OPENBLAS_NUM_THREADS"] == "3"
+
+
+@pytest.mark.parametrize("l", [2 ** 61 - 1, 2 ** 89 - 1])
+def test_huge_lambda_prime_is_one_error_line(capsys, l):
+    # 2^61 - 1 is prime but its residue field has no table; 2^89 - 1 is past
+    # the exact range of the primality test
+    code = main(["hg-charpoly", "--N", "3", "--n", "2", "--q", "7", "--x", "3",
+                 "--l", str(l)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_breuil_oracle_chi_equal_dimension_counts_the_special_term(capsys):
     # s = 4, t = 0 at (p, e, f) = (5, 2, 1): alpha difference 1, so
     # chi_1 = chi_2 and the special degree 5 joins the windows [3, 4]

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -108,3 +109,15 @@ def test_error_bound_rejects_huge_inputs():
     big = [[1 << 40] * N for _ in range(L)]
     assert convolution._conv2d_fft(big, big, L, N) is None
     assert conv2d_cyclic(big, big, L, N) == naive_conv2d(big, big, L, N)
+
+
+# (L, N) -> P as trial division found them, for the shapes that selftest and
+# the scans certify
+@pytest.mark.parametrize("L,N,P", [(6, 3, 1073741827), (10, 5, 1073741831),
+                                   (12, 3, 1073741833), (22, 11, 1073741857),
+                                   (30, 5, 1073741971), (48, 3, 1073741857),
+                                   (150, 3, 1073743051), (528, 11, 1073741857),
+                                   (12166, 11, 1073771161), (22800, 3, 1073834401),
+                                   (109560, 3, 1074016681)])
+def test_check_point_primes_pinned(L, N, P):
+    assert convolution._check_point(L, N)[0] == P

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dwork_forge.cyclotomic import CyclotomicInt
 from dwork_forge.ff import (SCALAR_TABLE_LIMIT, FFError, IncompatibleFields,
                             InvalidDegree, NNotDividingQMinus1, NotPrime, TooLarge,
-                            _pmod, _pmul, char_exponent, char_value, embed,
+                            _is_prime, _pmod, _pmul, char_exponent, char_value, embed,
                             extension_of, field_make, norm_to_subfield,
                             prime_power)
 
@@ -310,3 +310,39 @@ def test_dlog_kernels_match_polynomial_arithmetic(pf, data):
         want[c] = dlog(add(digits(row[c]), neg(mul(digits(fk), digits(prow[c])))))
     F.k_row_sub(row, fk, prow, cols)
     assert row == want
+
+
+def trial_division_is_prime(n):
+    """The primality oracle: trial division by every d with d^2 <= n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(1 << 17) if _is_prime(n)] == \
+        [n for n in range(1 << 17) if trial_division_is_prime(n)]
+
+
+# strong pseudoprimes to bases 2..7, 2..11 and 2..17; Carmichael numbers;
+# psi_12, the least strong pseudoprime to all primes up to 37
+@pytest.mark.parametrize("n", [3215031751, 3474749660383, 341550071728321,
+                               561, 1729, 25326001, 318665857834031151167461])
+def test_is_prime_rejects_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+@pytest.mark.parametrize("n", [1073741827, 1073834401, 2 ** 61 - 1, 10 ** 18 + 9])
+def test_is_prime_accepts_large_primes(n):
+    assert _is_prime(n)
+
+
+def test_is_prime_refuses_beyond_its_exact_range():
+    assert not _is_prime(2 ** 89 - 3)            # divisible by 29
+    with pytest.raises(ValueError):
+        _is_prime(2 ** 89 - 1)                   # a Mersenne prime above 3.3e24

@@ -222,6 +222,39 @@ def test_readout_on_an_object_prefix(monkeypatch):
         assert hg.trace_at(params, F, x) == trace_naive(params, F, x)
 
 
+@st.composite
+def array_readout_cases(draw):
+    """(params, E, points, as_object): n in {3, 4}, so the prefix is an
+    L x N array, over E = F_{p^f}^d built by extension_of (d >= 2), with N
+    any divisor of |E^x| above n. The naive sum costs (q^d)^(n-1) steps per
+    point."""
+    n = draw(st.sampled_from([3, 4]))
+    limit = 64 if n == 3 else 27
+    p, f, d = draw(st.sampled_from([(p, f, d) for p, f in SMALL_FIELDS
+                                    for d in (2, 3) if n < (p ** f) ** d - 1
+                                    and (p ** f) ** d <= limit]))
+    E = extension_of(field_make(p, f), d)
+    N = draw(st.sampled_from([m for m in range(n + 1, E.q) if (E.q - 1) % m == 0]))
+    R = draw(st.lists(st.integers(1, N - 1), min_size=n, max_size=n, unique=True))
+    points = [E.from_dlog(draw(st.integers(1, E.q - 2))) for _ in range(3)]
+    return hg_params(N, n, R), E, points, draw(st.booleans())
+
+
+@settings(max_examples=30, deadline=None)
+@given(array_readout_cases())
+def test_array_readout_equals_naive_property(case):
+    params, E, points, as_object = case
+    rows, prefix = hg._prefix(params, E)
+    assert prefix.ndim == 2
+    if as_object:       # the dtype kept when a readout could pass 2^63
+        hg._prefix_cache[(params, E)] = (rows, prefix.astype(object))
+    try:
+        for y in points:
+            assert hg.trace_at(params, E, y) == trace_naive(params, E, y)
+    finally:
+        hg._prefix_cache.pop((params, E), None)
+
+
 def test_readout_bad_point():
     params = select_chi(3, 2)
     F7 = field_make(7, 1)

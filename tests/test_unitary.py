@@ -1,4 +1,5 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -6,8 +7,9 @@ from hypothesis import strategies as st
 
 from dwork_forge.ff import embed, field_make
 from dwork_forge.linalg import det, mat_identity, mat_mul
+from dwork_forge import unitary
 from dwork_forge.unitary import (Degenerate, NoSolution, _find_anisotropic,
-                                 _gram_ks, _pairing, adjoint,
+                                 _gram_ks, _pairing, _roots_with_multiplicity, adjoint,
                                  certifies_identity, conjugate_into_gu,
                                  diagonalize_to_identity, eigenvalue_genericity,
                                  gu_fields, hermitian_space, hilbert90_eta,
@@ -374,3 +376,102 @@ def test_certificate_matches_the_ffelem_oracle(q, n, seed):
             bad = [row[:] for row in A]
             bad[i][j] = bad[i][j] + Fq2.gen()
             check(bad, C, False)
+
+
+def restart_scan_roots(poly, field):
+    """The oracle: the root scan that starts again from zero after each root
+    it divides out."""
+    add, mul = field.k_add, field.k_mul
+
+    def ev(pol, x):
+        acc = None
+        for c in reversed(pol):
+            acc = add(mul(acc, x), c)
+        return acc
+
+    def divide_linear(pol, r):
+        q = [None] * (len(pol) - 1)
+        q[-1] = pol[-1]
+        for i in range(len(pol) - 2, 0, -1):
+            q[i - 1] = add(pol[i], mul(r, q[i]))
+        return q
+
+    eigs = []
+    cur = field.to_ks(poly)
+    missing = object()
+    while len(cur) > 1:
+        root = next((x for x in chain((None,), range(field.q - 1))
+                     if ev(cur, x) is None), missing)
+        if root is missing:
+            break
+        eigs.append(root)
+        cur = divide_linear(cur, root)
+    return field.from_ks(eigs), (cur if len(cur) > 1 else [])
+
+
+def poly_mul(a, b):
+    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def rootless_quadratic(F):
+    """The first monic X^2 + bX + c over F with no root in F, ascending."""
+    for b in F.elements():
+        for c in F.elements():
+            if all(x * x + b * x + c != F.zero() for x in F.elements()):
+                return [c, b, F.one()]
+
+
+ROOT_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1), (2, 4)]
+
+
+@st.composite
+def root_cases(draw):
+    """(poly, field, roots): a product of linear factors with multiplicities
+    (zero allowed) times no cofactor, a rootless quadratic or a random monic
+    cubic."""
+    F = field_make(*draw(st.sampled_from(ROOT_FIELDS)))
+    encs = draw(st.lists(st.integers(0, F.q - 1), max_size=4, unique=True))
+    roots = [F.from_encoding(e) for e in encs
+             for _ in range(draw(st.integers(1, 3)))]
+    cofactor = draw(st.sampled_from(["none", "rootless", "cubic"]))
+    if cofactor == "none":
+        poly = [F.one()]
+    elif cofactor == "rootless":
+        poly = rootless_quadratic(F)
+    else:
+        poly = [F.from_encoding(draw(st.integers(0, F.q - 1)))
+                for _ in range(3)] + [F.one()]
+    for r in roots:
+        poly = poly_mul(poly, [-r, F.one()])
+    return poly, F, roots, cofactor
+
+
+@settings(max_examples=150, deadline=None)
+@given(root_cases())
+def test_root_scan_matches_restart_scan(case):
+    poly, F, roots, cofactor = case
+    eigs, rem = _roots_with_multiplicity(poly, F)
+    want_eigs, want_rem = restart_scan_roots(poly, F)
+    assert eigs == want_eigs and rem == want_rem
+    if cofactor != "cubic":
+        assert sorted(e.encoding for e in eigs) == sorted(r.encoding for r in roots)
+        assert len(rem) == (3 if cofactor == "rootless" else 0)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_matrix_eigenvalues_extension_matches_restart_scan(monkeypatch, p, f):
+    # a rootless quadratic's companion block plus eigenvalues a (twice) and 0
+    F = field_make(p, f)
+    c, b, _ = rootless_quadratic(F)
+    a, z = F.gen(), F.zero()
+    M = [[z, -c, z, z, z], [F.one(), -b, z, z, z], [z, z, a, F.one(), z],
+         [z, z, z, a, z], [z, z, z, z, z]]
+    eigs = matrix_eigenvalues(M)
+    assert len(eigs) == 5 and eigs[0].field is not F
+    monkeypatch.setattr(unitary, "_roots_with_multiplicity", restart_scan_roots)
+    assert [(e.field, e.encoding) for e in eigs] == \
+        [(e.field, e.encoding) for e in matrix_eigenvalues(M)]
