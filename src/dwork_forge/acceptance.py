@@ -307,10 +307,12 @@ def criterion_9(seed):
                         != br.INFEASIBLE, (e, s_, t_, l)
                 # monodromy feasibility == forbidden-degree predicate, all y
                 degs, check = br.monodromy_feasibility_checker(top, bot)
+                keys = [(0, l) for l in range(s_)]
+                forb_at = [l for l in range(s_) if l in forb]
                 for coeffs in product(range(p), repeat=s_):
-                    y = {(0, l): coef[c] for l, c in enumerate(coeffs) if c}
+                    y = {key: coef[c] for key, c in zip(keys, coeffs) if c}
                     feas = check(y)
-                    clean_y = all(l not in forb for (_, l) in y)
+                    clean_y = not any(coeffs[l] for l in forb_at)
                     assert feas == clean_y, (e, s_, t_, coeffs, feas)
                     y_checked += 1
                 # spot check the batch verdicts against the one-shot solver,
@@ -361,8 +363,7 @@ def criterion_11(seed):
                 sp = un.HermitianSpace(q, Fq2, A)
                 if not sp.nondegenerate:
                     continue
-                C = un.normal_form(sp)
-                assert un.certifies_identity(Fq2, A, C, q)
+                un.normal_form(sp)    # asserts C-dagger A C = I
                 done += 1
             details[f"normalize_q{q}_n{n}"] = done
     for p, m, n in ((7, 2, 1), (11, 3, 2), (13, 2, 3)):

@@ -11,20 +11,24 @@ For an extension of (s; a) by (t; b) the slope data is
     n_i = (1/(p^f-1)) * sum_{j=1..f} p^(f-j) (s_{j+i-1} - t_{j+i-1} - e)
     r_i = s_i - t_i - e + floor(n_{i+1}) - p*floor(n_i) + 1,  r_i in [1, p]
 
-with n_j + (s_{j-1} - t_{j-1} - e) = p n_{j-1}. Extension classes are carried
-by polynomials y_i of degree < s_i (plus one special degree when a nonzero map
-(s;a) -> (t;b) exists); the crystalline monodromy condition kills every term
-of degree l < s_i - e + max(n_{i+1}, 1) with l != t_i mod p, and when
-sum(s_j - t_j - e) < 0 an explicit etale witness class exists that no
-crystalline extension reaches. All rational arithmetic is exact.
+with n_j + (s_{j-1} - t_{j-1} - e) = p n_{j-1}. The slope data depend on s,
+t and e only through c = s - t - e, so they are computed (and the recurrence
+and range asserted) once per (c, p, f) and shared by every tuple with that c.
+
+Extension classes are carried by polynomials y_i of degree < s_i (plus one
+special degree when a nonzero map (s;a) -> (t;b) exists); the crystalline
+monodromy condition kills every term of degree l < s_i - e + max(n_{i+1}, 1)
+with l != t_i mod p, and when sum(s_j - t_j - e) < 0 an explicit etale
+witness class exists that no crystalline extension reaches. All rational
+arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
-from math import floor
 
 from .ff import FFElem, field_make
 from .linalg import sparse_left_null_space, sparse_solve
@@ -138,25 +142,39 @@ def _check_frame(top, bottom):
         raise ValueError("coefficients in different fields")
 
 
-def slope_data(s, t, e, p, f):
-    """(n_i, r_i); the recurrence and r_i in [1, p] are asserted.
+@lru_cache(maxsize=4096)
+def _slopes(c, p, f):
+    """(n, r, floor(n)) for the differences c = s - t - e, a tuple of f ints.
 
-    Works on the integer numerators N_i = (p^f - 1) n_i: the floors are
-    N_i // (p^f - 1) and the recurrence is checked as
-    N_j + (s - t - e)_{j-1} (p^f - 1) = p N_{j-1}.
+    The slope data depend on s, t and e only through c, so sweeps share one
+    entry per (c, p, f). Works on the integer numerators N_i = (p^f - 1) n_i:
+    the floors are N_i // (p^f - 1) and the recurrence is checked as
+    N_j + c_{j-1} (p^f - 1) = p N_{j-1}.
     """
-    if not len(s) == len(t) == f:
-        raise PreconditionViolated("s and t must each have f entries")
     den = p ** f - 1
-    c = [s[i] - t[i] - e for i in range(f)]
     N = [sum(p ** (f - j) * c[(j + i - 1) % f] for j in range(1, f + 1))
          for i in range(f)]
-    fl = [Ni // den for Ni in N]
+    fl = tuple(Ni // den for Ni in N)
     r = tuple(c[i] + fl[(i + 1) % f] - p * fl[i] + 1 for i in range(f))
     for j in range(f):
         assert N[j] + c[j - 1] * den == p * N[j - 1]
-    assert all(1 <= ri <= p for ri in r), (s, t, e, p, f, N, r)
-    return tuple(Fraction(Ni, den) for Ni in N), r
+    assert all(1 <= ri <= p for ri in r), (c, p, f, N, r)
+    return tuple(Fraction(Ni, den) for Ni in N), r, fl
+
+
+def _slope_entry(s, t, e, p, f):
+    """_slopes for the tuples s and t; PreconditionViolated unless both
+    have f entries."""
+    if not len(s) == len(t) == f:
+        raise PreconditionViolated("s and t must each have f entries")
+    return _slopes(tuple(si - ti - e for si, ti in zip(s, t)), p, f)
+
+
+def slope_data(s, t, e, p, f):
+    """(n_i, r_i); the recurrence and r_i in [1, p] are asserted, once per
+    distinct s - t - e."""
+    n, r, _ = _slope_entry(s, t, e, p, f)
+    return n, r
 
 
 @dataclass
@@ -399,7 +417,7 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
     """
     _check_frame(top, bottom)
     F = top.a.field
-    add, L = F.k_add, F.q - 1
+    zech, L = F._zech, F.q - 1
     degs, _ = bk_extension_degrees(top, bottom)
     universe = _y_constants({(j, l): F.one() for j in range(top.f)
                              for l in degs[j]}, top, bottom)
@@ -432,7 +450,13 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
             if w is None:
                 return False
             for n, wk in w:
-                sums[n] = add(sums[n], (wk + k) % L)
+                b = (wk + k) % L
+                a = sums[n]
+                if a is None:
+                    sums[n] = b
+                else:
+                    z = zech[(b - a) % L]    # a + b = g^a (1 + g^(b-a))
+                    sums[n] = None if z is None else (a + z) % L
         return all(sm is None for sm in sums)
 
     return degs, check
@@ -452,9 +476,9 @@ def genericity_obstruction(s, t, e, p, f):
     """
     if sum(s[j] - t[j] - e for j in range(f)) >= 0:
         raise PreconditionViolated("requires sum(s_j - t_j - e) < 0")
-    n, r = slope_data(s, t, e, p, f)
+    _, r, floors = _slope_entry(s, t, e, p, f)
     for i in range(f):
-        fl = floor(n[(i + 1) % f])
+        fl = floors[(i + 1) % f]
         if (fl == -1 and r[i] != p) or fl <= -2:
             x = s[i] + fl - e + (1 if r[i] != p else 2)
             assert (x - t[i]) % p != 0
@@ -471,10 +495,10 @@ def etale_image_windows(top: RankOneBK, bottom: RankOneBK):
     degrees (None unless chi_1 = chi_2)."""
     p, f, e = top.p, top.f, top.e
     s = top.s
-    n, _ = slope_data(s, bottom.s, e, p, f)
+    floors = _slope_entry(s, bottom.s, e, p, f)[2]
     windows = []
     for i in range(f):
-        top_deg = s[i] + floor(n[(i + 1) % f])
+        top_deg = s[i] + floors[(i + 1) % f]
         windows.append(range(top_deg - e + 1, top_deg + 1))
     if not chi_equal(top, bottom):
         return windows, e * f, None

@@ -11,7 +11,12 @@ k_mul, k_neg, k_dot, k_row_sub, k_sparse_sub), which read it one entry at a
 time: FFElem addition goes through k_add; unitary's dlog Gram-Schmidt and
 its C-dagger A C = I certificate through k_dot, and its dense row updates
 (the Gram-Schmidt projections, the Hessenberg reduction) through k_row_sub;
-the sparse elimination kernel of linalg through k_sparse_sub.
+the sparse elimination kernel of linalg through k_sparse_sub. The loop
+kernels k_dot, k_row_sub and k_sparse_sub take the Zech step
+a + b = g^a (1 + g^(b-a)) inline instead of calling k_add once per term, and
+so do the two other per-term loops of the selftest sweeps, which read _zech
+directly: the running sums of breuil.monodromy_feasibility_checker and the
+Horner evaluation in unitary._roots_with_multiplicity.
 k_of_encoding reads the dlog table for callers that draw encodings and
 work on dlogs. zech_array() gives the Zech table as an array to the
 vectorized trace engine.
@@ -479,20 +484,32 @@ class FieldDesc:
 
     def k_dot(self, xs, ys):
         """sum_i xs[i] * ys[i]."""
-        add, L = self.k_add, self.q - 1
+        zech, L = self._zech, self.q - 1
         acc = None
-        for a, b in zip(xs, ys):
-            if a is not None and b is not None:
-                acc = add(acc, (a + b) % L)
+        for x, y in zip(xs, ys):
+            if x is None or y is None:
+                continue
+            b = (x + y) % L
+            if acc is None:
+                acc = b
+            else:
+                z = zech[(b - acc) % L]    # acc + b = g^acc (1 + g^(b-acc))
+                acc = None if z is None else (acc + z) % L
         return acc
 
     def k_row_sub(self, row, f, prow, cols):
         """row[c] -= f * prow[c] in place, for the columns c in cols (f and
         every prow[c] nonzero)."""
-        add, L = self.k_add, self.q - 1
+        zech, L = self._zech, self.q - 1
         nf = f + self._half
         for c in cols:
-            row[c] = add(row[c], (nf + prow[c]) % L)
+            b = (nf + prow[c]) % L
+            a = row[c]
+            if a is None:
+                row[c] = b
+            else:
+                z = zech[(b - a) % L]      # a + b = g^a (1 + g^(b-a))
+                row[c] = None if z is None else (a + z) % L
 
     def k_sparse_sub(self, row, f, prow):
         """row -= f * prow in place, for sparse rows {column: dlog} and f

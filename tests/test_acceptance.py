@@ -15,6 +15,8 @@ import sys
 import pytest
 
 from dwork_forge import acceptance
+from dwork_forge import breuil as br
+from dwork_forge import unitary as un
 from dwork_forge.util import stable_json
 
 DESCRIPTIONS = {
@@ -154,3 +156,37 @@ def test_cli_import_leaves_subprocess_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out == "False\n"
+
+
+def test_criteria_7_and_8_compute_slope_data_once_per_difference():
+    tuples = list(acceptance._breuil_sweep_tuples())
+    negative = [(p, e, f, s, t) for p, e, f, s, t in tuples
+                if sum(s) - sum(t) - e * f < 0]
+    distinct = {(tuple(si - ti - e for si, ti in zip(s, t)), p, f)
+                for p, e, f, s, t in tuples}
+    br._slopes.cache_clear()
+    assert acceptance.criterion_7()[0]["tuples"] == len(tuples)
+    assert acceptance.criterion_8()[0]["tuples"] == len(negative)
+    info = br._slopes.cache_info()
+    assert info.misses == len(distinct)
+    assert info.hits + info.misses == len(tuples) + len(negative)
+
+
+def test_criterion_11_certifies_each_normal_form_once(monkeypatch):
+    calls = {"normal_form": 0, "certifies_identity": 0}
+
+    def counted(name):
+        fn = getattr(un, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(un, name, counted(name))
+    entry, _ = acceptance.criterion_11(0)
+    assert entry["passed"]
+    forms = sum(v for k, v in entry["details"].items()
+                if k.startswith("normalize_"))
+    assert calls["certifies_identity"] == calls["normal_form"] > forms

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwork_forge.acceptance import _breuil_sweep_tuples
 from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 SpecialDegreeNotInteger, _alpha_differences,
-                                _special_degrees, _y_constants,
+                                _slopes, _special_degrees, _y_constants,
                                 alpha_invariants,
                                 bk_extension_degrees, breuil_forbidden_degrees,
                                 chain_slope_check, change_of_variables_solver,
@@ -92,6 +93,72 @@ def test_slope_data_matches_fraction_oracle(frame):
     n, r = slope_data(s, t, e, p, f)
     assert (n, r) == _slope_data_fractions(s, t, e, p, f)
     assert all(isinstance(x, Fraction) for x in n)
+
+
+def _witness_fractions(s, t, e, p, f):
+    """Reference obstruction witness, with floors of the oracle's n."""
+    n, r = _slope_data_fractions(s, t, e, p, f)
+    for i in range(f):
+        fl = floor(n[(i + 1) % f])
+        if (fl == -1 and r[i] != p) or fl <= -2:
+            return i, s[i] + fl - e + (1 if r[i] != p else 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames((3, 5, 7, 11), 3, 3), st.data())
+def test_equal_differences_share_slopes_and_witnesses(frame, data):
+    # (s + k, t, e + k) and (s + d, t + d, e) have the same s - t - e as
+    # (s, t, e): the same (n, r), the same witness index, and the witness
+    # degree x = s_i + floor(n_{i+1}) - e + 1 (or + 2) moves by d_i only
+    p, e, f, s, t = frame
+    k = data.draw(st.integers(0, 3))
+    d = data.draw(st.lists(st.integers(-3, 3), min_size=f, max_size=f))
+    sk = tuple(si + k for si in s)
+    sd, td = (tuple(x + di for x, di in zip(v, d)) for v in (s, t))
+    want = _slope_data_fractions(s, t, e, p, f)
+    assert slope_data(s, t, e, p, f) == want
+    assert slope_data(sk, t, e + k, p, f) == want
+    assert slope_data(sd, td, e, p, f) == want
+    if sum(s) - sum(t) - e * f < 0:
+        i, x = genericity_obstruction(s, t, e, p, f)
+        assert (i, x) == _witness_fractions(s, t, e, p, f)
+        assert genericity_obstruction(sk, t, e + k, p, f) == (i, x)
+        assert genericity_obstruction(sd, td, e, p, f) == (i, x + d[i])
+
+
+def test_slope_cache_is_keyed_by_differences_p_and_f():
+    _slopes.cache_clear()
+    n, r = slope_data((3,), (0,), 1, 5, 1)             # c = (2,)
+    assert slope_data([4], [1], 1, 5, 1) == (n, r)     # list input, same c
+    assert _slopes.cache_info()[:2] == (1, 1)          # (hits, misses)
+    # the same c at another p, and the same constant difference at another
+    # f (whose slope data happen to coincide), are entries of their own
+    assert slope_data((3,), (0,), 1, 7, 1) == \
+        _slope_data_fractions((3,), (0,), 1, 7, 1) != (n, r)
+    assert slope_data((3, 3), (0, 0), 1, 5, 2) == \
+        _slope_data_fractions((3, 3), (0, 0), 1, 5, 2)
+    assert _slopes.cache_info()[:2] == (1, 3)
+
+
+@pytest.mark.parametrize("s,t,f", [((1, 2), (0,), 2), ((1,), (0,), 2),
+                                   ((1, 2, 0), (0, 0, 0), 2), ([1], [0, 0], 1)])
+def test_slope_data_rejects_length_mismatch(s, t, f):
+    with pytest.raises(PreconditionViolated):
+        slope_data(s, t, 1, 5, f)
+
+
+def test_genericity_obstruction_rejects_length_mismatch():
+    with pytest.raises(PreconditionViolated):
+        genericity_obstruction((0, 0, 0), (1, 1, 1), 1, 5, 2)
+
+
+def test_slope_data_matches_the_oracle_on_the_selftest_sweep():
+    # every tuple of criteria 7 and 8, not only one per distinct s - t - e
+    for p, e, f, s, t in _breuil_sweep_tuples():
+        assert slope_data(s, t, e, p, f) == _slope_data_fractions(s, t, e, p, f)
+        if sum(s) - sum(t) - e * f < 0:
+            assert genericity_obstruction(s, t, e, p, f) == \
+                _witness_fractions(s, t, e, p, f)
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,10 +294,13 @@ def test_checker_matches_one_shot_solver(frame, data):
     y = {key: data.draw(coeff) for key in keys
          if data.draw(st.booleans())}
     if keys and data.draw(st.booleans()):
-        # (j, l) and (j + f, l) land on one row; opposite coefficients cancel
+        # (j, l), (j + f, l) and (j + 2f, l) land on one row; opposite
+        # coefficients cancel, and a third term starts the sum again
         j, l = data.draw(st.sampled_from(keys))
         c = data.draw(coeff)
         y[(j, l)], y[(j + f, l)] = c, -c
+        if data.draw(st.booleans()):
+            y[(j + 2 * f, l)] = data.draw(coeff)
     consts = _y_constants(y, top, bot)
     assert dict(zip(consts, F.from_ks(consts.values()))) == \
         _y_constants_ffelem(y, top, bot)

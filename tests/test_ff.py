@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwork_forge.cyclotomic import CyclotomicInt
-from dwork_forge.ff import (SCALAR_TABLE_LIMIT, FFError, IncompatibleFields,
+from dwork_forge.ff import (SCALAR_TABLE_LIMIT, FFElem, FFError, IncompatibleFields,
                             InvalidDegree, NNotDividingQMinus1, NotPrime, TooLarge,
                             _is_prime, _pmod, _pmul, char_exponent, char_value, embed,
                             extension_of, field_make, norm_to_subfield,
@@ -346,3 +346,30 @@ def test_is_prime_refuses_beyond_its_exact_range():
     assert not _is_prime(2 ** 89 - 3)            # divisible by 29
     with pytest.raises(ValueError):
         _is_prime(2 ** 89 - 1)                   # a Mersenne prime above 3.3e24
+
+
+
+def ffelem_dot(F, pairs):
+    """sum a * b over dlog pairs (None for zero), in FFElem arithmetic."""
+    acc = F.zero()
+    for a, b in pairs:
+        acc = acc + FFElem(F, a) * FFElem(F, b)
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(5, 1), (3, 2), (5, 2), (7, 2)]), st.data())
+def test_k_dot_matches_ffelem_sum(pf, data):
+    # k_dot takes the Zech step inline. A term that cancels the partial sum
+    # makes the running sum zero mid-way, and later terms start it again.
+    F = field_make(*pf)
+    elem = st.none() | st.integers(0, F.q - 2)
+    terms = st.lists(st.tuples(elem, elem), max_size=5)
+    pairs = data.draw(terms)
+    for _ in range(data.draw(st.integers(0, 2))):
+        partial = ffelem_dot(F, pairs)
+        if not partial.is_zero():
+            pairs.append(((-partial).k, 0))
+        pairs += data.draw(terms)
+    xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+    assert F.k_dot(xs, ys) == ffelem_dot(F, pairs).k

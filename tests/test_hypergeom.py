@@ -425,3 +425,14 @@ def test_newton_roundtrip_property():
                 N, [rng.randrange(-5, 6) for _ in range(4)]))
         p = traces_from_newton_coeffs(e, N, n)
         assert newton_coeffs_from_traces(p, N, n) == e
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.integers(1, 5), st.data())
+def test_newton_roundtrip_hypothesis(N, n, data):
+    # random elementary symmetric functions e_1..e_n in Z[zeta_N], e_0 = 1
+    coords = st.lists(st.integers(-50, 50), min_size=N - 1, max_size=N - 1)
+    e = [CyclotomicInt.one(N)] + [CyclotomicInt(N, data.draw(coords))
+                                  for _ in range(n)]
+    traces = hg.traces_from_newton_coeffs(e, N, n)
+    assert hg.newton_coeffs_from_traces(traces, N, n) == e

@@ -431,20 +431,27 @@ ROOT_FIELDS = [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1), (2, 4)]
 @st.composite
 def root_cases(draw):
     """(poly, field, roots): a product of linear factors with multiplicities
-    (zero allowed) times no cofactor, a rootless quadratic or a random monic
-    cubic."""
+    (zero allowed, and forced on request) times no cofactor, a rootless
+    quadratic, a random monic cubic or a monic X^k + c of degree 2..4,
+    whose other coefficients are zero."""
     F = field_make(*draw(st.sampled_from(ROOT_FIELDS)))
     encs = draw(st.lists(st.integers(0, F.q - 1), max_size=4, unique=True))
+    if draw(st.booleans()) and 0 not in encs:
+        encs.append(0)
     roots = [F.from_encoding(e) for e in encs
              for _ in range(draw(st.integers(1, 3)))]
-    cofactor = draw(st.sampled_from(["none", "rootless", "cubic"]))
+    cofactor = draw(st.sampled_from(["none", "rootless", "cubic", "sparse"]))
     if cofactor == "none":
         poly = [F.one()]
     elif cofactor == "rootless":
         poly = rootless_quadratic(F)
-    else:
+    elif cofactor == "cubic":
         poly = [F.from_encoding(draw(st.integers(0, F.q - 1)))
                 for _ in range(3)] + [F.one()]
+    else:
+        k = draw(st.integers(2, 4))
+        poly = [F.from_encoding(draw(st.integers(0, F.q - 1)))] + \
+            [F.zero()] * (k - 1) + [F.one()]
     for r in roots:
         poly = poly_mul(poly, [-r, F.one()])
     return poly, F, roots, cofactor
@@ -457,7 +464,7 @@ def test_root_scan_matches_restart_scan(case):
     eigs, rem = _roots_with_multiplicity(poly, F)
     want_eigs, want_rem = restart_scan_roots(poly, F)
     assert eigs == want_eigs and rem == want_rem
-    if cofactor != "cubic":
+    if cofactor in ("none", "rootless"):
         assert sorted(e.encoding for e in eigs) == sorted(r.encoding for r in roots)
         assert len(rem) == (3 if cofactor == "rootless" else 0)
 
