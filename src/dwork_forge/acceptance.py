@@ -169,9 +169,11 @@ def criterion_5():
         for d in (1, 2):
             K = extension_of(test.field_v, d)
             if table_fits(K.p, K.f * n):
-                params = test.params
-                recs = [hg.char_poly(params, K, x)
-                        for x in hg.trace_all_fast(params, K)]
+                if d == 1:    # criterion 2's sweep over the same field
+                    recs = _sweep(N, n, K.q)[2]
+                else:
+                    recs = [hg.char_poly(test.params, K, x)
+                            for x in hg.trace_all_fast(test.params, K)]
                 checked = skipped = full = 0
                 for rec in recs:
                     hg.newton_polygon(rec, test.lam)
@@ -265,21 +267,36 @@ def criterion_8():
             "passed": True, "tuples": count}, time.monotonic() - t0
 
 
+def _product_index(coeffs, p):
+    """Position of coeffs in itertools.product(range(p), repeat=len(coeffs))."""
+    idx = 0
+    for c in coeffs:
+        idx = idx * p + c
+    return idx
+
+
 def criterion_9(seed):
     """Non-surjectivity oracle at p=5, f=1, e in {1,2}.
 
-    For each (s, t) with s - t - e < 0: the constructed witness class is
-    change-of-variables infeasible; every BK-allowed class normalizes into
-    the image windows and its window class is feasible; and monodromy
-    feasibility agrees with the forbidden-degree predicate on all candidate
-    y over F_5 (batch checker, spot-validated against the one-shot solver,
-    and verdicts are d-independent for a random unit d).
+    For each (s, t) with s - t - e < 0: monodromy feasibility agrees with the
+    forbidden-degree predicate on all candidate y over F_5; the constructed
+    witness class is change-of-variables infeasible; and every clean
+    BK-allowed class normalizes into the image windows and its window class
+    is feasible. The feasibility verdicts of all y come as one table
+    (breuil.monodromy_verdict_table, running sums extended one degree at a
+    time) and are compared with the clean-degree mask, built the same way;
+    a mismatch fails the criterion naming (e, s, t) and the first mismatching
+    coefficients. Four seeded y per pair spot-check the table against the
+    batch checker and the one-shot solver, with and without a random unit d
+    (verdicts are d-independent).
     """
     t0 = time.monotonic()
+    name = "non-surjectivity oracle (p=5, f=1)"
     p, f = 5, 1
     F = field_make(p, 1)
     one = F.one()
     coef = [F.from_int(c) for c in range(p)]
+    coef_ks = F.to_ks(coef)
     rng = random.Random(seed)
     pairs = 0
     y_checked = 0
@@ -292,31 +309,39 @@ def criterion_9(seed):
                     continue
                 top = br.make_rank_one(p, f, e, (s_,), one)
                 bot = br.make_rank_one(p, f, e, (t_,), one)
+                # monodromy feasibility == forbidden-degree predicate, all y
+                forb = br.breuil_forbidden_degrees(br.make_ext_problem(top, bot))[0]
+                keys = [(0, l) for l in range(s_)]
+                table = br.monodromy_verdict_table(top, bot, keys, coef_ks)
+                mask = [True]
+                for l in range(s_):
+                    mask = [m and (c == 0 or l not in forb)
+                            for m in mask for c in range(p)]
+                if table != mask:
+                    coeffs, v, m = next(
+                        (c, v, m) for c, v, m in zip(
+                            product(range(p), repeat=s_), table, mask)
+                        if v != m)
+                    error = (f"(e, s, t) = ({e}, {s_}, {t_}), coefficients "
+                             f"{coeffs}: table {v}, clean degrees {m}")
+                    return {"id": 9, "name": name, "passed": False,
+                            "error": error}, time.monotonic() - t0
+                y_checked += len(table)
+                # the witness class is reached by no crystalline extension
                 i, x = br.genericity_obstruction((s_,), (t_,), e, p, f)
                 witness_verdict = br.change_of_variables_solver(
                     {(i, x): one}, top, bot)
                 assert witness_verdict == br.INFEASIBLE, (e, s_, t_)
                 # constructive direction: each clean basis class round-trips
-                prob0 = br.make_ext_problem(top, bot)
-                forb = br.breuil_forbidden_degrees(prob0)[0]
                 clean = [l for l in range(s_) if l not in forb]
                 for l in clean:
                     nf = br.normal_form_in_windows({(0, l): one}, top, bot)
                     assert nf != br.INFEASIBLE, (e, s_, t_, l)
                     assert br.change_of_variables_solver(nf, top, bot) \
                         != br.INFEASIBLE, (e, s_, t_, l)
-                # monodromy feasibility == forbidden-degree predicate, all y
-                degs, check = br.monodromy_feasibility_checker(top, bot)
-                keys = [(0, l) for l in range(s_)]
-                forb_at = [l for l in range(s_) if l in forb]
-                for coeffs in product(range(p), repeat=s_):
-                    y = {key: coef[c] for key, c in zip(keys, coeffs) if c}
-                    feas = check(y)
-                    clean_y = not any(coeffs[l] for l in forb_at)
-                    assert feas == clean_y, (e, s_, t_, coeffs, feas)
-                    y_checked += 1
-                # spot check the batch verdicts against the one-shot solver,
-                # with and without a random unit d
+                # spot check the table against the batch checker and the
+                # one-shot solver, with and without a random unit d
+                _, check = br.monodromy_feasibility_checker(top, bot)
                 for _ in range(4):
                     coeffs = tuple(rng.randrange(p) for _ in range(s_))
                     y = {(0, l): coef[c] for l, c in enumerate(coeffs) if c}
@@ -325,10 +350,11 @@ def criterion_9(seed):
                     d_unit = {0: F.from_dlog(rng.randrange(p - 1)),
                               1: F.from_int(rng.randrange(p))}
                     v2 = br.solve_monodromy(prob, d_unit=d_unit) != br.INFEASIBLE
-                    assert v1 == v2 == check(y), (e, s_, t_, coeffs)
+                    assert v1 == v2 == check(y) \
+                        == table[_product_index(coeffs, p)], (e, s_, t_, coeffs)
                 pairs += 1
         details.append({"e": e, "pairs_done": pairs})
-    return {"id": 9, "name": "non-surjectivity oracle (p=5, f=1)",
+    return {"id": 9, "name": name,
             "passed": True, "pairs": pairs, "y_candidates": y_checked,
             "details": details}, time.monotonic() - t0
 

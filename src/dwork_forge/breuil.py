@@ -404,31 +404,28 @@ def make_etale_class(top: RankOneBK, bottom: RankOneBK, y: dict) -> EtalePhiClas
     return EtalePhiClass(top, bottom, dict(y))
 
 
-def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
-    """Batch form of solve_monodromy feasibility for exhaustive y sweeps.
+def _monodromy_weights(top: RankOneBK, bottom: RankOneBK):
+    """(allowed_degrees, null vector count, key_weights) for the monodromy
+    system over the full degree universe.
 
-    Builds the linear system once over the full degree universe, computes the
-    left null space, and returns (allowed_degrees, check) where check maps a
-    y dict to the same verdict solve_monodromy would give. Feasible y form a
-    subspace, so consistency reduces to null-vector orthogonality: check adds
-    each y-term's weights v[row] * (t_j - l) (cached per key) times its
-    coefficient into one running sum per null vector v. With no unknowns
-    (e = 1) the null vectors are the unit vectors, one per row.
+    Feasible y form a subspace, so consistency reduces to orthogonality with
+    the left null vectors v of the system: key_weights(key) lists, per null
+    vector n with v[row] != 0, the dlog of v[row] * (t_j - l) for the row the
+    y-term at key lands in; it is [] for a key that contributes nothing and
+    None for a term that lands outside every row. With no unknowns (e = 1)
+    the null vectors are the unit vectors, one per row.
     """
     _check_frame(top, bottom)
     F = top.a.field
-    zech, L = F._zech, F.q - 1
+    L = F.q - 1
     degs, _ = bk_extension_degrees(top, bottom)
     universe = _y_constants({(j, l): F.one() for j in range(top.f)
                              for l in degs[j]}, top, bottom)
     keys, A = _monodromy_system(top, bottom, {0: 0}, universe)
     row_map = {key: i for i, key in enumerate(keys)}
     null_vecs = sparse_left_null_space(A, top.f * (top.e - 1), F)
-    weights = {}
 
     def key_weights(key):
-        # [(null vector index, dlog of v[row] * c)], or None when the term
-        # lands outside any representable row
         term = _y_term(key, top, bottom)
         if term is None:
             return []
@@ -439,8 +436,38 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
         return [(n, (v[i] + c) % L) for n, v in enumerate(null_vecs)
                 if v[i] is not None]
 
+    return degs, len(null_vecs), key_weights
+
+
+def _accumulate(sums, w, k, zech, L):
+    """sums[n] += g^(w_n + k) in place for every (n, w_n) in w: the running
+    dlog sum per null vector, None for zero."""
+    for n, wk in w:
+        b = (wk + k) % L
+        a = sums[n]
+        if a is None:
+            sums[n] = b
+        else:
+            z = zech[(b - a) % L]    # a + b = g^a (1 + g^(b-a))
+            sums[n] = None if z is None else (a + z) % L
+
+
+def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
+    """Batch form of solve_monodromy feasibility for exhaustive y sweeps.
+
+    Builds the linear system and its left null space once and returns
+    (allowed_degrees, check), where check maps a y dict to the verdict
+    solve_monodromy would give: it adds each y-term's null-vector weights
+    times its coefficient into one running sum per null vector, and y is
+    feasible when every sum is zero.
+    """
+    F = top.a.field
+    zech, L = F._zech, F.q - 1
+    degs, n_null, key_weights = _monodromy_weights(top, bottom)
+    weights = {}
+
     def check(y: dict) -> bool:
-        sums = [None] * len(null_vecs)
+        sums = [None] * n_null
         for key, k in zip(y, F.to_ks(y.values())):
             if k is None:
                 continue
@@ -449,17 +476,42 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
             w = weights[key]
             if w is None:
                 return False
-            for n, wk in w:
-                b = (wk + k) % L
-                a = sums[n]
-                if a is None:
-                    sums[n] = b
-                else:
-                    z = zech[(b - a) % L]    # a + b = g^a (1 + g^(b-a))
-                    sums[n] = None if z is None else (a + z) % L
+            _accumulate(sums, w, k, zech, L)
         return all(sm is None for sm in sums)
 
     return degs, check
+
+
+def monodromy_verdict_table(top: RankOneBK, bottom: RankOneBK, keys, coeff_dlogs):
+    """check(y) for every y = {key: g^k} with coefficient dlogs k drawn from
+    coeff_dlogs (None for zero, dropped from y) at each of the distinct keys,
+    as a list in itertools.product(coeff_dlogs, repeat=len(keys)) order.
+
+    The running sums start at zero and are extended one key at a time, so a
+    prefix shared by many tuples is summed once. A key whose term lands
+    outside every row makes each tuple with a nonzero coefficient there
+    infeasible, as check does.
+    """
+    F = top.a.field
+    zech, L = F._zech, F.q - 1
+    _, n_null, key_weights = _monodromy_weights(top, bottom)
+    zero = [None] * n_null
+    states = [zero]    # the running sums of each prefix; None: infeasible
+    for key in keys:
+        w = key_weights(key)
+        nxt = []
+        for sums in states:
+            for k in coeff_dlogs:
+                if sums is None or k is None:
+                    nxt.append(sums)
+                elif w is None:
+                    nxt.append(None)
+                else:
+                    ext = sums.copy()
+                    _accumulate(ext, w, k, zech, L)
+                    nxt.append(ext)
+        states = nxt
+    return [sums == zero for sums in states]
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,9 @@ def cmd_unitary_sym(args):
 
 
 def cmd_selftest(args):
+    if sys.flags.optimize:
+        raise ConfigInvalid("selftest checks with assert statements, which "
+                            "-O removes; run it without -O")
     report, timings, ok = acceptance.selftest(seed=args.seed)
     for c in report["criteria"]:
         status = "PASS" if c["passed"] else "FAIL"

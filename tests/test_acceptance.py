@@ -8,6 +8,7 @@ verdict, never a crash or an orphan process.
 """
 
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,6 +18,7 @@ import pytest
 from dwork_forge import acceptance
 from dwork_forge import breuil as br
 from dwork_forge import unitary as un
+from dwork_forge.ff import field_make
 from dwork_forge.util import stable_json
 
 DESCRIPTIONS = {
@@ -190,3 +192,71 @@ def test_criterion_11_certifies_each_normal_form_once(monkeypatch):
     forms = sum(v for k, v in entry["details"].items()
                 if k.startswith("normalize_"))
     assert calls["certifies_identity"] == calls["normal_form"] > forms
+
+
+def test_criterion_5_alone_builds_the_sweep_it_reuses(report, monkeypatch):
+    rep, _ = report
+    expected = {c["id"]: c for c in rep["criteria"] if c["id"] in (2, 5)}
+    monkeypatch.setattr(acceptance, "_sweep_cache", {})
+    monkeypatch.setattr(acceptance, "_ord_tests", {})
+    c5, _ = acceptance.criterion_5()
+    # its d = 1 newton polygons went onto criterion 2's records
+    for N, n, l in acceptance.NORM_CONFIGS:
+        assert all(rec.slopes is not None for rec in acceptance._sweep(N, n, l)[2])
+    c2, _ = acceptance.criterion_2()
+    assert {2: c2, 5: c5} == expected
+
+
+def _flip_last_verdict(monkeypatch):
+    table = br.monodromy_verdict_table
+
+    def flipped(top, bot, keys, ks):
+        out = table(top, bot, keys, ks)
+        if len(keys) >= 2:
+            out[-1] = not out[-1]
+        return out
+    monkeypatch.setattr(br, "monodromy_verdict_table", flipped)
+
+
+def _reverse_keys(monkeypatch):
+    table = br.monodromy_verdict_table
+    monkeypatch.setattr(br, "monodromy_verdict_table",
+                        lambda top, bot, keys, ks: table(top, bot, keys[::-1], ks))
+
+
+def _drop_forbidden_degree(monkeypatch):
+    forbidden = br.breuil_forbidden_degrees
+
+    def dropped(problem):
+        return [set(sorted(ds)[:-1]) for ds in forbidden(problem)]
+    monkeypatch.setattr(br, "breuil_forbidden_degrees", dropped)
+
+
+CRITERION_9_ERROR = re.compile(
+    r"\(e, s, t\) = \((\d+), (\d+), (\d+)\), coefficients \(([\d, ]*)\): "
+    r"table (True|False), clean degrees (True|False)")
+
+
+@pytest.mark.parametrize("mutate, wrong", [
+    (_flip_last_verdict, "table"),
+    (_reverse_keys, "table"),
+    (_drop_forbidden_degree, "clean degrees"),
+])
+def test_criterion_9_names_a_mismatching_verdict(monkeypatch, mutate, wrong):
+    mutate(monkeypatch)
+    entry, _ = acceptance.criterion_9(0)
+    assert entry["passed"] is False
+    match = CRITERION_9_ERROR.fullmatch(entry["error"])
+    assert match, entry["error"]
+    e, s_, t_ = (int(g) for g in match.group(1, 2, 3))
+    coeffs = [int(c) for c in match[4].split(",") if c.strip()]
+    monkeypatch.undo()
+    # the side the mutation touched disagrees with the unmutated checker
+    F = field_make(5, 1)
+    top = br.make_rank_one(5, 1, e, (s_,), F.one())
+    bot = br.make_rank_one(5, 1, e, (t_,), F.one())
+    _, check = br.monodromy_feasibility_checker(top, bot)
+    truth = check({(0, l): F.from_int(c) for l, c in enumerate(coeffs) if c})
+    verdicts = {"table": match[5] == "True", "clean degrees": match[6] == "True"}
+    assert len(coeffs) == s_ and verdicts[wrong] != truth
+    assert all(v == truth for side, v in verdicts.items() if side != wrong)

@@ -17,8 +17,9 @@ from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 chi_equal, etale_image_windows,
                                 genericity_obstruction, hom_exists,
                                 increasing_chains, make_ext_problem,
-                                make_rank_one,
+                                _monodromy_weights, make_rank_one,
                                 monodromy_feasibility_checker,
+                                monodromy_verdict_table,
                                 normal_form_in_windows, slope_data,
                                 solve_monodromy)
 from dwork_forge.ff import IncompatibleFields, field_make
@@ -264,6 +265,39 @@ def test_monodromy_f2():
         for l in ds:
             y = {(j, l): one}
             assert check(y) == (l not in forb[j]), (j, l)
+
+
+def _verdict_table_cases():
+    # the (e, s, t) cases above over all of F_5, each once more with an
+    # extra key (0, -1) whose term lands in no row of the system
+    for e, s_, t_ in [(2, 3, 0), (1, 2, 1), (2, 5, 2), (3, 4, 0)]:
+        top = make_rank_one(5, 1, e, (s_,), ONE)
+        bot = make_rank_one(5, 1, e, (t_,), ONE)
+        keys = [(0, l) for l in range(s_)]
+        yield top, bot, keys, list(range(5))
+        yield top, bot, [(0, -1)] + keys[:2], list(range(5))
+    # the f = 2 frame of test_monodromy_f2 on a few coefficients of F_25
+    F25 = field_make(5, 2)
+    top = make_rank_one(5, 2, 2, (3, 1), F25.one())
+    bot = make_rank_one(5, 2, 2, (0, 2), F25.one())
+    degs, _ = bk_extension_degrees(top, bot)
+    keys = [(j, l) for j in range(2) for l in sorted(degs[j])]
+    yield top, bot, keys, [0, 1, 7, 12, 24]
+
+
+@pytest.mark.parametrize("top, bot, keys, encodings", list(_verdict_table_cases()))
+def test_verdict_table_equals_check(top, bot, keys, encodings):
+    F = top.a.field
+    elems = [F.from_encoding(c) for c in encodings]
+    _, check = monodromy_feasibility_checker(top, bot)
+    expected = [check({key: c for key, c in zip(keys, combo) if not c.is_zero()})
+                for combo in product(elems, repeat=len(keys))]
+    table = monodromy_verdict_table(top, bot, keys, F.to_ks(elems))
+    assert table == expected
+    assert len(set(table)) == 2
+    if (0, -1) in keys:
+        assert _monodromy_weights(top, bot)[2]((0, -1)) is None
+        assert not any(table[len(table) // len(elems):])
 
 
 def _y_constants_ffelem(y, top, bottom):

@@ -334,3 +334,17 @@ def test_usage_error_is_one_error_line(capsys, argv):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_selftest_refuses_to_run_under_optimize(tmp_path):
+    # -O strips assert statements, and criteria 7-11 verify with them
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwork_forge.__file__)))
+    out = tmp_path / "report.json"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from dwork_forge.cli import main; sys.exit(main(sys.argv[2:]))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, src, "selftest",
+                           "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
