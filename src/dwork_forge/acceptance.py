@@ -20,6 +20,7 @@ from . import breuil as br
 from . import hypergeom as hg
 from . import ordinarity as od
 from . import unitary as un
+from .cyclotomic import ExactDivisionFailed
 from .ff import extension_of, field_make, table_fits
 from .lambda_adic import reduce_mod_lambda
 from .util import stable_json
@@ -33,6 +34,26 @@ TRACE_CONFIGS = [
 NORM_CONFIGS = [(3, 2, 7), (11, 3, 23)]   # (N, n, l), d in {1, 2}
 
 DET_SIGN = 1  # calibrated once on the (3,2,7) sweep; also holds for (11,3,23)
+
+# The name of each criterion, in its report entry whether it passes or fails.
+NAMES = {
+    1: "trace oracle equivalence",
+    2: "determinant q^(n(n-1)/2), sign calibrated",
+    3: "purity of weight n-1",
+    4: "norm identity trace = Norm(u(x)) mod lambda",
+    5: "unit root at u-nonvanishing points",
+    6: "Lucas congruence",
+    7: "Breuil slope invariants (exhaustive)",
+    8: "witness existence (lemma disjunction)",
+    9: "non-surjectivity oracle (p=5, f=1)",
+    10: "chain slope forcing (exhaustive)",
+    11: "unitary suite",
+    12: "determinism (byte-identical reports)",
+}
+
+# What a failing check raises: an assert, or a typed error of the layer it drives.
+CHECK_FAILURES = (AssertionError, ExactDivisionFailed, hg.RootFindingFailed,
+                  br.PreconditionViolated, br.WindowTooSmall, un.Degenerate)
 
 
 def _params(N, n):
@@ -58,7 +79,7 @@ def criterion_1():
                         "agree": agree})
     elapsed = time.monotonic() - t0
     ok &= elapsed < 30.0
-    return {"id": 1, "name": "trace oracle equivalence",
+    return {"id": 1, "name": NAMES[1],
             "passed": ok, "budget_s": 30, "details": details}, elapsed
 
 
@@ -96,7 +117,7 @@ def criterion_2():
         ok &= this_ok
         details.append({"N": N, "n": n, "q": q, "abs_ok": abs_ok,
                         "signs": sorted(str(s) for s in signs)})
-    return {"id": 2, "name": "determinant q^(n(n-1)/2), sign calibrated",
+    return {"id": 2, "name": NAMES[2],
             "passed": ok, "sign": DET_SIGN, "details": details}, \
         time.monotonic() - t0
 
@@ -111,7 +132,7 @@ def criterion_3():
         this_ok = all(hg.verify_purity(rec) for rec in recs)
         ok &= this_ok
         details.append({"N": N, "n": n, "q": q, "pure": this_ok})
-    return {"id": 3, "name": "purity of weight n-1",
+    return {"id": 3, "name": NAMES[3],
             "passed": ok, "details": details}, time.monotonic() - t0
 
 
@@ -144,7 +165,7 @@ def criterion_4():
             ok &= not failures
             details.append({"N": N, "n": n, "l": l, "d": d,
                             "points": len(rows), "failures": failures})
-    return {"id": 4, "name": "norm identity trace = Norm(u(x)) mod lambda",
+    return {"id": 4, "name": NAMES[4],
             "passed": ok, "sign": od.NORM_IDENTITY_SIGN,
             "details": details}, time.monotonic() - t0
 
@@ -204,7 +225,7 @@ def criterion_5():
                 details.append({"N": N, "n": n, "l": l, "d": d,
                                 "mode": "unit-trace", "checked": checked,
                                 "u_zero_skipped": skipped, "violations": bad})
-    return {"id": 5, "name": "unit root at u-nonvanishing points",
+    return {"id": 5, "name": NAMES[5],
             "passed": ok, "advisory_fully_ordinary": advisory_all,
             "details": details}, time.monotonic() - t0
 
@@ -225,7 +246,7 @@ def criterion_6(seed):
                 fails += 1
         ok &= fails == 0
         details.append({"l": l, "instances": 500, "failures": fails})
-    return {"id": 6, "name": "Lucas congruence",
+    return {"id": 6, "name": NAMES[6],
             "passed": ok, "details": details}, time.monotonic() - t0
 
 
@@ -248,7 +269,7 @@ def criterion_7():
         count += 1
     elapsed = time.monotonic() - t0
     ok = elapsed < 60.0
-    return {"id": 7, "name": "Breuil slope invariants (exhaustive)",
+    return {"id": 7, "name": NAMES[7],
             "passed": ok, "tuples": count, "budget_s": 60}, elapsed
 
 
@@ -263,7 +284,7 @@ def criterion_8():
         i, x = br.genericity_obstruction(s, t, e, p, f)
         assert (x - t[i]) % p != 0 and x <= s[i] - e
         count += 1
-    return {"id": 8, "name": "witness existence (lemma disjunction)",
+    return {"id": 8, "name": NAMES[8],
             "passed": True, "tuples": count}, time.monotonic() - t0
 
 
@@ -291,7 +312,7 @@ def criterion_9(seed):
     (verdicts are d-independent).
     """
     t0 = time.monotonic()
-    name = "non-surjectivity oracle (p=5, f=1)"
+    name = NAMES[9]
     p, f = 5, 1
     F = field_make(p, 1)
     one = F.one()
@@ -367,7 +388,7 @@ def criterion_10():
         for chain in br.increasing_chains(d, e, f):
             assert br.chain_slope_check(chain, e)
             chains += 1
-    return {"id": 10, "name": "chain slope forcing (exhaustive)",
+    return {"id": 10, "name": NAMES[10],
             "passed": True, "chains": chains}, time.monotonic() - t0
 
 
@@ -405,7 +426,7 @@ def criterion_11(seed):
             psis = [Fb.from_dlog(rng.randrange(qbase - 1)) for _ in range(m)]
             un.induced_spectrum(psis, Fb)  # asserts ratio multiset = mu_m
         details[f"induced_m{m}"] = 25
-    return {"id": 11, "name": "unitary suite",
+    return {"id": 11, "name": NAMES[11],
             "passed": True, "details": details}, time.monotonic() - t0
 
 
@@ -424,9 +445,9 @@ def run_criterion(k, seed=0):
         if k in SEEDED:
             return fn(seed)
         return fn()
-    except AssertionError as exc:
-        return {"id": k, "name": fn.__doc__.splitlines()[0],
-                "passed": False, "error": str(exc)}, 0.0
+    except CHECK_FAILURES as exc:
+        return {"id": k, "name": NAMES[k], "passed": False,
+                "error": f"{type(exc).__name__}: {exc}"}, 0.0
 
 
 def run_report(seed=0):
@@ -496,7 +517,7 @@ def selftest(seed=0):
         t0 = time.monotonic()
         same, error = verdict or _rerun_verdict(child, stable_json(report))
         timings[12] = time.monotonic() - t0
-        entry = {"id": 12, "name": "determinism (byte-identical reports)",
+        entry = {"id": 12, "name": NAMES[12],
                  "passed": same}
         if error:
             entry["error"] = error

@@ -9,17 +9,21 @@ returns the rounded result only when four checks pass:
    multiplication (Percival 2003, "Rapid multiplication modulo the sum and
    difference of highly composite numbers"), is below 1/2;
 2. every computed entry lies within ROUND_LIMIT of an integer;
-3. the total mass is exact: sum(c) = sum(a) * sum(b);
+3. every entry lies in [0, min(sum(a) max(b), sum(b) max(a))], the a-priori
+   bound on the product's entries, and the total mass is exact:
+   sum(c) = sum(a) * sum(b), summed in int64 while L N times that bound is
+   below 2^63 and in Python ints above it;
 4. c(w, z) = a(w, z) * b(w, z) mod a prime P = 1 (mod lcm(L, N)), at fixed
    roots of unity w, z of exact orders L and N: the exact image of the
    product under the ring map Z[C_L x C_N] -> F_P.
 
-Otherwise the product is recomputed by the exact engine, Kronecker
-substitution into one big integer: entry (i, j) is packed at bit offset
-B*(i*W + j) with W = 2N-1 so column sums never bleed into the next row block;
-one big-int multiplication yields the 2-D acyclic convolution, which is folded
-cyclically in both axes. B is chosen from the actual value bounds (rounded to
-whole bytes so unpacking is byte slicing).
+The certified product is returned as an int64 array. Otherwise the product
+is recomputed by the exact engine, Kronecker substitution into one big
+integer: entry (i, j) is packed at bit offset B*(i*W + j) with W = 2N-1 so
+column sums never bleed into the next row block; one big-int multiplication
+yields the 2-D acyclic convolution, which is folded cyclically in both axes.
+B is chosen from the actual value bounds (rounded to whole bytes so unpacking
+is byte slicing).
 """
 
 from __future__ import annotations
@@ -126,46 +130,75 @@ def _powers(w, n, P):
 def _evaluate(M, L, N):
     """sum M[i, j] w^i z^j mod P, for a nonnegative int64 (L, N) array."""
     P, wp, zp = _check_point(L, N)
-    rows = ((M % P) * zp % P).sum(axis=1) % P
+    T = M % P
+    T *= zp
+    T %= P
+    rows = T.sum(axis=1) % P
     return int((rows * wp % P).sum() % P)
 
 
 def _conv2d_fft(a, b, L, N):
-    """The rounded FFT product, or None when it is not certified exact."""
+    """The rounded FFT product as an int64 array, or None when it is not
+    certified exact.
+
+    Each input is evaluated at the check point as soon as it is an array and
+    is dropped once transformed; the spectra are multiplied and the rounding
+    error is measured in place.
+    """
     if math.lcm(L, N) > MAX_CHECK_ORDER:
         return None
     max_a, max_b = max(map(max, a)), max(map(max, b))
+    if not max_a or not max_b:
+        return None        # a zero factor: the exact engine returns zeros
     sum_a, sum_b = sum(map(sum, a)), sum(map(sum, b))
-    if min(sum_a * max_b, sum_b * max_a) >= _EXACT_FLOAT:
+    bound = min(sum_a * max_b, sum_b * max_a)    # bounds every product entry
+    if bound >= _EXACT_FLOAT:
         return None        # some entry of the product may not be a float
     # sum v^2 <= max v * sum v bounds the Euclidean norms exactly
     if fft_error_bound(math.sqrt(max_a * sum_a), math.sqrt(max_b * sum_b), L * N) >= 0.5:
         return None
     import numpy as np
+    P = _check_point(L, N)[0]
     A = np.array(a, dtype=np.int64)
+    ev_a = _evaluate(A, L, N)
+    C = np.fft.rfft2(A)
+    del A
     B = np.array(b, dtype=np.int64)
-    C = np.fft.irfft2(np.fft.rfft2(A) * np.fft.rfft2(B), s=(L, N))
+    ev_b = _evaluate(B, L, N)
+    C *= np.fft.rfft2(B)
+    del B
+    C = np.fft.irfft2(C, s=(L, N))
     R = np.rint(C)
-    if np.abs(C - R).max() > ROUND_LIMIT:
+    C -= R
+    np.abs(C, out=C)
+    if not C.max() <= ROUND_LIMIT:     # a NaN fails too
         return None
     del C
     R = R.astype(np.int64)
-    P = _check_point(L, N)[0]
-    if _evaluate(R, L, N) != _evaluate(A, L, N) * _evaluate(B, L, N) % P:
+    # entries in [0, bound] keep an int64 sum exact below 2^63
+    if R.min() < 0 or R.max() > bound:
         return None
-    del A, B
-    out = R.tolist()
-    if sum(map(sum, out)) != sum_a * sum_b:
+    if _evaluate(R, L, N) != ev_a * ev_b % P:
         return None
-    return out
+    mass = R.sum() if L * N * bound < 1 << 63 else R.sum(dtype=object)
+    if int(mass) != sum_a * sum_b:
+        return None
+    return R
 
 
 def conv2d_cyclic(a, b, L, N):
     """Cyclic convolution over (Z/L) x (Z/N) of two L x N count matrices.
 
-    The inputs and the result are lists of L rows of N nonnegative Python
-    ints; the result is exact whichever engine made it.
+    The inputs are lists of L rows of N nonnegative Python ints, so every
+    bound is computed exactly. The result is an L x N numpy array, exact
+    whichever engine made it: int64, or object (Python ints) when the exact
+    engine produced an entry of 2^63 or more.
     """
     assert len(a) == L and len(b) == L
     out = _conv2d_fft(a, b, L, N)
-    return conv2d_kronecker(a, b, L, N) if out is None else out
+    if out is None:
+        import numpy as np
+        out = conv2d_kronecker(a, b, L, N)
+        big = max(map(max, out)) >= 1 << 63
+        out = np.array(out, dtype=object if big else np.int64)
+    return out

@@ -5,11 +5,13 @@ monic irreducible), a multiplicative generator g, a full dlog table and a Zech
 logarithm table, so multiplication is exponent arithmetic and addition is one
 table lookup. Fields with q <= SCALAR_TABLE_LIMIT build their tables as
 Python lists, one multiplication by g at a time, so the algebra layers run
-without numpy; larger fields build numpy int32 arrays block-wise. The Zech
-table is kept as a list either way for the dlog-integer kernels (k_add,
-k_mul, k_neg, k_dot, k_row_sub, k_sparse_sub), which read it one entry at a
-time: FFElem addition goes through k_add; unitary's dlog Gram-Schmidt and
-its C-dagger A C = I certificate through k_dot, and its dense row updates
+without numpy; larger fields build numpy int32 arrays block-wise and make
+the list form of their Zech table only when a scalar kernel first reads it
+(_NumpyTableField), so a field that only feeds the vectorized trace engine
+holds no second copy. The list is what the dlog-integer kernels (k_add,
+k_mul, k_neg, k_dot, k_row_sub, k_sparse_sub) read, one entry at a time:
+FFElem addition goes through k_add; unitary's dlog Gram-Schmidt and its
+C-dagger A C = I certificate through k_dot, and its dense row updates
 (the Gram-Schmidt projections, the Hessenberg reduction) through k_row_sub;
 the sparse elimination kernel of linalg through k_sparse_sub. The loop
 kernels k_dot, k_row_sub and k_sparse_sub take the Zech step
@@ -30,7 +32,7 @@ anchor of their base through the recorded embedding, which is what makes
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .cyclotomic import CyclotomicInt
@@ -432,15 +434,15 @@ class FieldDesc:
         # Multiplication by g is F_p-linear on coordinate vectors: column j
         # of its matrix holds the digits of g * x^j.
         cols = [self._enc_to_poly(mul_enc(gen, p ** j)) for j in range(f)]
+        self._half = 0 if p == 2 else (q - 1) // 2     # dlog of -1
         if q <= SCALAR_TABLE_LIMIT:
             self._pow, self._dlog, zech = _scalar_tables(cols, p, q)
             self._zech_arr = None    # made by zech_array() on first use
+            zech[self._half] = None      # the one k with 1 + g^k = 0
+            self._zech = zech
         else:
             self._pow, self._dlog, self._zech_arr = _block_tables(cols, p, q)
-            zech = self._zech_arr.tolist()
-        self._half = 0 if p == 2 else (q - 1) // 2     # dlog of -1
-        zech[self._half] = None      # the one k with 1 + g^k = 0
-        self._zech = zech
+            self.__class__ = _NumpyTableField    # its _zech list is made lazily
 
     def zech_array(self):
         """The Zech table as a numpy int32 array, -1 where 1 + g^k = 0."""
@@ -590,6 +592,22 @@ class FieldDesc:
 
     def __repr__(self):
         return f"FieldDesc(p={self.p}, f={self.f}, poly={self.defining_poly}, g={self.g_encoding})"
+
+
+class _NumpyTableField(FieldDesc):
+    """A field whose tables _build_tables made as numpy arrays.
+
+    Its Zech list, which only the scalar kernels read, is made from the
+    array on first read. The property lives on this subclass alone: on
+    FieldDesc, a class attribute named _zech would slow every read of the
+    list-built fields' instance attribute, the hot read of FFElem addition.
+    """
+
+    @cached_property
+    def _zech(self):
+        zech = self._zech_arr.tolist()
+        zech[self._half] = None      # the one k with 1 + g^k = 0
+        return zech
 
 
 @lru_cache(maxsize=None)

@@ -177,10 +177,12 @@ def _prefix(params: HGParams, k: FieldDesc):
 
     The product counts the tuples (y_1, ..., y_{n-1}) by (dlog of
     y_1...y_{n-1}, zeta-exponent of chi_{m_1}(1 - y_1)...). For n >= 3 it is
-    an L x N array made by n - 2 certified convolutions. For n <= 2 it has at
-    most one count per dlog and is kept as a row, like a character row: the
-    first row itself for n = 2, and for n = 1 the empty product (exponent 0 at
-    dlog 0, undefined elsewhere). The last FAST_CACHE_SIZE pairs are cached.
+    an L x N array made by n - 2 certified convolutions and kept as the last
+    one returns it: int64, or Python ints where a readout's L^(n-1) counts
+    could pass 2^63. For n <= 2 it has at most one count per dlog and is kept
+    as a row, like a character row: the first row itself for n = 2, and for
+    n = 1 the empty product (exponent 0 at dlog 0, undefined elsewhere). The
+    last FAST_CACHE_SIZE pairs are cached.
     """
     key = (params, k)
     hit = _prefix_cache.get(key)
@@ -195,11 +197,11 @@ def _prefix(params: HGParams, k: FieldDesc):
     elif n == 2:
         prefix = rows[0]
     else:
-        C = _indicator(rows[0], N)
-        for row in rows[1:-1]:
-            C = conv2d_cyclic(C, _indicator(row, N), L, N)
+        C = conv2d_cyclic(_indicator(rows[0], N), _indicator(rows[1], N), L, N)
+        for row in rows[2:-1]:
+            C = conv2d_cyclic(C.tolist(), _indicator(row, N), L, N)
         # a readout adds up at most L^(n-1) counts
-        prefix = np.array(C, dtype=np.int64 if L ** (n - 1) < 1 << 63 else object)
+        prefix = C if L ** (n - 1) < 1 << 63 else C.astype(object)
     return _remember(_prefix_cache, key, (rows, prefix))
 
 
@@ -251,7 +253,7 @@ def trace_all_fast(params: HGParams, k: FieldDesc):
     L = k.q - 1
     rows, prefix = _prefix(params, k)
     first = _indicator(prefix, N) if prefix.ndim == 1 else prefix.tolist()
-    C = conv2d_cyclic(first, _indicator(rows[-1], N), L, N)
+    C = conv2d_cyclic(first, _indicator(rows[-1], N), L, N).tolist()
     sign = -1 if (n - 1) % 2 else 1
     out = {}
     for idx in range(1, L):  # idx 0 is x = 1, excluded from T_1

@@ -7,6 +7,7 @@ the parent's report to check that every failure of that child is a failed
 verdict, never a crash or an orphan process.
 """
 
+import json
 import os
 import re
 import signal
@@ -17,7 +18,9 @@ import pytest
 
 from dwork_forge import acceptance
 from dwork_forge import breuil as br
+from dwork_forge import hypergeom as hg
 from dwork_forge import unitary as un
+from dwork_forge.cyclotomic import ExactDivisionFailed
 from dwork_forge.ff import field_make
 from dwork_forge.util import stable_json
 
@@ -260,3 +263,45 @@ def test_criterion_9_names_a_mismatching_verdict(monkeypatch, mutate, wrong):
     verdicts = {"table": match[5] == "True", "clean degrees": match[6] == "True"}
     assert len(coeffs) == s_ and verdicts[wrong] != truth
     assert all(v == truth for side, v in verdicts.items() if side != wrong)
+
+
+@pytest.mark.parametrize("error", [ExactDivisionFailed, hg.RootFindingFailed,
+                                   br.PreconditionViolated, br.WindowTooSmall,
+                                   un.Degenerate])
+def test_raised_check_failure_fails_the_criterion(monkeypatch, error):
+    def refuse(rec):
+        raise error("refused")
+    monkeypatch.setattr(hg, "verify_purity", refuse)
+    entry, _ = acceptance.run_criterion(3)
+    assert entry == {"id": 3, "name": "purity of weight n-1", "passed": False,
+                     "error": f"{error.__name__}: refused"}
+
+
+def test_raised_check_failure_is_named_without_docstrings():
+    # -OO strips docstrings, so the name must not come from one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acceptance.__file__)))
+    code = ("import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from dwork_forge import acceptance, hypergeom\n"
+            "def refuse(rec):\n"
+            "    raise hypergeom.RootFindingFailed('refused')\n"
+            "hypergeom.verify_purity = refuse\n"
+            "print(json.dumps(acceptance.run_criterion(3)[0]))\n")
+    proc = subprocess.run([sys.executable, "-OO", "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"id": 3, "name": acceptance.NAMES[3],
+                                       "passed": False,
+                                       "error": "RootFindingFailed: refused"}
+
+
+def test_every_criterion_reports_its_table_name(report):
+    rep, _ = report
+    assert {c["id"]: c["name"] for c in rep["criteria"]} == acceptance.NAMES
+
+
+def test_failed_assert_is_a_named_failed_criterion(monkeypatch):
+    monkeypatch.setattr(br, "chain_slope_check", lambda chain, e: False)
+    entry, _ = acceptance.run_criterion(10)
+    assert entry == {"id": 10, "name": "chain slope forcing (exhaustive)",
+                     "passed": False, "error": "AssertionError: "}

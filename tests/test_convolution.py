@@ -1,12 +1,17 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwork_forge import convolution
+from dwork_forge import hypergeom as hg
 from dwork_forge.convolution import (conv2d_cyclic, conv2d_kronecker,
                                      fft_error_bound)
+from dwork_forge.ff import field_make
+from dwork_forge.hypergeom import select_chi
 
 
 def naive_conv2d(a, b, L, N):
@@ -27,7 +32,7 @@ def test_conv2d_matches_naive():
     for L, N in [(5, 3), (8, 1), (12, 5), (7, 11)]:
         a = [[rng.randrange(6) for _ in range(N)] for _ in range(L)]
         b = [[rng.randrange(6) for _ in range(N)] for _ in range(L)]
-        assert conv2d_cyclic(a, b, L, N) == naive_conv2d(a, b, L, N)
+        assert conv2d_cyclic(a, b, L, N).tolist() == naive_conv2d(a, b, L, N)
 
 
 def test_conv2d_big_values_exact():
@@ -35,13 +40,15 @@ def test_conv2d_big_values_exact():
     L, N = 6, 4
     a = [[rng.randrange(10 ** 12) for _ in range(N)] for _ in range(L)]
     b = [[rng.randrange(10 ** 12) for _ in range(N)] for _ in range(L)]
-    assert conv2d_cyclic(a, b, L, N) == naive_conv2d(a, b, L, N)
+    out = conv2d_cyclic(a, b, L, N)
+    assert out.tolist() == naive_conv2d(a, b, L, N)
+    assert out.dtype == object and all(type(v) is int for v in out.ravel())
 
 
 def test_conv2d_zero():
     z = [[0] * 3 for _ in range(4)]
     a = [[1, 2, 3]] * 4
-    assert conv2d_cyclic(a, z, 4, 3) == z
+    assert conv2d_cyclic(a, z, 4, 3).tolist() == z
 
 
 @st.composite
@@ -58,7 +65,7 @@ def conv_inputs(draw):
 @given(conv_inputs())
 def test_conv2d_property_matches_naive(case):
     a, b, L, N = case
-    out = conv2d_cyclic(a, b, L, N)
+    out = conv2d_cyclic(a, b, L, N).tolist()
     assert out == naive_conv2d(a, b, L, N)
     assert all(type(v) is int for row in out for v in row)
 
@@ -71,10 +78,10 @@ def test_failed_certificate_falls_back_to_kronecker(case):
     saved_eval, saved_kron = convolution._evaluate, convolution.conv2d_kronecker
     evals, exact_calls = [], []
 
-    def corrupt(M, L_, N_):     # the first evaluation is off by one
+    def corrupt(M, L_, N_):     # the product's evaluation, after a's and b's, is off by one
         evals.append(1)
         value = saved_eval(M, L_, N_)
-        return value + 1 if len(evals) == 1 else value
+        return value + 1 if len(evals) == 3 else value
 
     def spy(*args):
         exact_calls.append(1)
@@ -86,8 +93,8 @@ def test_failed_certificate_falls_back_to_kronecker(case):
         convolution._evaluate, convolution.conv2d_kronecker = saved_eval, saved_kron
     if evals:       # the FFT ran, so its failed check must hand over
         assert exact_calls == [1]
-    assert repr(got) == repr(want)
-    assert got == naive_conv2d(a, b, L, N)
+    assert repr(got.tolist()) == repr(want)
+    assert got.tolist() == naive_conv2d(a, b, L, N)
 
 
 def test_fft_result_is_certified_on_trace_sized_input():
@@ -99,7 +106,7 @@ def test_fft_result_is_certified_on_trace_sized_input():
         return [[int(j == e) for j in range(N)]
                 for e in (rng.randrange(N) for _ in range(L))]
     a, b = marks(), marks()
-    assert convolution._conv2d_fft(a, b, L, N) == naive_conv2d(a, b, L, N)
+    assert convolution._conv2d_fft(a, b, L, N).tolist() == naive_conv2d(a, b, L, N)
 
 
 def test_error_bound_rejects_huge_inputs():
@@ -108,7 +115,41 @@ def test_error_bound_rejects_huge_inputs():
     L, N = 4, 2
     big = [[1 << 40] * N for _ in range(L)]
     assert convolution._conv2d_fft(big, big, L, N) is None
-    assert conv2d_cyclic(big, big, L, N) == naive_conv2d(big, big, L, N)
+    assert conv2d_cyclic(big, big, L, N).tolist() == naive_conv2d(big, big, L, N)
+
+
+def test_product_dtype_by_engine():
+    a = [[1, 2], [3, 4]]
+    assert convolution._conv2d_fft(a, a, 2, 2).dtype == np.int64
+    assert conv2d_cyclic(a, a, 2, 2).dtype == np.int64
+    # products of 2^53 or more are refused by the FFT; the exact engine's
+    # array is int64 up to 2^63 - 1 = 7 * 1317624576693539401 and object above
+    for x, y, dtype in [(1 << 27, 1 << 27, np.int64), (7, (1 << 63) // 7, np.int64),
+                        (1 << 31, 1 << 32, object)]:
+        assert convolution._conv2d_fft([[x]], [[y]], 1, 1) is None
+        out = conv2d_cyclic([[x]], [[y]], 1, 1)
+        assert out.dtype == dtype and out.tolist() == [[x * y]]
+    # a zero factor goes to the exact engine, even beside entries beyond int64
+    for x in (1, 1 << 64):
+        zero = conv2d_cyclic([[x, 1], [0, 2]], [[0, 0], [0, 0]], 2, 2)
+        assert zero.dtype == np.int64 and zero.tolist() == [[0, 0], [0, 0]]
+
+
+def test_fft_product_peak_memory():
+    # the F_{23^3} indicators of the (11, 3) datum, as the trace scan builds them
+    params, F = select_chi(11, 3), field_make(23, 3)
+    rows = hg._char_rows(params, F)
+    L, N = F.q - 1, params.N
+    a, b = hg._indicator(rows[0], N), hg._indicator(rows[1], N)
+    assert convolution._conv2d_fft(a, b, L, N) is not None   # also caches P
+    tracemalloc.start()
+    try:
+        out = conv2d_cyclic(a, b, L, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.dtype == np.int64
+    assert peak < 5 * L * N * 8
 
 
 # (L, N) -> P as trial division found them, for the shapes that selftest and

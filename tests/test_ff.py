@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -5,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dwork_forge import ff
+from dwork_forge import hypergeom as hg
 from dwork_forge.cyclotomic import CyclotomicInt
-from dwork_forge.ff import (SCALAR_TABLE_LIMIT, FFElem, FFError, IncompatibleFields,
+from dwork_forge.ff import (SCALAR_TABLE_LIMIT, FFElem, FFError, FieldDesc, IncompatibleFields,
                             InvalidDegree, NNotDividingQMinus1, NotPrime, TooLarge,
                             _is_prime, _pmod, _pmul, char_exponent, char_value, embed,
                             extension_of, field_make, norm_to_subfield,
@@ -373,3 +377,41 @@ def test_k_dot_matches_ffelem_sum(pf, data):
         pairs += data.draw(terms)
     xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
     assert F.k_dot(xs, ys) == ffelem_dot(F, pairs).k
+
+
+# fields above SCALAR_TABLE_LIMIT, with a datum whose trace they carry:
+# 4099 (n = 2, a row prefix) and 3^8 (n = 3, a convolution)
+@pytest.mark.parametrize("p,f,N,R", [(4099, 1, 3, (1, 2)), (3, 8, 5, (1, 2, 3))])
+def test_numpy_field_builds_its_zech_list_on_first_use(monkeypatch, p, f, N, R):
+    F = FieldDesc(p, f)     # fresh: field_make's copy may have been read already
+    monkeypatch.setattr(hg, "_prefix_cache", {})
+    hg.trace_at(hg.hg_params(N, len(R), R), F, F.from_dlog(5))
+    assert "_zech" not in vars(F)
+    rng = random.Random(p)
+    L = F.q - 1
+    pairs = [(rng.randrange(L), rng.randrange(L)) for _ in range(500)]
+    pairs += [(a, (a + F._half) % L) for a, _ in pairs[:50]] + [(None, 3), (4, None)]
+    first = F.k_add(*pairs[0])
+    assert "_zech" in vars(F) and F._zech[F._half] is None
+    monkeypatch.setattr(ff, "SCALAR_TABLE_LIMIT", F.q)
+    ref = FieldDesc(p, f)
+    assert type(ref._pow) is list and "_zech" in vars(ref)
+    # no class attribute shadows the list-built fields' hot instance read
+    assert type(ref) is FieldDesc and "_zech" not in vars(FieldDesc)
+    assert F._zech == ref._zech
+    assert first == ref.k_add(*pairs[0])
+    assert [F.k_add(a, b) for a, b in pairs] == [ref.k_add(a, b) for a, b in pairs]
+    xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+    for i in range(0, len(pairs), 7):
+        assert F.k_dot(xs[i:i + 9], ys[i:i + 9]) == ref.k_dot(xs[i:i + 9], ys[i:i + 9])
+
+
+def test_numpy_field_holds_only_its_arrays():
+    tracemalloc.start()
+    try:
+        F = FieldDesc(262147, 1)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert type(F._pow) is np.ndarray
+    assert held < 3.5e6     # three int32 tables of 1 MB each
