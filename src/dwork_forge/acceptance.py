@@ -354,12 +354,8 @@ def criterion_9(seed):
                     {(i, x): one}, top, bot)
                 assert witness_verdict == br.INFEASIBLE, (e, s_, t_)
                 # constructive direction: each clean basis class round-trips
-                clean = [l for l in range(s_) if l not in forb]
-                for l in clean:
-                    nf = br.normal_form_in_windows({(0, l): one}, top, bot)
-                    assert nf != br.INFEASIBLE, (e, s_, t_, l)
-                    assert br.change_of_variables_solver(nf, top, bot) \
-                        != br.INFEASIBLE, (e, s_, t_, l)
+                failures = br.clean_class_failures(top, bot)
+                assert not failures, (e, s_, t_, failures)
                 # spot check the table against the batch checker and the
                 # one-shot solver, with and without a random unit d
                 _, check = br.monodromy_feasibility_checker(top, bot)

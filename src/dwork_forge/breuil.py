@@ -703,6 +703,18 @@ def normal_form_in_windows(y: dict, top: RankOneBK, bottom: RankOneBK):
     return verdict[0]
 
 
+def clean_class_failures(top: RankOneBK, bottom: RankOneBK):
+    """The keys (j, l) of the clean basis classes {(j, l): 1}, l < s_j outside
+    the forbidden degrees, whose window normal form, or the change of
+    variables back from it, is infeasible."""
+    one = top.a.field.one()
+    forbidden = breuil_forbidden_degrees(make_ext_problem(top, bottom))
+    nfs = {(j, l): normal_form_in_windows({(j, l): one}, top, bottom)
+           for j in range(top.f) for l in range(top.s[j]) if l not in forbidden[j]}
+    return [key for key, nf in nfs.items() if nf == INFEASIBLE
+            or change_of_variables_solver(nf, top, bottom) == INFEASIBLE]
+
+
 # ---------------------------------------------------------------------------
 # chain slope forcing
 

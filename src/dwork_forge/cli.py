@@ -158,15 +158,7 @@ def _frame_report(p, e, f, s, t, F):
         top = br.make_rank_one(p, f, e, s, one)
         bot = br.make_rank_one(p, f, e, t, one)
         wit = br.change_of_variables_solver({(i, x): one}, top, bot)
-        prob = br.make_ext_problem(top, bot)
-        forb = br.breuil_forbidden_degrees(prob)
-        in_window_ok = True
-        for j in range(f):
-            for l in (l for l in range(s[j]) if l not in forb[j]):
-                nf = br.normal_form_in_windows({(j, l): one}, top, bot)
-                ok = nf != br.INFEASIBLE and \
-                    br.change_of_variables_solver(nf, top, bot) != br.INFEASIBLE
-                in_window_ok &= ok
+        in_window_ok = not br.clean_class_failures(top, bot)
         entry["solver"] = {
             "witness": "infeasible" if wit == br.INFEASIBLE else "feasible",
             "in_window": "feasible" if in_window_ok else "infeasible"}
@@ -251,10 +243,10 @@ def _matrix_from_json(data, Fq2, p):
         raise ConfigInvalid("--matrix must be a non-empty square list of rows")
 
     def elem(pair):
-        if isinstance(pair, int):
+        if type(pair) is int:
             pair = [pair, 0]
         if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, int) for v in pair)):
+                and all(type(v) is int for v in pair)):
             raise ConfigInvalid(f"matrix entry {pair!r} is not an integer "
                                 "or an [a, b] pair")
         a, b = pair

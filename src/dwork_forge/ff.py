@@ -26,11 +26,16 @@ vectorized trace engine.
 Multiplicative characters valued in Z[zeta_N] are evaluated against a
 recorded N-torsion anchor; fields built with extension_of() inherit the
 anchor of their base through the recorded embedding, which is what makes
-"the same point over a bigger field" well defined.
+"the same point over a bigger field" well defined. A tower shares the
+tables of the field_make() field of its size and records its base and the
+dlog e of the base generator's image, so the tower maps are dlog arithmetic.
+Elements combine by their shared tables; characters and caches stay keyed
+by the field object.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from functools import cached_property, lru_cache
 from operator import mul
@@ -240,7 +245,7 @@ class FFElem:
     def _same(self, other):
         if not isinstance(other, FFElem):
             raise IncompatibleFields(f"expected FFElem, got {type(other).__name__}")
-        if other.field is not self.field:
+        if other.field is not self.field and other.field._pow is not self.field._pow:
             raise IncompatibleFields("elements of different fields")
 
     def __mul__(self, other):
@@ -288,10 +293,11 @@ class FFElem:
     def __eq__(self, other):
         if not isinstance(other, FFElem):
             return NotImplemented
-        return self.field is other.field and self.k == other.k
+        return self.k == other.k and (self.field is other.field
+                                      or self.field._pow is other.field._pow)
 
     def __hash__(self):
-        return hash((id(self.field), self.k))
+        return hash((id(self.field._pow), self.k))
 
     def __repr__(self):
         if self.k is None:
@@ -374,9 +380,7 @@ class FieldDesc:
         self.defining_poly = self._find_defining_poly()
         self._build_tables()
         self.label = f"F_{q}" if f == 1 else f"F_{p}^{f}"
-        # base-field embedding data, set by extension_of()
-        self._parent = None          # (base FieldDesc, emb list, emb_inv dict)
-        self._anchor_cache = {}
+        self._parent = None     # (base, e) on a tower made by extension_of()
 
     def _find_defining_poly(self):
         p, f = self.p, self.f
@@ -457,8 +461,8 @@ class FieldDesc:
     # inner loops of linalg and unitary; FFElem stays the public interface.
     def to_ks(self, elems):
         """Dlogs of FFElem entries of this field; IncompatibleFields otherwise."""
-        return [x.k if x.__class__ is FFElem and x.field is self else _foreign(x)
-                for x in elems]
+        return [x.k if x.__class__ is FFElem and (x.field is self or x.field._pow is self._pow)
+                else _foreign(x) for x in elems]
 
     def from_ks(self, ks):
         """FFElem entries for a list of dlogs (one shared zero)."""
@@ -555,7 +559,7 @@ class FieldDesc:
         return self.from_encoding(c % self.p)
 
     def dlog(self, x):
-        if x.field is not self:
+        if x.field._pow is not self._pow:
             raise IncompatibleFields("dlog of foreign element")
         if x.k is None:
             raise ValueError("dlog of zero")
@@ -572,23 +576,23 @@ class FieldDesc:
 
     # -- subfield structure -------------------------------------------------
     def zeta_anchor(self, N):
-        """The N-torsion element anchoring characters of exponent conventions.
+        """The N-torsion element g^(j(q-1)/N) anchoring characters.
 
-        Base fields use g^((q-1)/N); extension fields inherit the base anchor
-        through the recorded embedding whenever the base already contains
-        mu_N. Cached per N.
+        j = 1, except on a tower whose base contains mu_N: there the anchor
+        is the embedded base anchor. With the base anchor at j_base and the
+        embedding sending the base generator to g^e, e = c(q-1)/(q_base-1),
+        that is j = c j_base mod N.
         """
+        return FFElem(self, self._anchor_j(N) * ((self.q - 1) // N))
+
+    def _anchor_j(self, N):
+        """j of zeta_anchor(N); NNotDividingQMinus1 unless N | q - 1."""
         if (self.q - 1) % N != 0:
             raise NNotDividingQMinus1(f"N={N} does not divide q-1={self.q - 1}")
-        if N in self._anchor_cache:
-            return self._anchor_cache[N]
-        if self._parent is not None and (self._parent[0].q - 1) % N == 0:
-            base, emb, _ = self._parent
-            anchor = emb[base.zeta_anchor(N).encoding]
-        else:
-            anchor = FFElem(self, (self.q - 1) // N)
-        self._anchor_cache[N] = anchor
-        return anchor
+        if self._parent is None or (self._parent[0].q - 1) % N:
+            return 1
+        base, e = self._parent
+        return e // ((self.q - 1) // (base.q - 1)) * base._anchor_j(N) % N
 
     def __repr__(self):
         return f"FieldDesc(p={self.p}, f={self.f}, poly={self.defining_poly}, g={self.g_encoding})"
@@ -618,52 +622,55 @@ def field_make(p, f) -> FieldDesc:
 
 @lru_cache(maxsize=None)
 def extension_of(base: FieldDesc, d: int) -> FieldDesc:
-    """F_{q^d} over the given base, with embedding and anchor recorded."""
+    """F_{q^d} over base: a copy of field_make(p, f d), its tables shared,
+    recording (base, e) with g^e the image of the base generator. The base's
+    x-bar goes to the first root, in dlog order, of its defining polynomial
+    among the subfield elements g^(i(q^d-1)/(q-1)) (1 for a prime base)."""
     if d < 1:
         raise InvalidDegree(f"extension degree d = {d} must be at least 1")
     if d == 1:
         return base
-    big = FieldDesc(base.p, base.f * d)
-    # image of the base's x-bar: first root of the base defining polynomial,
-    # in dlog order; f=1 embeds the prime field canonically.
-    if base.f == 1:
-        rho = big.one()
-    else:
-        coeffs = [big.from_int(c) for c in base.defining_poly]
-        rho = None
-        for cand in big.nonzero_elements():
-            if cand.k * (base.q - 1) % (big.q - 1) != 0:
-                continue  # a root must lie in the subfield of size base.q
-            acc = big.zero()
-            for c in reversed(coeffs):
-                acc = acc * cand + c
-            if acc.is_zero():
-                rho = cand
-                break
-        if rho is None:  # pragma: no cover
-            raise FFError("no root of base polynomial in extension")
-    rho_pows = [big.one()]
-    for _ in range(base.f - 1):
-        rho_pows.append(rho_pows[-1] * rho)
-    emb = [big.zero()] * base.q
-    emb_inv = {}
-    for x in base.elements():
-        digits = base._enc_to_poly(x.encoding)
-        acc = big.zero()
-        for c, rp in zip(digits, rho_pows):
-            if c:
-                acc = acc + big.from_int(c) * rp
-        emb[x.encoding] = acc
-        emb_inv[acc.encoding] = x
-    big._parent = (base, emb, emb_inv)
+    field = field_make(base.p, base.f * d)
+    L = field.q - 1
+
+    def value(digits, k):    # sum_i digits[i] g^(i k), on coordinates: no Zech list
+        coords = [0] * field.f
+        for i, c in enumerate(digits):
+            for j, v in enumerate(field._enc_to_poly(int(field._pow[i * k % L]))):
+                coords[j] += c * v
+        return field.k_of_encoding(field._poly_to_enc(coords))
+    rho = 0 if base.f == 1 else next(k for k in range(0, L, L // (base.q - 1))
+                                     if value(base.defining_poly, k) is None)
+    big = copy.copy(field)
+    big._parent = (base, value(base._enc_to_poly(base.g_encoding), rho))
     return big
 
 
+def _exponent(big: FieldDesc, base: FieldDesc) -> int:
+    """e of the tower big over base; IncompatibleFields unless big is one."""
+    if big._parent is None or big._parent[0]._pow is not base._pow:
+        raise IncompatibleFields("no recorded embedding between these fields")
+    return big._parent[1]
+
+
 def embed(x: FFElem, big: FieldDesc) -> FFElem:
-    """Apply the recorded embedding of x's field into big."""
-    if big._parent is None or big._parent[0] is not x.field:
-        raise IncompatibleFields("no recorded embedding for this pair")
-    return big._parent[1][x.encoding]
+    """Apply the recorded embedding of x's field into big: g_base^k -> g^(k e)."""
+    e = _exponent(big, x.field)
+    return big.zero() if x.k is None else FFElem(big, x.k * e)
+
+
+def pull_back(y: FFElem, base: FieldDesc):
+    """The x of base with embed(x, y.field) == y, or None if there is none:
+    with M = (Q-1)/(q-1) and e = c M, g^k is embedded iff M | k, from
+    g_base^j for j = (k/M) c^-1 mod q - 1."""
+    big = y.field
+    e = _exponent(big, base)
+    if y.k is None:
+        return base.zero()
+    M = (big.q - 1) // (base.q - 1)
+    if y.k % M:
+        return None
+    return FFElem(base, y.k // M * pow(e // M, -1, base.q - 1))
 
 
 def norm_to_subfield(x: FFElem, base: FieldDesc) -> FFElem:
@@ -671,25 +678,13 @@ def norm_to_subfield(x: FFElem, base: FieldDesc) -> FFElem:
     big = x.field
     if big is base:
         return x
-    if big._parent is None or big._parent[0] is not base:
-        raise IncompatibleFields("norm target is not the recorded base field")
-    if x.is_zero():
-        return base.zero()
-    exp = (big.q - 1) // (base.q - 1)
-    img = x ** exp
-    pre = big._parent[2].get(img.encoding)
-    assert pre is not None, "norm image must lie in the embedded base field"
-    return pre
+    return pull_back(x ** ((big.q - 1) // (base.q - 1)), base)
 
 
 @lru_cache(maxsize=None)
 def _anchor_inverse(field: FieldDesc, N: int) -> int:
     """Inverse mod N of j where zeta_anchor = g^(j*(q-1)/N)."""
-    anchor = field.zeta_anchor(N)
-    step = (field.q - 1) // N
-    j, rem = divmod(anchor.k, step)
-    assert rem == 0 and j % N != 0
-    return pow(j, -1, N)
+    return pow(field._anchor_j(N), -1, N)
 
 
 def char_exponent(N: int, m: int, y: FFElem):

@@ -72,6 +72,8 @@ class HGParams:
 
 
 def hg_params(N, n, R) -> HGParams:
+    if N < 1:
+        raise ValueError(f"N = {N} must be positive")
     return HGParams(N, n, tuple(sorted(r % N for r in R)))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
 from .ff import (FFElem, FieldDesc, NotPrime, _is_prime, check_table_size,
-                 embed, extension_of, field_make, prime_power)
+                 embed, extension_of, field_make, prime_power, pull_back)
 from .linalg import _echelon, det, mat_identity, mat_inv, mat_mul
 
 
@@ -60,12 +60,8 @@ def is_gu(M, q, Fq: FieldDesc):
             want = lam if i == j else Fq2.zero()
             if P[i][j] != want:
                 return None
-    if lam ** q != lam:
-        return None
-    # pull back along the recorded embedding
-    pre = Fq2._parent[2].get(lam.encoding)
-    assert pre is not None and pre.field is Fq
-    return pre
+    # None unless lam = lam^q, i.e. unless lam lies in the embedded F_q
+    return pull_back(lam, Fq)
 
 
 def hilbert90_eta(lam: FFElem, q: int) -> FFElem:
@@ -256,8 +252,7 @@ def conjugate_into_gu(generators, P, q):
     to I; conjugate. Returns (new generators, C, certificate multipliers).
     """
     n = len(P)
-    Fq2 = P[0][0].field
-    Fq = Fq2._parent[0]
+    Fq = gu_fields(q)[0]
     Pdag = adjoint(P, q)
     lam = None
     for i in range(n):

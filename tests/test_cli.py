@@ -167,6 +167,9 @@ def test_unitary_normalize_over_f2(capsys):
     "unitary-normalize --q 7 --matrix [[1,0],[0]]",
     "unitary-normalize --q 7 --matrix 5",
     "unitary-normalize --q 7 --matrix [[1.5]]",
+    # JSON booleans are not integers, though Python's bool is an int
+    "unitary-normalize --q 7 --matrix [[true]]",
+    "unitary-normalize --q 7 --matrix [[[1,false]]]",
     "unitary-sym --p 11 --beta 2 --n 2 --m 0",
     "unitary-sym --p 11 --beta 2 --n 2 --m -1",
     "unitary-sym --p 11 --beta 2 --n -1 --m 3",
@@ -188,6 +191,11 @@ def test_unitary_normalize_over_f2(capsys):
     "unitary-sym --p 1000000000000000003 --beta 1 --n 1 --m 2",
     "breuil-generic --p 1000000000000000003 --e 1 --f 1 --s 1 --t 1",
     "ordinary-scan --N 3 --n 2 --l 7 --d 100000000",
+    # N = 0 is refused before the exponents are reduced mod N
+    "hg-trace --N 0 --n 1 --R 1 --q 7 --x 3",
+    "hg-charpoly --N 0 --n 1 --R 1 --q 7 --x 3",
+    "hg-scan --N 0 --n 1 --R 1 --q 7",
+    "ordinary-scan --N 0 --n 1 --R 1 --l 7 --d 2",
 ])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code = main(argv.split(" "))

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -14,7 +15,7 @@ from dwork_forge.ff import (SCALAR_TABLE_LIMIT, FFElem, FFError, FieldDesc, Inco
                             InvalidDegree, NNotDividingQMinus1, NotPrime, TooLarge,
                             _is_prime, _pmod, _pmul, char_exponent, char_value, embed,
                             extension_of, field_make, norm_to_subfield,
-                            prime_power)
+                            prime_power, pull_back)
 
 
 def reference_tables(F):
@@ -170,6 +171,100 @@ def test_anchor_inherited_through_towers():
     assert F49.zeta_anchor(6) ** 6 == F49.one()
 
 
+def oracle_embedding(base, big):
+    """The embedding base -> big as an element table, built the way towers
+    once stored it: the base's x-bar goes to rho, the first root in dlog
+    order of the base defining polynomial among the subfield elements of big
+    (1 for a prime base), and x = sum c_i x-bar^i to sum c_i rho^i."""
+    rho = big.one()
+    if base.f > 1:
+        coeffs = [big.from_int(c) for c in base.defining_poly]
+        for rho in big.nonzero_elements():
+            if rho.k * (base.q - 1) % (big.q - 1):
+                continue
+            acc = big.zero()
+            for c in reversed(coeffs):
+                acc = acc * rho + c
+            if acc.is_zero():
+                break
+    table = {}
+    for x in base.elements():
+        acc = big.zero()
+        for i, c in enumerate(base._enc_to_poly(x.encoding)):
+            acc = acc + big.from_int(c) * rho ** i
+        table[x] = acc
+    return table
+
+
+def _towers():
+    F7, F2, F9, F8 = field_make(7, 1), field_make(2, 1), field_make(3, 2), field_make(2, 3)
+    F49, F4 = extension_of(F7, 2), extension_of(F2, 2)
+    return [(F7, F49), (F49, extension_of(F49, 3)), (F2, F4), (F4, extension_of(F4, 2)),
+            (F9, extension_of(F9, 2)), (F8, extension_of(F8, 2))]
+
+
+@pytest.mark.parametrize("base,big", _towers(),
+                         ids=["7->49", "49->7^6", "2->4", "4->16", "9->81", "8->64"])
+def test_tower_maps_match_the_element_table(base, big):
+    table = oracle_embedding(base, big)
+    inverse = {y: x for x, y in table.items()}
+    assert len(inverse) == base.q
+    for x, y in table.items():
+        assert embed(x, big) == y and pull_back(y, base) == x
+    M = (big.q - 1) // (base.q - 1)
+    step = max(1, (big.q - 1) // 600)   # F_7^6: every 196th point
+    points = [big.zero()] + [big.from_dlog(k) for k in range(0, big.q - 1, step)]
+    off = 0
+    for y in points + [big.from_dlog(M), big.from_dlog(M + 1)]:
+        if y not in inverse:
+            off += 1
+            assert pull_back(y, base) is None
+        assert norm_to_subfield(y, base) == inverse[y ** M]
+    assert off > 0
+
+
+def test_two_constructions_of_one_field_combine():
+    F49 = field_make(7, 2)
+    T49 = extension_of(field_make(7, 1), 2)
+    assert T49 is not F49 and T49._pow is F49._pow
+    s = F49.one() + T49.one()
+    assert s == F49.from_int(2) and s == T49.from_int(2)
+    assert hash(F49.one()) == hash(T49.one())
+    assert hash(T49.from_int(2)) == hash(s)
+    assert F49.to_ks([T49.gen()]) == [1] and F49.dlog(T49.gen()) == 1
+    assert extension_of(field_make(3, 2), 2)._pow is field_make(3, 4)._pow
+
+
+def test_anchors_stay_per_tower():
+    # the shared tables do not merge the anchors: characters of the tower
+    # keep the anchor inherited from F_7, dlog 32, against F_49's own 16
+    F49 = field_make(7, 2)
+    T49 = extension_of(field_make(7, 1), 2)
+    assert F49.zeta_anchor(3).k == 16 and T49.zeta_anchor(3).k == 32
+    assert char_exponent(3, 1, F49.gen()) == 1
+    assert char_exponent(3, 1, T49.gen()) == 2
+
+
+def test_one_table_build_per_field(monkeypatch):
+    # fresh caches, so the count does not depend on fields other tests built
+    calls = []
+    init = FieldDesc.__init__
+
+    def counted(self, p, f):
+        calls.append((p, f))
+        init(self, p, f)
+    monkeypatch.setattr(FieldDesc, "__init__", counted)
+    make = lru_cache(maxsize=None)(ff.field_make.__wrapped__)
+    monkeypatch.setattr(ff, "field_make", make)
+    tower = ff.extension_of.__wrapped__
+    F49 = make(7, 2)
+    T49 = tower(make(7, 1), 2)
+    T7_6 = tower(T49, 3)
+    F7_6 = make(7, 6)
+    assert sorted(calls) == [(7, 1), (7, 2), (7, 6)]
+    assert T49._pow is F49._pow and T7_6._pow is F7_6._pow
+
+
 def test_char_value_consistent_along_embedding():
     # with the inherited anchor, the big-field character restricted to the
     # embedded base field is the base character composed with the norm:
@@ -213,9 +308,9 @@ def test_tables_match_reference(F):
 
 
 # every (p, f) built in this file, directly or through extension_of
-BUILT_FIELDS = [(2, 1), (2, 4), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (5, 1),
-                (5, 3), (7, 1), (7, 2), (7, 4), (7, 6), (11, 1), (13, 1),
-                (23, 3), (31, 1)]
+BUILT_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (3, 1), (3, 2), (3, 3),
+                (3, 4), (3, 5), (5, 1), (5, 3), (7, 1), (7, 2), (7, 4), (7, 6),
+                (11, 1), (13, 1), (23, 3), (31, 1)]
 
 
 @pytest.mark.parametrize("p,f", BUILT_FIELDS)

@@ -42,6 +42,10 @@ COMMANDS = [
     "hg-charpoly --N 3 --n 2 --q 331 --x 23 --l 7",
     "breuil-generic --p 7 --e 3 --f 1",
     "breuil-generic --p 3 --e 2 --f 2",
+    "ordinary-scan --N 5 --n 2 --l 2 --d 2",
+    "hg-scan --N 5 --n 2 --q 16 --l 2",
+    "hg-scan --N 5 --n 2 --q 81 --l 3",
+    "hg-charpoly --N 7 --n 3 --q 8 --x 3 --l 2",
 ]
 
 DIGESTS = {
@@ -93,6 +97,17 @@ DIGESTS = {
         "61e31752ba8f4e1949cada82df28f3b37825973cf0d376ebbb9aac0f905fe29a",
     "breuil-generic --p 3 --e 2 --f 2":
         "5b80bda770855164c86a2081e8be16c4eea457cfa3ae55ebb8585a67216bbe49",
+    # towers over f > 1 bases (F_16 -> F_256, F_16 -> F_16^2, F_81 -> F_81^3,
+    # F_8 -> F_8^2, F_8^3), recorded while each tower built its own tables
+    # and kept its embedding as an element list
+    "ordinary-scan --N 5 --n 2 --l 2 --d 2":
+        "90e1804a6b94a80d60ee4e6175dad7654abdaa919a58b18c7186b99835d0ffc6",
+    "hg-scan --N 5 --n 2 --q 16 --l 2":
+        "a206e142472b03f4cfae2f94d6521a917545b2608bcc80f253992d552fcd19d4",
+    "hg-scan --N 5 --n 2 --q 81 --l 3":
+        "248354a047fc4afc2994c726363cd5ca47bac9c30171b9122df85e62ef19cae5",
+    "hg-charpoly --N 7 --n 3 --q 8 --x 3 --l 2":
+        "81f20b78ef7d807f92b94f3a74d249cdac7059ff351c9249395c12720330c583",
 }
 
 # (p, e, f) frames whose every (s, t) pair goes through the monodromy dump
