@@ -18,12 +18,11 @@ import sys
 from . import acceptance
 from . import breuil as br
 from . import hypergeom as hg
+from . import lambda_adic as la
 from . import ordinarity as od
 from . import unitary as un
 from .ff import (FFError, check_table_size, extension_of, field_make,
                  prime_power, table_fits)
-from .lambda_adic import lambda_prime
-from .unitary import gu_fields
 from .util import stable_json
 
 SCHEMA_VERSION = 1
@@ -77,7 +76,7 @@ def cmd_hg_charpoly(args):
     x = k.from_encoding(args.x)
     rec = hg.char_poly(params, k, x)
     if args.l:
-        lam = lambda_prime(params.N, args.l, args.tau)
+        lam = la.lambda_prime(params.N, args.l, args.tau)
         hg.newton_polygon(rec, lam)
     hg.verify_det(rec)
     hg.verify_purity(rec)
@@ -91,7 +90,7 @@ def cmd_hg_scan(args):
     p, f = prime_power(args.q)
     check_table_size(p, f * params.n)     # char_poly builds F_{q^n}
     k = field_make(p, f)
-    lam = lambda_prime(params.N, args.l, args.tau) if args.l else None
+    lam = la.lambda_prime(params.N, args.l, args.tau) if args.l else None
     records = []
     all_ok = True
     for x in hg.trace_all_fast(params, k):
@@ -265,7 +264,7 @@ def cmd_unitary_normalize(args):
     p, f = prime_power(args.q)
     if f != 1:
         raise ConfigInvalid("unitary-normalize supports prime q")
-    Fq, Fq2 = gu_fields(args.q)
+    Fq, Fq2 = un.gu_fields(args.q)
     data = json.loads(args.matrix)
     A = _matrix_from_json(data, Fq2, p)
     space = un.hermitian_space(args.q, A)

@@ -27,8 +27,9 @@ Multiplicative characters valued in Z[zeta_N] are evaluated against a
 recorded N-torsion anchor; fields built with extension_of() inherit the
 anchor of their base through the recorded embedding, which is what makes
 "the same point over a bigger field" well defined. A tower shares the
-tables of the field_make() field of its size and records its base and the
-dlog e of the base generator's image, so the tower maps are dlog arithmetic.
+tables of the field_make() field of its size, the ones made on first use
+included, and records its base and the dlog e of the base generator's
+image, so the tower maps are dlog arithmetic.
 Elements combine by their shared tables; characters and caches stay keyed
 by the field object.
 """
@@ -39,8 +40,6 @@ import copy
 import math
 from functools import cached_property, lru_cache
 from operator import mul
-
-from .cyclotomic import CyclotomicInt
 
 TABLE_LIMIT = 1 << 20
 SCALAR_TABLE_LIMIT = 1 << 12   # fields up to this size build list tables
@@ -439,22 +438,27 @@ class FieldDesc:
         # of its matrix holds the digits of g * x^j.
         cols = [self._enc_to_poly(mul_enc(gen, p ** j)) for j in range(f)]
         self._half = 0 if p == 2 else (q - 1) // 2     # dlog of -1
+        # The Zech table's second form (the array of a list-built field, the
+        # list of a numpy-built one) is made on first use. Both forms sit in
+        # one dict that every tower copy of this field shares, so each is
+        # made once, whichever copy asks first.
+        self._lazy = {}
         if q <= SCALAR_TABLE_LIMIT:
             self._pow, self._dlog, zech = _scalar_tables(cols, p, q)
-            self._zech_arr = None    # made by zech_array() on first use
             zech[self._half] = None      # the one k with 1 + g^k = 0
             self._zech = zech
         else:
-            self._pow, self._dlog, self._zech_arr = _block_tables(cols, p, q)
+            self._pow, self._dlog, self._lazy["zech_arr"] = _block_tables(cols, p, q)
             self.__class__ = _NumpyTableField    # its _zech list is made lazily
 
     def zech_array(self):
         """The Zech table as a numpy int32 array, -1 where 1 + g^k = 0."""
-        if self._zech_arr is None:
+        arr = self._lazy.get("zech_arr")
+        if arr is None:
             import numpy as np
-            self._zech_arr = np.array([-1 if z is None else z for z in self._zech],
-                                      dtype=np.int32)
-        return self._zech_arr
+            arr = self._lazy["zech_arr"] = np.array(
+                [-1 if z is None else z for z in self._zech], dtype=np.int32)
+        return arr
 
     # -- dlog-integer kernels ---------------------------------------------
     # An element is its dlog k in [0, q-1), or None for zero. These are the
@@ -609,8 +613,10 @@ class _NumpyTableField(FieldDesc):
 
     @cached_property
     def _zech(self):
-        zech = self._zech_arr.tolist()
-        zech[self._half] = None      # the one k with 1 + g^k = 0
+        zech = self._lazy.get("zech")
+        if zech is None:
+            zech = self._lazy["zech"] = self._lazy["zech_arr"].tolist()
+            zech[self._half] = None      # the one k with 1 + g^k = 0
         return zech
 
 
@@ -622,10 +628,11 @@ def field_make(p, f) -> FieldDesc:
 
 @lru_cache(maxsize=None)
 def extension_of(base: FieldDesc, d: int) -> FieldDesc:
-    """F_{q^d} over base: a copy of field_make(p, f d), its tables shared,
-    recording (base, e) with g^e the image of the base generator. The base's
-    x-bar goes to the first root, in dlog order, of its defining polynomial
-    among the subfield elements g^(i(q^d-1)/(q-1)) (1 for a prime base)."""
+    """F_{q^d} over base: a copy of field_make(p, f d), its tables shared
+    (through _lazy, also those made on first use), recording (base, e) with
+    g^e the image of the base generator. The base's x-bar goes to the first
+    root, in dlog order, of its defining polynomial among the subfield
+    elements g^(i(q^d-1)/(q-1)) (1 for a prime base)."""
     if d < 1:
         raise InvalidDegree(f"extension degree d = {d} must be at least 1")
     if d == 1:
@@ -701,6 +708,7 @@ def char_exponent(N: int, m: int, y: FFElem):
 
 def char_value(N: int, m: int, y: FFElem) -> CyclotomicInt:
     """Multiplicative character value in Z[zeta_N]; chi_m(0) = 0."""
+    from .cyclotomic import CyclotomicInt   # only this oracle needs Z[zeta_N]
     e = char_exponent(N, m, y)
     if e is None:
         return CyclotomicInt.zero(N)

@@ -265,6 +265,25 @@ def test_one_table_build_per_field(monkeypatch):
     assert T49._pow is F49._pow and T7_6._pow is F7_6._pow
 
 
+# F_331^2 builds numpy tables and its Zech list on first use; F_7^2 builds
+# list tables and its Zech array on first use
+@pytest.mark.parametrize("p,f", [(331, 2), (7, 2)])
+@pytest.mark.parametrize("tower_first", [False, True])
+def test_tower_shares_the_tables_made_on_first_use(monkeypatch, p, f, tower_first):
+    # fresh caches, so the lazy tables are made here, in the order under test
+    make = lru_cache(maxsize=None)(ff.field_make.__wrapped__)
+    monkeypatch.setattr(ff, "field_make", make)
+    F = make(p, f)
+    T = ff.extension_of.__wrapped__(make(p, 1), f)
+    assert T is not F and T._parent is not None
+    assert ("_zech" in vars(F)) == (F.q <= SCALAR_TABLE_LIMIT)
+    assert ("zech_arr" in F._lazy) == (F.q > SCALAR_TABLE_LIMIT)
+    first, second = (T, F) if tower_first else (F, T)
+    assert first.k_add(3, 5) == second.k_add(3, 5)     # reads _zech
+    assert first._zech is second._zech
+    assert first.zech_array() is second.zech_array()
+
+
 def test_char_value_consistent_along_embedding():
     # with the inherited anchor, the big-field character restricted to the
     # embedded base field is the base character composed with the norm:
