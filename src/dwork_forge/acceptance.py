@@ -23,7 +23,7 @@ from . import unitary as un
 from .cyclotomic import ExactDivisionFailed
 from .ff import extension_of, field_make, table_fits
 from .lambda_adic import reduce_mod_lambda
-from .util import stable_json
+from .util import VerificationFailed, check, stable_json
 
 TRACE_CONFIGS = [
     (3, 2, 7), (3, 2, 13),
@@ -51,9 +51,11 @@ NAMES = {
     12: "determinism (byte-identical reports)",
 }
 
-# What a failing check raises: an assert, or a typed error of the layer it drives.
-CHECK_FAILURES = (AssertionError, ExactDivisionFailed, hg.RootFindingFailed,
-                  br.PreconditionViolated, br.WindowTooSmall, un.Degenerate)
+# What a failing check raises: a failed util.check, a layer's assert, or a
+# typed error of the layer it drives.
+CHECK_FAILURES = (VerificationFailed, AssertionError, ExactDivisionFailed,
+                  hg.RootFindingFailed, br.PreconditionViolated,
+                  br.WindowTooSmall, un.Degenerate)
 
 
 def _params(N, n):
@@ -280,9 +282,9 @@ def criterion_8():
     for p, e, f, s, t in _breuil_sweep_tuples():
         if sum(s[j] - t[j] - e for j in range(f)) >= 0:
             continue
-        # evaluates the disjunction once and asserts that some index meets it
+        # evaluates the disjunction once and checks that some index meets it
         i, x = br.genericity_obstruction(s, t, e, p, f)
-        assert (x - t[i]) % p != 0 and x <= s[i] - e
+        check((x - t[i]) % p != 0 and x <= s[i] - e, (p, e, f, s, t))
         count += 1
     return {"id": 8, "name": NAMES[8],
             "passed": True, "tuples": count}, time.monotonic() - t0
@@ -352,13 +354,13 @@ def criterion_9(seed):
                 i, x = br.genericity_obstruction((s_,), (t_,), e, p, f)
                 witness_verdict = br.change_of_variables_solver(
                     {(i, x): one}, top, bot)
-                assert witness_verdict == br.INFEASIBLE, (e, s_, t_)
+                check(witness_verdict == br.INFEASIBLE, (e, s_, t_))
                 # constructive direction: each clean basis class round-trips
                 failures = br.clean_class_failures(top, bot)
-                assert not failures, (e, s_, t_, failures)
+                check(not failures, (e, s_, t_, failures))
                 # spot check the table against the batch checker and the
                 # one-shot solver, with and without a random unit d
-                _, check = br.monodromy_feasibility_checker(top, bot)
+                _, feasible = br.monodromy_feasibility_checker(top, bot)
                 for _ in range(4):
                     coeffs = tuple(rng.randrange(p) for _ in range(s_))
                     y = {(0, l): coef[c] for l, c in enumerate(coeffs) if c}
@@ -367,8 +369,8 @@ def criterion_9(seed):
                     d_unit = {0: F.from_dlog(rng.randrange(p - 1)),
                               1: F.from_int(rng.randrange(p))}
                     v2 = br.solve_monodromy(prob, d_unit=d_unit) != br.INFEASIBLE
-                    assert v1 == v2 == check(y) \
-                        == table[_product_index(coeffs, p)], (e, s_, t_, coeffs)
+                    check(v1 == v2 == feasible(y)
+                          == table[_product_index(coeffs, p)], (e, s_, t_, coeffs))
                 pairs += 1
         details.append({"e": e, "pairs_done": pairs})
     return {"id": 9, "name": name,
@@ -382,7 +384,7 @@ def criterion_10():
     chains = 0
     for d, e, f in product((1, 2, 3, 4), (1, 2), (1, 2)):
         for chain in br.increasing_chains(d, e, f):
-            assert br.chain_slope_check(chain, e)
+            check(br.chain_slope_check(chain, e), (d, e, f, chain))
             chains += 1
     return {"id": 10, "name": NAMES[10],
             "passed": True, "chains": chains}, time.monotonic() - t0
@@ -413,7 +415,7 @@ def criterion_11(seed):
         beta = 2 if p != 7 else 3
         B, eigs, alpha = un.sym_power_embed(beta, n, m, p)
         Fq = field_make(p, 1)
-        assert m == 1 or un.is_gu(B, p, Fq) == Fq.one()
+        check(m == 1 or un.is_gu(B, p, Fq) == Fq.one(), (p, m, n))
         details[f"sym_p{p}_m{m}_n{n}"] = "su+spectrum"
     for m in (2, 3):
         qbase = 13

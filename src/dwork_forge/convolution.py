@@ -2,7 +2,7 @@
 
 The trace scan works in the group ring Z[C_L x C_N] (L = q-1 indexed by
 discrete logs, N indexed by zeta-exponents, N | L). conv2d_cyclic computes
-the product with a floating-point FFT (numpy rfft2 / irfft2) and rounds, and
+the product with a floating-point 2-D FFT (numpy's pocketfft) and rounds, and
 returns the rounded result only when four checks pass:
 
 1. an a-priori bound on the float error, Percival's bound for FFT
@@ -32,6 +32,7 @@ import math
 from functools import lru_cache
 
 from .ff import _is_prime, _prime_factors
+from .util import row_blocks
 
 ROUND_LIMIT = 1 / 64
 MAX_CHECK_ORDER = 1 << 20      # keeps P < 2^31, so products mod P fit in int64
@@ -108,7 +109,9 @@ def _check_point(L, N):
     P = ((1 << 30) // m + 1) * m + 1
     while not _is_prime(P):
         P += m
-    assert P < 1 << 31, "products mod P must fit in int64"
+    if P >= 1 << 31:
+        raise OverflowError(f"check prime {P} for L = {L}, N = {N} is not below "
+                            "2^31, so products mod P would overflow int64")
     return P, _powers(_root_of_unity(L, P), L, P), _powers(_root_of_unity(N, P), N, P)
 
 
@@ -128,22 +131,51 @@ def _powers(w, n, P):
 
 
 def _evaluate(M, L, N):
-    """sum M[i, j] w^i z^j mod P, for a nonnegative int64 (L, N) array."""
+    """sum M[i, j] w^i z^j mod P, for an (L, N) array of nonnegative integers
+    held as int64 or as exact float64, one block of rows at a time."""
+    import numpy as np
     P, wp, zp = _check_point(L, N)
-    T = M % P
-    T *= zp
-    T %= P
-    rows = T.sum(axis=1) % P
-    return int((rows * wp % P).sum() % P)
+    acc = 0
+    for blk in row_blocks(L, N):
+        T = M[blk].astype(np.int64)
+        T %= P
+        T *= zp
+        T %= P
+        rows = T.sum(axis=1) % P
+        acc += int((rows * wp[blk] % P).sum())
+    return acc % P
+
+
+def _spectrum(a, L, N):
+    """(the check-point value, the real FFT of each row) of a list-of-rows
+    input whose entries are below 2^53, so that its float64 copy is exact.
+
+    The input is copied into an L x 2H float64 buffer, H = N // 2 + 1, and
+    each block of rows is transformed over itself, so the L x H complex
+    result takes the input's own buffer.
+    """
+    import numpy as np
+    H = N // 2 + 1
+    buf = np.empty((L, 2 * H))
+    A = buf[:, :N]
+    for blk in row_blocks(L, N):
+        A[blk] = np.array(a[blk], dtype=np.int64)   # parses faster than float64
+    value = _evaluate(A, L, N)
+    S = buf.view(np.complex128)
+    for blk in row_blocks(L, N):
+        S[blk] = np.fft.rfft(A[blk], axis=1)
+    return value, S
 
 
 def _conv2d_fft(a, b, L, N):
     """The rounded FFT product as an int64 array, or None when it is not
     certified exact.
 
-    Each input is evaluated at the check point as soon as it is an array and
-    is dropped once transformed; the spectra are multiplied and the rounding
-    error is measured in place.
+    Each input's row transforms are taken in its own buffer (see _spectrum).
+    a's column transforms make the product's spectrum; b's are multiplied
+    into it half of the columns at a time, so at most about 2.5 spectra are
+    live. The inverse is rounded, measured and written as int64 one block
+    of rows at a time.
     """
     if math.lcm(L, N) > MAX_CHECK_ORDER:
         return None
@@ -159,27 +191,30 @@ def _conv2d_fft(a, b, L, N):
         return None
     import numpy as np
     P = _check_point(L, N)[0]
-    A = np.array(a, dtype=np.int64)
-    ev_a = _evaluate(A, L, N)
-    C = np.fft.rfft2(A)
-    del A
-    B = np.array(b, dtype=np.int64)
-    ev_b = _evaluate(B, L, N)
-    C *= np.fft.rfft2(B)
-    del B
-    C = np.fft.irfft2(C, s=(L, N))
-    R = np.rint(C)
-    C -= R
-    np.abs(C, out=C)
-    if not C.max() <= ROUND_LIMIT:     # a NaN fails too
-        return None
+    ev_a, S = _spectrum(a, L, N)
+    C = np.fft.fft(S, axis=0)
+    del S
+    ev_b, S = _spectrum(b, L, N)
+    half = (S.shape[1] + 1) // 2
+    for cols in (slice(0, half), slice(half, None)):
+        C[:, cols] *= np.fft.fft(S[:, cols], axis=0)
+    del S
+    C = np.fft.ifft(C, axis=0)
+    R = np.empty((L, N), dtype=np.int64)
+    for blk in row_blocks(L, N):
+        X = np.fft.irfft(C[blk], n=N, axis=1)
+        Y = np.rint(X)
+        if not Y.min() >= 0 or not Y.max() <= bound:
+            return None
+        X -= Y
+        np.abs(X, out=X)
+        if not X.max() <= ROUND_LIMIT:     # a NaN fails too
+            return None
+        R[blk] = Y
     del C
-    R = R.astype(np.int64)
-    # entries in [0, bound] keep an int64 sum exact below 2^63
-    if R.min() < 0 or R.max() > bound:
-        return None
     if _evaluate(R, L, N) != ev_a * ev_b % P:
         return None
+    # entries in [0, bound] keep an int64 sum exact below 2^63
     mass = R.sum() if L * N * bound < 1 << 63 else R.sum(dtype=object)
     if int(mass) != sum_a * sum_b:
         return None
@@ -190,11 +225,15 @@ def conv2d_cyclic(a, b, L, N):
     """Cyclic convolution over (Z/L) x (Z/N) of two L x N count matrices.
 
     The inputs are lists of L rows of N nonnegative Python ints, so every
-    bound is computed exactly. The result is an L x N numpy array, exact
+    bound is computed exactly. Rows may be shared objects (a character's
+    indicator holds N + 1 distinct rows): neither engine writes to its
+    inputs. The result is an L x N numpy array, exact
     whichever engine made it: int64, or object (Python ints) when the exact
     engine produced an entry of 2^63 or more.
     """
-    assert len(a) == L and len(b) == L
+    if len(a) != L or len(b) != L:
+        raise ValueError(f"conv2d_cyclic of {L} x {N} arrays got {len(a)} and "
+                         f"{len(b)} rows")
     out = _conv2d_fft(a, b, L, N)
     if out is None:
         import numpy as np

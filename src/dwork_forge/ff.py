@@ -41,6 +41,8 @@ import math
 from functools import cached_property, lru_cache
 from operator import mul
 
+from .util import row_blocks
+
 TABLE_LIMIT = 1 << 20
 SCALAR_TABLE_LIMIT = 1 << 12   # fields up to this size build list tables
 
@@ -359,7 +361,13 @@ def _block_tables(cols, p, q):
     dlog = np.empty(q, dtype=np.int32)
     dlog[0] = -1
     dlog[powtab] = np.arange(L, dtype=np.int32)
-    zech = dlog[np.where(powtab % p == p - 1, powtab - (p - 1), powtab + 1)]
+    # 1 + g^i has the encoding of g^i plus one, less p where the constant
+    # coefficient wraps; one block at a time keeps the index temporaries small
+    zech = np.empty(L, dtype=np.int32)
+    for blk in row_blocks(L):
+        enc = powtab[blk] + 1
+        enc[enc % p == 0] -= p
+        zech[blk] = dlog[enc]
     return powtab, dlog, zech
 
 

@@ -31,6 +31,7 @@ from .convolution import conv2d_cyclic
 from .cyclotomic import CyclotomicInt, all_embeddings
 from .ff import FFElem, FieldDesc, _anchor_inverse, embed, extension_of
 from .lambda_adic import LambdaPrime, val_lambda
+from .util import row_blocks
 
 
 class BadPoint(ValueError):
@@ -166,12 +167,13 @@ def _remember(cache, key, value):
 
 
 def _indicator(row, N):
-    """The L x N 0/1 matrix of a row, 1 at (j, row[j]) where row[j] >= 0, as lists."""
-    import numpy as np
-    mat = np.zeros((len(row), N), dtype=np.int8)
-    j = np.flatnonzero(row >= 0)
-    mat[j, row[j]] = 1
-    return mat.tolist()
+    """The L x N 0/1 matrix of a row, 1 at (j, row[j]) where row[j] >= 0, as
+    L references into N + 1 shared one-hot lists, the all-zero one last so
+    that an undefined entry (-1) indexes it. The lists are read, never written."""
+    onehot = [[0] * N for _ in range(N + 1)]
+    for e in range(N):
+        onehot[e][e] = 1
+    return [onehot[e] for e in row.tolist()]
 
 
 def _prefix(params: HGParams, k: FieldDesc):
@@ -214,8 +216,9 @@ def trace_at(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
     (dlog x - j) mod L, i.e. the last row reversed and rolled to dlog x. A
     row prefix gives the zeta-exponent counts as a bincount of
     prefix[j] + r[j] over the j where both are defined; an array prefix C as
-    sum_j C[j, (z - r[j]) mod N] over the j where r[j] is. Integer
-    arithmetic throughout, so the value is exact.
+    sum_j C[j, (z - r[j]) mod N] over the j where r[j] is. Both run a block
+    of rows at a time, so their temporaries stay small. Integer arithmetic
+    throughout, so the value is exact.
     """
     if x.is_zero() or x == k.one():
         raise BadPoint("trace is defined on k minus {0, 1}")
@@ -223,17 +226,24 @@ def trace_at(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
     N = params.N
     rows, prefix = _prefix(params, k)
     r = np.roll(rows[-1][::-1], k.dlog(x) + 1)
+    counts = np.zeros(N, dtype=np.int64 if prefix.ndim == 1 else prefix.dtype)
     if prefix.ndim == 1:
-        both = (prefix >= 0) & (r >= 0)
-        e = np.add(prefix, r, dtype=np.min_scalar_type(-2 * N))
-        counts = np.bincount((e % N)[both], minlength=N).tolist()
+        etype = np.min_scalar_type(-2 * N)
+        for blk in row_blocks(len(r)):
+            pb, rb = prefix[blk], r[blk]
+            e = np.add(pb, rb, dtype=etype)
+            e %= N
+            counts += np.bincount(e[(pb >= 0) & (rb >= 0)], minlength=N)
     else:
-        j = np.flatnonzero(r >= 0)
         z = np.arange(N)
         shift = (z - z[:, None]) % N            # shift[s, z] = (z - s) mod N
-        idx = shift[r[j]]                       # one row per j, read at r[j]
-        idx += (j * N)[:, None]
-        counts = prefix.ravel().take(idx).sum(axis=0).tolist()
+        flat = prefix.ravel()
+        for blk in row_blocks(len(r), N):
+            j = np.flatnonzero(r[blk] >= 0) + blk.start
+            idx = shift[r[j]]                   # one row per j, read at r[j]
+            idx += (j * N)[:, None]
+            counts += flat.take(idx).sum(axis=0)
+    counts = counts.tolist()
     value = CyclotomicInt.from_zeta_counts(N, counts)
     return -value if (params.n - 1) % 2 else value
 

@@ -22,7 +22,7 @@ from dwork_forge import hypergeom as hg
 from dwork_forge import unitary as un
 from dwork_forge.cyclotomic import ExactDivisionFailed
 from dwork_forge.ff import field_make
-from dwork_forge.util import stable_json
+from dwork_forge.util import VerificationFailed, check, stable_json
 
 DESCRIPTIONS = {
     1: "trace oracle equivalence (fast == naive, < 30 s)",
@@ -301,7 +301,57 @@ def test_every_criterion_reports_its_table_name(report):
 
 
 def test_failed_assert_is_a_named_failed_criterion(monkeypatch):
+    # criterion 10 verifies with util.check, which names the first bad chain
     monkeypatch.setattr(br, "chain_slope_check", lambda chain, e: False)
     entry, _ = acceptance.run_criterion(10)
     assert entry == {"id": 10, "name": "chain slope forcing (exhaustive)",
-                     "passed": False, "error": "AssertionError: "}
+                     "passed": False,
+                     "error": "VerificationFailed: (1, 1, 1, ((0,),))"}
+
+
+def test_layer_assert_is_a_named_failed_criterion(monkeypatch):
+    # the layers' own invariants are still asserts, and still fail the criterion
+    def refuse(*args):
+        raise AssertionError("recurrence")
+    monkeypatch.setattr(br, "slope_data", refuse)
+    entry, _ = acceptance.run_criterion(7)
+    assert entry == {"id": 7, "name": acceptance.NAMES[7], "passed": False,
+                     "error": "AssertionError: recurrence"}
+
+
+def test_check_raises_verification_failed():
+    check(True, "unused")
+    with pytest.raises(VerificationFailed, match=r"^\(1, 2\)$"):
+        check(False, (1, 2))
+    assert VerificationFailed in acceptance.CHECK_FAILURES
+
+
+# Each patch breaks one util.check of criteria 8-11; python -O keeps them all.
+OPTIMIZED_BREAKS = {
+    "witness bounds": (8, "breuil.genericity_obstruction = "
+                          "lambda s, t, e, p, f: (0, t[0])"),
+    "witness verdict": (9, "breuil.change_of_variables_solver = "
+                           "lambda y, top, bot: 'feasible'"),
+    "clean classes": (9, "breuil.clean_class_failures = lambda top, bot: ['x']"),
+    "spot checks": (9, "breuil.monodromy_feasibility_checker = "
+                       "lambda top, bot: (None, lambda y: None)"),
+    "chain slopes": (10, "breuil.chain_slope_check = lambda chain, e: False"),
+    "is_gu": (11, "unitary.is_gu = lambda B, p, Fq: None"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(OPTIMIZED_BREAKS))
+def test_criterion_check_fails_under_optimize(broken):
+    k, patch = OPTIMIZED_BREAKS[broken]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(acceptance.__file__)))
+    code = ("import json, sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "from dwork_forge import acceptance, breuil, unitary\n"
+            f"{patch}\n"
+            f"print(json.dumps(acceptance.run_criterion({k})[0]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    entry = json.loads(proc.stdout)
+    assert entry["id"] == k and entry["passed"] is False
+    assert entry["error"].startswith("VerificationFailed: ")

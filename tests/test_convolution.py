@@ -1,3 +1,4 @@
+import copy
 import random
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwork_forge import convolution
+from dwork_forge import convolution, util
 from dwork_forge import hypergeom as hg
 from dwork_forge.convolution import (conv2d_cyclic, conv2d_kronecker,
                                      fft_error_bound)
@@ -149,7 +150,86 @@ def test_fft_product_peak_memory():
     finally:
         tracemalloc.stop()
     assert out.dtype == np.int64
-    assert peak < 5 * L * N * 8
+    assert peak < 3 * L * N * 8
+
+
+def test_indicators_share_their_rows():
+    params, F = select_chi(11, 3), field_make(23, 3)
+    rows = hg._char_rows(params, F)
+    N = params.N
+    tracemalloc.start()
+    try:
+        a, b = hg._indicator(rows[0], N), hg._indicator(rows[1], N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a) == len(b) == F.q - 1
+    assert len({id(row) for row in a + b}) <= 2 * (N + 1)
+    assert peak < 0.5e6     # fresh rows of 11 ints took 3.5 MB
+
+
+def dense_indicator(row, N):
+    """The L x N 0/1 matrix of a row, built as fresh lists: the oracle of
+    the shared-row hg._indicator."""
+    mat = np.zeros((len(row), N), dtype=np.int8)
+    j = np.flatnonzero(row >= 0)
+    mat[j, row[j]] = 1
+    return mat.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda N: st.tuples(
+    st.just(N), st.lists(st.integers(-1, N - 1), min_size=1, max_size=40))))
+def test_indicator_equals_dense_construction(case):
+    N, values = case
+    row = np.array(values, dtype=np.min_scalar_type(-N))
+    got = hg._indicator(row, N)
+    assert got == dense_indicator(row, N)
+    assert all(type(v) is int for r in got for v in r)
+
+
+@pytest.mark.parametrize("engine", ["fft", "kronecker", "fallback"])
+def test_engines_leave_their_inputs_unchanged(monkeypatch, engine):
+    L, N = 30, 5
+    rng = random.Random(3)
+    dense = [[rng.randrange(7) for _ in range(N)] for _ in range(L)]
+    one_hot = [hg._indicator(np.array([rng.randrange(-1, N) for _ in range(L)],
+                                      dtype=np.int8), N) for _ in range(2)]
+    for a, b in [(dense, copy.deepcopy(dense)), one_hot]:
+        shared = {id(row): (row, list(row)) for row in a + b}
+        before = copy.deepcopy((a, b))
+        if engine == "fft":
+            assert convolution._conv2d_fft(a, b, L, N) is not None
+        elif engine == "kronecker":
+            conv2d_kronecker(a, b, L, N)
+        else:
+            # every rounding check fails, so the exact engine recomputes
+            monkeypatch.setattr(convolution, "ROUND_LIMIT", -1.0)
+            assert convolution._conv2d_fft(a, b, L, N) is None
+            assert conv2d_cyclic(a, b, L, N).tolist() == naive_conv2d(a, b, L, N)
+        assert (a, b) == before
+        assert all(row == saved for row, saved in shared.values())
+
+
+def test_blocked_passes_match_naive(monkeypatch):
+    # blocks of a few rows, so every pass crosses block boundaries
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", 7)
+    rng = random.Random(6)
+    for L, N in [(23, 3), (17, 1), (9, 6)]:
+        a = [[rng.randrange(9) for _ in range(N)] for _ in range(L)]
+        b = [[rng.randrange(9) for _ in range(N)] for _ in range(L)]
+        assert convolution._conv2d_fft(a, b, L, N).tolist() == naive_conv2d(a, b, L, N)
+
+
+def test_shape_mismatch_is_a_value_error():
+    with pytest.raises(ValueError, match="3 x 2 arrays got 2 and 3 rows"):
+        conv2d_cyclic([[1, 0]] * 2, [[0, 1]] * 3, 3, 2)
+
+
+def test_check_point_beyond_int64_products_raises():
+    # orders above MAX_CHECK_ORDER put the first prime = 1 (mod lcm) past 2^31
+    with pytest.raises(OverflowError, match="not below 2\\^31"):
+        convolution._check_point(1 << 31, 1)
 
 
 # (L, N) -> P as trial division found them, for the shapes that selftest and

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwork_forge import ff
+from dwork_forge import ff, util
 from dwork_forge import hypergeom as hg
 from dwork_forge.cyclotomic import CyclotomicInt
 from dwork_forge.ff import (SCALAR_TABLE_LIMIT, FFElem, FFError, FieldDesc, IncompatibleFields,
@@ -529,3 +529,26 @@ def test_numpy_field_holds_only_its_arrays():
         tracemalloc.stop()
     assert type(F._pow) is np.ndarray
     assert held < 3.5e6     # three int32 tables of 1 MB each
+
+
+@pytest.mark.parametrize("p,f", [(4099, 1), (2, 13), (3, 8)])
+def test_blocked_zech_pass_matches_reference(monkeypatch, p, f):
+    # blocks of a few entries, so the Zech pass crosses block boundaries
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", 37)
+    F = FieldDesc(p, f)
+    zech = reference_tables(F)[2]
+    assert [None if z < 0 else z for z in F.zech_array().tolist()] == zech
+
+
+def test_block_tables_transient_memory():
+    F = field_make(262147, 1)
+    tracemalloc.start()
+    try:
+        tables = ff._block_tables([[F.g_encoding]], F.p, F.q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for got, want in zip(tables, (F._pow, F._dlog, F.zech_array())):
+        assert got.dtype == np.int32 and np.array_equal(got, want)
+    # above the three 1 MB tables it returns; np.where's temporaries took 2.4 MB
+    assert peak - sum(t.nbytes for t in tables) < 0.5e6

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwork_forge import hypergeom as hg
+from dwork_forge import util
 from dwork_forge.cyclotomic import CyclotomicInt
 from dwork_forge.ff import embed, extension_of, field_make, prime_power
 from dwork_forge.hypergeom import (BadPoint, NoSumZeroSet, char_poly,
@@ -253,6 +255,40 @@ def test_array_readout_equals_naive_property(case):
             assert hg.trace_at(params, E, y) == trace_naive(params, E, y)
     finally:
         hg._prefix_cache.pop((params, E), None)
+
+
+@pytest.mark.parametrize("as_object", [False, True])
+def test_blocked_readouts_equal_naive(monkeypatch, as_object):
+    # blocks of a few rows, so both readouts cross block boundaries
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", 5)
+    monkeypatch.setattr(hg, "_prefix_cache", {})
+    F, E = field_make(29, 1), extension_of(field_make(5, 1), 2)
+    for params, K in [(hg_params(7, 2, (1, 3)), F), (hg_params(7, 1, (2,)), F),
+                      (hg_params(8, 3, (1, 2, 5)), E)]:
+        rows, prefix = hg._prefix(params, K)
+        if as_object and prefix.ndim == 2:
+            hg._prefix_cache[(params, K)] = (rows, prefix.astype(object))
+        for x in list(K.nonzero_elements())[1:]:
+            assert hg.trace_at(params, K, x) == trace_naive(params, K, x)
+
+
+@pytest.mark.parametrize("N,n,p,f,limit", [
+    (11, 3, 23, 3, 0.5e6),     # an L x N prefix: the unblocked gather took 2.25 MB
+    (3, 2, 262147, 1, 0.8e6),  # a row prefix: the unblocked bincount took 3.15 MB
+])
+def test_readout_peak_memory(N, n, p, f, limit):
+    params, F = select_chi(N, n), field_make(p, f)
+    hg._prefix(params, F)        # the cached prefix is not the readout's
+    x = F.from_int(5)
+    tracemalloc.start()
+    try:
+        value = hg.trace_at(params, F, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
+    if F.q < 1 << 14:
+        assert value == trace_all_fast(params, F)[x]
 
 
 def test_readout_bad_point():

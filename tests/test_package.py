@@ -102,3 +102,13 @@ def test_every_layer_resolves_from_the_package(layer):
 def test_former_root_exports_import_from_their_layer(layer):
     mod = importlib.import_module(f"dwork_forge.{layer}")
     assert [name for name in FORMER_ROOT_EXPORTS[layer] if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("layer,name", [("convolution", "conv2d_cyclic"),
+                                        ("hypergeom", "trace_at")])
+def test_running_a_trace_layer_leaves_numpy_unloaded(layer, name):
+    # numpy is imported by the first call that builds an array
+    out = _child("-c", f"import sys, dwork_forge.{layer} as m; m.{name}\n"
+                       "print(type(m).__name__, 'numpy' in sys.modules)")
+    assert out.stderr == "" and out.returncode == 0
+    assert out.stdout == "module False\n"
