@@ -13,7 +13,7 @@ For an extension of (s; a) by (t; b) the slope data is
 
 with n_j + (s_{j-1} - t_{j-1} - e) = p n_{j-1}. The slope data depend on s,
 t and e only through c = s - t - e, so they are computed (and the recurrence
-and range asserted) once per (c, p, f) and shared by every tuple with that c.
+and range checked) once per (c, p, f) and shared by every tuple with that c.
 
 Extension classes are carried by polynomials y_i of degree < s_i (plus one
 special degree when a nonzero map (s;a) -> (t;b) exists); the crystalline
@@ -32,17 +32,18 @@ from itertools import product
 
 from .ff import FFElem, field_make
 from .linalg import sparse_left_null_space, sparse_solve
+from .util import VerificationFailed, check
 
 
 class PreconditionViolated(ValueError):
     pass
 
 
-class SpecialDegreeNotInteger(ArithmeticError):
+class SpecialDegreeNotInteger(VerificationFailed):
     pass
 
 
-class WindowTooSmall(ArithmeticError):
+class WindowTooSmall(VerificationFailed):
     pass
 
 
@@ -156,9 +157,9 @@ def _slopes(c, p, f):
          for i in range(f)]
     fl = tuple(Ni // den for Ni in N)
     r = tuple(c[i] + fl[(i + 1) % f] - p * fl[i] + 1 for i in range(f))
-    for j in range(f):
-        assert N[j] + c[j - 1] * den == p * N[j - 1]
-    assert all(1 <= ri <= p for ri in r), (c, p, f, N, r)
+    check(all(N[j] + c[j - 1] * den == p * N[j - 1] for j in range(f)),
+          (c, p, f, N))
+    check(all(1 <= ri <= p for ri in r), (c, p, f, N, r))
     return tuple(Fraction(Ni, den) for Ni in N), r, fl
 
 
@@ -171,7 +172,7 @@ def _slope_entry(s, t, e, p, f):
 
 
 def slope_data(s, t, e, p, f):
-    """(n_i, r_i); the recurrence and r_i in [1, p] are asserted, once per
+    """(n_i, r_i); the recurrence and r_i in [1, p] are checked, once per
     distinct s - t - e."""
     n, r, _ = _slope_entry(s, t, e, p, f)
     return n, r
@@ -222,7 +223,7 @@ def make_ext_problem(top: RankOneBK, bottom: RankOneBK, y=None,
 
 def bk_extension_degrees(top: RankOneBK, bottom: RankOneBK):
     """Allowed degree sets {0..s_i-1} per index, plus the special degree
-    s_j + alpha_j(top) - alpha_j(bottom) (an integer, asserted) when a nonzero
+    s_j + alpha_j(top) - alpha_j(bottom) (an integer, checked) when a nonzero
     map top -> bottom exists. Returns (list of sets, special list | None)."""
     degs = [set(range(si)) for si in top.s]
     if not hom_exists(top, bottom):
@@ -524,7 +525,7 @@ def genericity_obstruction(s, t, e, p, f):
     and r_i != p, or floor(n_{i+1}) <= -2; then x_i = s_i + floor(n_{i+1})
     - e + 1 (or +2 when r_i = p). The witness satisfies x_i != t_i mod p and
     the image-window bounds; its existence is the content of the lemma and is
-    asserted, never silently absent.
+    checked, never silently absent.
     """
     if sum(s[j] - t[j] - e for j in range(f)) >= 0:
         raise PreconditionViolated("requires sum(s_j - t_j - e) < 0")
@@ -533,11 +534,10 @@ def genericity_obstruction(s, t, e, p, f):
         fl = floors[(i + 1) % f]
         if (fl == -1 and r[i] != p) or fl <= -2:
             x = s[i] + fl - e + (1 if r[i] != p else 2)
-            assert (x - t[i]) % p != 0
-            assert s[i] + fl - e + 1 <= x <= s[i] + fl
-            assert x <= s[i] - e
+            check((x - t[i]) % p != 0 and s[i] + fl - e + 1 <= x <= s[i] + fl
+                  and x <= s[i] - e, (s, t, e, p, f))
             return i, x
-    raise AssertionError("no witness index: contradicts the lemma")
+    raise VerificationFailed("no witness index: contradicts the lemma")
 
 
 def etale_image_windows(top: RankOneBK, bottom: RankOneBK):
@@ -720,7 +720,9 @@ def clean_class_failures(top: RankOneBK, bottom: RankOneBK):
 
 def increasing_chains(d, e, f):
     """Every chain s(1), ..., s(d) of heights in [0, e(d-1)]^f that meets the
-    increment condition sum_j(s(i+1)_j - s(i)_j - e) >= 0 at each step."""
+    increment condition sum_j(s(i+1)_j - s(i)_j - e) >= 0 at each step. Each
+    step adds at least ef to the level total, which ends at most at e(d-1)f,
+    so the totals are exactly 0, ef, ..., ef(d-1)."""
     if min(d, e, f) < 1:
         raise PreconditionViolated("d, e and f must be at least 1")
     hmax = e * (d - 1)
@@ -732,7 +734,7 @@ def increasing_chains(d, e, f):
         if len(chain) == d:
             yield chain
             return
-        for total in range(low, hmax * f + 1):
+        for total in range(low, hmax * f - (d - 1 - len(chain)) * e * f + 1):
             for level in by_sum.get(total, ()):
                 yield from extend(chain + (level,), total + e * f)
 
@@ -759,6 +761,6 @@ def chain_slope_check(chain, e):
     for i in range(d - 1):
         if sum(chain[i + 1][j] - chain[i][j] - e for j in range(f)) < 0:
             raise PreconditionViolated("increment condition fails")
-    assert all(sj == 0 for sj in chain[0]), chain
-    assert all(sj == hmax for sj in chain[-1]), chain
+    check(all(sj == 0 for sj in chain[0]) and all(sj == hmax for sj in chain[-1]),
+          chain)
     return True

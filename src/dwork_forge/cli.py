@@ -3,7 +3,8 @@
 Subcommands: hg-trace, hg-charpoly, hg-scan, ordinary-scan, breuil-generic,
 breuil-oracle, breuil-chain, unitary-normalize, unitary-sym, selftest.
 Outputs UTF-8 JSON (or CSV where stated) to --out or stdout; identical
-configuration and seed give byte-identical reports.
+configuration and seed give byte-identical reports. Bad input ends in one
+``error:`` line and exit status 2, a failed check in one and status 1.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from . import hypergeom as hg
 from . import lambda_adic as la
 from . import ordinarity as od
 from . import unitary as un
-from .ff import (FFError, check_table_size, extension_of, field_make,
-                 prime_power, table_fits)
-from .util import stable_json
+from .ff import check_table_size, extension_of, field_make, prime_power, table_fits
+from .util import VerificationFailed, stable_json
 
 SCHEMA_VERSION = 1
 
@@ -44,8 +44,9 @@ def _params_from(args):
 
 
 def _validate_hg(args, q):
-    if (q - 1) % args.N != 0:
-        raise ConfigInvalid(f"N = {args.N} must divide q - 1 = {q - 1}")
+    if args.N < 1 or (q - 1) % args.N != 0:
+        raise ConfigInvalid(f"N = {args.N} must be a positive divisor of "
+                            f"q - 1 = {q - 1}")
 
 
 def _emit(args, text):
@@ -57,8 +58,8 @@ def _emit(args, text):
 
 
 def cmd_hg_trace(args):
-    params = _params_from(args)
     _validate_hg(args, args.q)
+    params = _params_from(args)
     k = _field_for(args.q)
     x = k.from_encoding(args.x)
     t = hg.trace_at(params, k, x)
@@ -70,8 +71,8 @@ def cmd_hg_trace(args):
 
 
 def cmd_hg_charpoly(args):
-    params = _params_from(args)
     _validate_hg(args, args.q)
+    params = _params_from(args)
     k = _field_for(args.q)
     x = k.from_encoding(args.x)
     rec = hg.char_poly(params, k, x)
@@ -85,8 +86,8 @@ def cmd_hg_charpoly(args):
 
 
 def cmd_hg_scan(args):
-    params = _params_from(args)
     _validate_hg(args, args.q)
+    params = _params_from(args)
     p, f = prime_power(args.q)
     check_table_size(p, f * params.n)     # char_poly builds F_{q^n}
     k = field_make(p, f)
@@ -289,9 +290,6 @@ def cmd_unitary_sym(args):
 
 
 def cmd_selftest(args):
-    if sys.flags.optimize:
-        raise ConfigInvalid("selftest checks with assert statements, which "
-                            "-O removes; run it without -O")
     report, timings, ok = acceptance.selftest(seed=args.seed)
     for c in report["criteria"]:
         status = "PASS" if c["passed"] else "FAIL"
@@ -407,9 +405,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigInvalid, FFError, ValueError) as exc:
+    except ValueError as exc:              # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except VerificationFailed as exc:      # a hard check failed
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,8 +12,10 @@ import cmath
 from functools import lru_cache
 from math import gcd
 
+from .util import VerificationFailed, check
 
-class ExactDivisionFailed(ArithmeticError):
+
+class ExactDivisionFailed(VerificationFailed):
     """An exact division was requested but the dividend is not divisible."""
 
 
@@ -31,7 +33,7 @@ def _poly_mul(a, b):
 
 def _poly_divmod_monic(num, den):
     """Divide by a monic integer polynomial; quotient and remainder over Z."""
-    assert den[-1] == 1
+    check(den[-1] == 1, "divisor must be monic")
     num = list(num)
     dd = len(den) - 1
     quot = [0] * max(len(num) - dd, 1)
@@ -57,7 +59,7 @@ def cyclotomic_polynomial(N: int) -> tuple:
     for d in range(1, N):
         if N % d == 0:
             num, rem = _poly_divmod_monic(num, list(cyclotomic_polynomial(d)))
-            assert rem == [0]
+            check(rem == [0], (N, d))
     return tuple(num)
 
 

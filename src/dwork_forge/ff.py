@@ -47,8 +47,8 @@ TABLE_LIMIT = 1 << 20
 SCALAR_TABLE_LIMIT = 1 << 12   # fields up to this size build list tables
 
 
-class FFError(Exception):
-    pass
+class FFError(ValueError):
+    """Bad input to the field layer."""
 
 
 class NotPrime(FFError):

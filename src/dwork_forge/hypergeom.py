@@ -28,10 +28,11 @@ from itertools import combinations
 from math import gcd
 
 from .convolution import conv2d_cyclic
-from .cyclotomic import CyclotomicInt, all_embeddings
-from .ff import FFElem, FieldDesc, _anchor_inverse, embed, extension_of
+from .cyclotomic import CyclotomicInt
+from .ff import (TABLE_LIMIT, FFElem, FieldDesc, TooLarge, _anchor_inverse, embed,
+                 extension_of)
 from .lambda_adic import LambdaPrime, val_lambda
-from .util import row_blocks
+from .util import VerificationFailed, check, row_blocks
 
 
 class BadPoint(ValueError):
@@ -42,7 +43,7 @@ class NoSumZeroSet(ValueError):
     pass
 
 
-class RootFindingFailed(ArithmeticError):
+class RootFindingFailed(VerificationFailed):
     pass
 
 
@@ -75,6 +76,8 @@ class HGParams:
 def hg_params(N, n, R) -> HGParams:
     if N < 1:
         raise ValueError(f"N = {N} must be positive")
+    if N >= TABLE_LIMIT:    # N | q - 1 needs a field past the table limit
+        raise TooLarge(f"N = {N} exceeds table limit {TABLE_LIMIT}")
     return HGParams(N, n, tuple(sorted(r % N for r in R)))
 
 
@@ -84,6 +87,10 @@ def select_chi(N, n) -> HGParams:
     every sum-zero set is stabilized, which is unavoidable for n = 2."""
     if N % 2 == 0 or N <= n or gcd(N, n) != 1:
         raise ValueError("need N odd, N > n, gcd(N, n) = 1")
+    if N >= TABLE_LIMIT:    # N | q - 1 needs a field past the table limit
+        raise TooLarge(f"N = {N} exceeds table limit {TABLE_LIMIT}")
+    if n == 2:    # -1 stabilizes every pair {r, -r}: the first is the fallback
+        return HGParams(N, 2, (1, N - 1))
     fallback = None
     for R in combinations(range(1, N), n):
         if sum(R) % N != 0:
@@ -310,7 +317,7 @@ class CharPolyRecord:
 
 
 def newton_coeffs_from_traces(traces, N, n):
-    """Elementary symmetric functions from power sums; exact division asserted."""
+    """Elementary symmetric functions from power sums; exact division checked."""
     e = [CyclotomicInt.one(N)]
     for k in range(1, n + 1):
         acc = CyclotomicInt.zero(N)
@@ -348,8 +355,8 @@ def char_poly(params: HGParams, k: FieldDesc, x: FFElem) -> CharPolyRecord:
     traces = (trace_all_fast(params, k)[x],) + tuple(
         trace_at(params, E, embed(x, E)) for E in extensions)
     e = newton_coeffs_from_traces(traces, N, n)
-    assert tuple(traces_from_newton_coeffs(e, N, n)) == traces, \
-        "Newton identity round trip failed"
+    check(tuple(traces_from_newton_coeffs(e, N, n)) == traces,
+          "Newton identity round trip failed")
     coeffs = [None] * (n + 1)
     for kk in range(n + 1):
         c = e[kk] if kk % 2 == 0 else -e[kk]
@@ -367,8 +374,8 @@ def newton_polygon(rec: CharPolyRecord, lam: LambdaPrime):
     divided by [k : F_l] when the point field has characteristic l.
     """
     vals = [val_lambda(c, lam) for c in rec.coeffs]
-    assert vals[-1] == 0, "polynomial must be monic"
-    assert not rec.coeffs[0].is_zero(), "zero constant term has no finite polygon"
+    check(vals[-1] == 0, "polynomial must be monic")
+    check(not rec.coeffs[0].is_zero(), "zero constant term has no finite polygon")
     pts = [(i, v) for i, v in enumerate(vals) if v != float("inf")]
     hull = []
     for pt in pts:
@@ -385,7 +392,7 @@ def newton_polygon(rec: CharPolyRecord, lam: LambdaPrime):
         while qq % lam.l == 0:
             qq //= lam.l
             m += 1
-        assert qq == 1, "point field must be a power of l for normalization"
+        check(qq == 1, "point field must be a power of l for normalization")
     else:
         m = 1
     slopes = []
@@ -413,10 +420,12 @@ class DetReport:
 
 
 def verify_det(rec: CharPolyRecord) -> DetReport:
-    """|const term| = q^(n(n-1)/2) in every embedding within relative TOL,
-    and the exact signed identity prod(eigenvalues) = sign * q^(n(n-1)/2).
-    Non-sum-zero exponent sets are skipped (the determinant formula needs
-    prod rho_i = 1)."""
+    """|const term|^2 = q^(n(n-1)) in every embedding, and the exact signed
+    identity prod(eigenvalues) = sign * q^(n(n-1)/2). Complex conjugation
+    commutes with every embedding of the CM field Q(zeta_N), so the modulus
+    holds in all of them exactly when c0 * conj(c0) = q^(n(n-1)) in
+    Z[zeta_N]. Non-sum-zero exponent sets are skipped (the determinant
+    formula needs prod rho_i = 1)."""
     n = rec.params.n
     expected = rec.q ** (n * (n - 1) // 2)
     if not rec.params.sum_zero:
@@ -430,8 +439,7 @@ def verify_det(rec: CharPolyRecord) -> DetReport:
         sign = -1
     else:
         sign = None
-    abs_ok = all(abs(abs(z) - expected) <= TOL * expected
-                 for z in all_embeddings(c0))
+    abs_ok = c0 * c0.conj() == expected * expected
     rep = DetReport(False, abs_ok, sign, expected)
     rec.checks["det"] = "pass" if rep.passed else "fail"
     return rep

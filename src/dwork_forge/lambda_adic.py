@@ -14,6 +14,7 @@ from math import gcd, inf
 
 from .cyclotomic import CyclotomicInt, cyclotomic_polynomial, euler_phi_of
 from .ff import FFElem, _is_prime, _pdivmod, field_make
+from .util import check
 
 
 def _multiplicative_order(l, N):
@@ -68,14 +69,14 @@ class LambdaPrime:
         h = []
         for c in poly:
             enc = c.encoding
-            assert enc < l, "minimal polynomial coefficient not in F_l"
+            check(enc < l, "minimal polynomial coefficient not in F_l")
             h.append(enc)
         self.min_poly_mod_l = tuple(h)
         # pi = c(zeta) with c = Phi_N / h mod l: Phi_N is squarefree mod l,
         # so c vanishes at every other place over l and not at lambda.
         phi = euler_phi_of(self.N)
         c, rem = _pdivmod(cyclotomic_polynomial(self.N), h, l)
-        assert rem == [0], "minimal polynomial does not divide Phi_N mod l"
+        check(rem == [0], "minimal polynomial does not divide Phi_N mod l")
         self.pi = CyclotomicInt(self.N, c + [0] * (phi - len(c)))
         # powers of zeta_image for fast reduction
         zpows = [K.one()]

@@ -20,9 +20,10 @@ systems are built.
 from __future__ import annotations
 
 from .ff import FFElem, FieldDesc
+from .util import VerificationFailed
 
 
-class SingularMatrix(ArithmeticError):
+class SingularMatrix(VerificationFailed):
     pass
 
 

@@ -25,6 +25,7 @@ from math import comb
 from .ff import FFElem, FieldDesc, extension_of, norm_to_subfield
 from .hypergeom import CharPolyRecord, HGParams, trace_all_fast
 from .lambda_adic import LambdaPrime, lambda_prime, reduce_mod_lambda
+from .util import VerificationFailed, check
 
 # Calibrated against the (N=3, n=2, l=7) and (N=11, n=3, l=23) sweeps: the
 # reduced trace equals +Norm(u(x)), for every n.
@@ -57,7 +58,7 @@ def exponents_c(params: HGParams, l: int, tau_choice: int = 1):
     D = K.dlog(lam.zeta_image)
     q_v = K.q
     c = tuple((m * D) % (q_v - 1) for m in params.rho_exponents)
-    assert all(1 <= ci <= q_v - 2 for ci in c)
+    check(all(1 <= ci <= q_v - 2 for ci in c), (c, q_v))
     return c, lam
 
 
@@ -77,7 +78,7 @@ def u_poly(c, n, l):
         out.append(term % l)
     while len(out) > 1 and out[-1] == 0:
         out.pop()
-    assert out[0] == 1
+    check(out[0] == 1, "u(0) must be 1")
     return tuple(out)
 
 
@@ -135,8 +136,10 @@ def lucas_check(c: int, q_v: int, d: int, digits, l: int) -> bool:
     qq = q_v
     while qq % l == 0:
         qq //= l
-    assert qq == 1, "q_v must be a power of l"
-    assert len(digits) == d and all(0 <= r < q_v - 1 for r in digits)
+    if qq != 1:
+        raise ValueError("q_v must be a power of l")
+    if len(digits) != d or not all(0 <= r < q_v - 1 for r in digits):
+        raise ValueError("need d digits, each in [0, q_v - 2]")
     c_tilde = c * (q_v ** d - 1) // (q_v - 1)
     r = sum(rj * q_v ** j for j, rj in enumerate(digits))
     lhs = comb(c_tilde, r) % l
@@ -148,7 +151,7 @@ def lucas_check(c: int, q_v: int, d: int, digits, l: int) -> bool:
 
 @dataclass
 class UnitRootReport:
-    skipped: bool            # u(x) = 0, nothing to assert
+    skipped: bool            # u(x) = 0, nothing to check
     min_slope_zero: bool
     fully_ordinary: bool     # advisory: slopes == (0, 1, ..., n-1)
 
@@ -159,7 +162,8 @@ def unit_root_check(test: OrdinaryTest, rec: CharPolyRecord) -> UnitRootReport:
     The slope chain s_i <= s_(i+1) + 1 is quoted from Drinfeld--Kedlaya and
     not re-verified; full ordinarity is reported as advisory only.
     """
-    assert rec.slopes is not None, "compute newton_polygon first"
+    if rec.slopes is None:
+        raise ValueError("compute newton_polygon first")
     # u has coefficients in F_l, so it evaluates in whatever field rec.x lives in
     u_val = test.u_at(rec.x)
     if u_val.is_zero():
@@ -168,6 +172,6 @@ def unit_root_check(test: OrdinaryTest, rec: CharPolyRecord) -> UnitRootReport:
     min_zero = min(rec.slopes) == 0
     full = list(rec.slopes) == list(range(n))
     if not min_zero:
-        raise AssertionError(
+        raise VerificationFailed(
             f"unit-root violation at x_dlog={rec.x_dlog}: slopes {rec.slopes}")
     return UnitRootReport(False, min_zero, full)

@@ -24,9 +24,10 @@ from itertools import chain
 from .ff import (FFElem, FieldDesc, NotPrime, _is_prime, check_table_size,
                  embed, extension_of, field_make, prime_power, pull_back)
 from .linalg import _echelon, det, mat_identity, mat_inv, mat_mul
+from .util import VerificationFailed, check
 
 
-class NoSolution(ArithmeticError):
+class NoSolution(VerificationFailed):
     pass
 
 
@@ -177,7 +178,7 @@ def normal_form(space: HermitianSpace):
         # v-dagger A, the conjugate of A v for A Hermitian: <v, w> = vA . w
         vA = _conj([dot(row, v) for row in A], q, L)
         eta, rem = divmod(-dot(vA, v) % L, q + 1)
-        assert not rem, "<v,v> is not in F_q"
+        check(not rem, "<v,v> is not in F_q")
         v = [None if k is None else (k + eta) % L for k in v]
         vA = [None if k is None else (k + eta * q) % L for k in vA]
         columns.append(v)
@@ -191,7 +192,7 @@ def normal_form(space: HermitianSpace):
                 new_remaining.append(w)
         remaining = new_remaining
     C = [list(row) for row in zip(*columns)]
-    assert certifies_identity(field, A, C, q)
+    check(certifies_identity(field, A, C, q), "C-dagger A C is not I")
     return C
 
 
@@ -277,7 +278,7 @@ def conjugate_into_gu(generators, P, q):
     for M in generators:
         Mc = mat_mul(Cinv, mat_mul(M, C))
         mult = is_gu(Mc, q, Fq)
-        assert mult is not None, "conjugated generator not unitary"
+        check(mult is not None, "conjugated generator not unitary")
         out.append(Mc)
         multipliers.append(mult)
     return out, C, multipliers
@@ -356,11 +357,12 @@ def sym_power_embed(beta: int, n: int, m: int, p: int):
         return S, [Fp2.one()], embed(Fp.from_int(beta * beta % p), Fp2)
     G = sym_power_form(m, Fp2)
     (B,), _, mults = conjugate_into_gu([S], G, p)
-    assert mults[0] == Fp.one() and det(B) == Fp2.one()
+    check(mults[0] == Fp.one() and det(B) == Fp2.one(), "B is not in SU_m")
     eigs = matrix_eigenvalues(B)
     alpha = embed(Fp.from_int(beta * beta % p), Fp2)
     expected = [alpha ** (n * j) for j in range(m)]
-    assert _multiset_match_up_to_scalar(eigs, expected)
+    check(_multiset_match_up_to_scalar(eigs, expected),
+          "spectrum is not alpha^(nj) up to a scalar")
     return B, eigs, alpha
 
 
@@ -435,7 +437,7 @@ def matrix_eigenvalues(M):
     E = extension_of(field, deg)
     cp_up = [embed(c, E) for c in cp]
     eigs_up, rem_up = _roots_with_multiplicity(cp_up, E)
-    assert not rem_up, "splitting field too small"
+    check(not rem_up, "splitting field too small")
     return eigs_up
 
 
@@ -471,7 +473,7 @@ def _roots_with_multiplicity(poly, field):
         q[n - 1] = pol[n]
         for i in range(n - 1, 0, -1):
             q[i - 1] = add(pol[i], mul(r, q[i]))
-        assert add(pol[0], mul(r, q[0])) is None
+        check(add(pol[0], mul(r, q[0])) is None, "X - r does not divide")
         return q
 
     eigs = []
@@ -511,7 +513,7 @@ def induced_spectrum(psi_values, field: FieldDesc):
     ratios = sorted((e / lam).k for e in eigs)
     efield = eigs[0].field
     mu_m = sorted(((efield.q - 1) // m * j) % (efield.q - 1) for j in range(m))
-    assert ratios == mu_m, (ratios, mu_m)
+    check(ratios == mu_m, (ratios, mu_m))
     return eigs
 
 

@@ -1,6 +1,10 @@
 """Helpers shared across layers: deterministic serialization for the CLI and
-the acceptance report, verification checks that survive ``python -O``, and
-the row blocks that bound the temporaries of the numpy passes."""
+the acceptance report, the root of every failed check, and the row blocks
+that bound the temporaries of the numpy passes.
+
+The package fails in two ways only: bad input raises a ValueError (the CLI
+prints one ``error:`` line and exits 2), and a failed check of a computed
+result raises a VerificationFailed (one ``error:`` line, exit 1)."""
 
 from __future__ import annotations
 
@@ -10,11 +14,12 @@ BLOCK_ENTRIES = 1 << 14    # entries of one numpy pass over a block of rows
 
 
 class VerificationFailed(Exception):
-    """A check of a verified result failed."""
+    """A check of a verified result failed; every layer's check failures
+    subclass it."""
 
 
 def check(cond, msg):
-    """Raise VerificationFailed(msg) unless cond; unlike assert, -O keeps it."""
+    """Raise VerificationFailed(msg) unless cond; python -O keeps it."""
     if not cond:
         raise VerificationFailed(msg)
 

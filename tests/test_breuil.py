@@ -1,7 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import pairwise, product
-from math import floor
+from math import floor, prod
 
 import pytest
 from hypothesis import given, settings
@@ -557,10 +558,19 @@ def test_chain_slope_check():
 def test_increasing_chains_match_brute_force(d, e, f):
     hmax = e * (d - 1)
     total = {lv: sum(lv) for lv in product(range(hmax + 1), repeat=f)}
-    brute = {c for c in product(total, repeat=d)
-             if all(total[b] - total[a] >= e * f for a, b in pairwise(c))}
-    chains = list(increasing_chains(d, e, f))
-    assert len(chains) == len(brute) and set(chains) == brute
+    brute = [c for c in product(total, repeat=d)
+             if all(total[b] - total[a] >= e * f for a, b in pairwise(c))]
+    assert list(increasing_chains(d, e, f)) == brute     # same chains, same order
+
+
+@pytest.mark.parametrize("d,e,f", [(4, 2, 2), (5, 2, 2), (6, 2, 2), (6, 3, 2),
+                                   (3, 2, 3), (4, 2, 3), (5, 1, 3)])
+def test_chain_count_is_the_closed_form(d, e, f):
+    # the level totals are forced to 0, ef, ..., ef(d-1): the count is the
+    # product over i of the number of levels in [0, e(d-1)]^f with sum i e f
+    sums = Counter(map(sum, product(range(e * (d - 1) + 1), repeat=f)))
+    assert sum(1 for _ in increasing_chains(d, e, f)) == prod(
+        sums[i * e * f] for i in range(d))
 
 
 @pytest.mark.parametrize("d,e,f", [(0, 1, 1), (-1, 1, 1), (2, -1, 1),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,7 +9,12 @@ import pytest
 
 import dwork_forge
 from dwork_forge import breuil as br
+from dwork_forge import hypergeom as hg
+from dwork_forge import unitary as un
 from dwork_forge.cli import main
+from dwork_forge.cyclotomic import ExactDivisionFailed
+from dwork_forge.linalg import SingularMatrix
+from dwork_forge.util import VerificationFailed
 
 
 def run_cli(capsys, *argv):
@@ -344,15 +350,54 @@ def test_usage_error_is_one_error_line(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_selftest_refuses_to_run_under_optimize(tmp_path):
-    # -O strips assert statements, and criteria 7-11 verify with them
+SELFTEST_SEED_0_SHA256 = "3d599992ca5633c4e6a6ba3b4791e241dff3e4a4fab3a4fe620bf9b0309e7ed6"
+
+
+def test_selftest_report_is_the_same_under_optimize(tmp_path):
+    # every check is a util.check, which -O keeps, so -O changes no byte
     src = os.path.dirname(os.path.dirname(os.path.abspath(dwork_forge.__file__)))
-    out = tmp_path / "report.json"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from dwork_forge.cli import main; sys.exit(main(sys.argv[2:]))")
-    proc = subprocess.run([sys.executable, "-O", "-c", code, src, "selftest",
-                           "--out", str(out)],
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert not out.exists()
+    digests = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{len(flags)}.json"
+        proc = subprocess.run([sys.executable, *flags, "-c", code, src, "selftest",
+                               "--seed", "0", "--out", str(out)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert digests == [SELFTEST_SEED_0_SHA256] * 2
+
+
+@pytest.mark.parametrize("argv,layer,name,error", [
+    ("breuil-chain --d 2 --e 1 --f 1", br, "chain_slope_check", VerificationFailed),
+    ("hg-charpoly --N 3 --n 2 --q 7 --x 3", hg, "char_poly", ExactDivisionFailed),
+    ("unitary-normalize --q 5 --matrix [[1]]", un, "diagonalize_to_identity",
+     SingularMatrix),
+])
+def test_failed_check_in_a_subcommand_is_one_error_line(capsys, monkeypatch, argv,
+                                                       layer, name, error):
+    def refuse(*args):
+        raise error("refused")
+    monkeypatch.setattr(layer, name, refuse)
+    code = main(argv.split(" "))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {error.__name__}: refused\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "hg-trace --N 2147483659 --n 2 --q 7 --x 3",
+    "hg-trace --N 2147483659 --n 2 --q 2147483660 --x 3",
+    "hg-scan --N 2147483659 --n 2 --R 1,2 --q 2147483660",
+    "ordinary-scan --N 999983 --n 2 --l 7",
+    "ordinary-scan --N 2147483659 --n 2 --R 1,2147483658 --l 7",
+    "ordinary-scan --N 2147483659 --n 3 --l 7",
+])
+def test_large_N_is_refused_before_any_enumeration(capsys, argv):
+    t0 = time.perf_counter()
+    code = main(argv.split(" "))
+    assert time.perf_counter() - t0 < 5.0
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

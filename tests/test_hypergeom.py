@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from dwork_forge import hypergeom as hg
 from dwork_forge import util
-from dwork_forge.cyclotomic import CyclotomicInt
-from dwork_forge.ff import embed, extension_of, field_make, prime_power
+from dwork_forge.cyclotomic import CyclotomicInt, all_embeddings
+from dwork_forge.ff import (TABLE_LIMIT, TooLarge, embed, extension_of, field_make,
+                            prime_power)
 from dwork_forge.hypergeom import (BadPoint, NoSumZeroSet, char_poly,
                                    hg_params, newton_polygon, select_chi,
                                    trace_all_fast, trace_naive, verify_det,
@@ -82,6 +84,22 @@ def test_select_chi_examples():
         select_chi(6, 2)   # N even
     with pytest.raises(ValueError):
         select_chi(9, 3)   # gcd(N, n) != 1
+
+
+@pytest.mark.parametrize("N", range(3, 40, 2))
+def test_select_chi_pair_is_the_first_sum_zero_pair(N):
+    # -1 stabilizes every sum-zero pair, so n = 2 returns the first at once
+    pairs = [R for R in combinations(range(1, N), 2) if sum(R) % N == 0]
+    assert not any(hg.HGParams(N, 2, R).trivial_stabilizer for R in pairs)
+    assert select_chi(N, 2) == hg.HGParams(N, 2, pairs[0])
+
+
+def test_N_past_the_table_limit_is_refused():
+    # N | q - 1 needs q > N, so no field within the table limit has it
+    for make in (lambda N: select_chi(N, 2), lambda N: hg_params(N, 2, (1, 2))):
+        with pytest.raises(TooLarge):
+            make(TABLE_LIMIT + 1)
+        assert make(TABLE_LIMIT - 1).N == TABLE_LIMIT - 1
 
 
 def test_hg_params_flags_checked():
@@ -394,6 +412,24 @@ def test_det_and_purity_sweeps():
             # |constant term| = q^(n(n-1)/2) numerically in one embedding
             c0 = rec.coeffs[0].embed_complex()
             assert abs(abs(c0) - q ** (n * (n - 1) // 2)) <= 1e-6 * q ** 3
+
+
+@pytest.mark.parametrize("N,n,q", [(3, 2, 7), (5, 2, 16), (5, 2, 31), (7, 3, 29),
+                                   (11, 3, 23)])
+def test_exact_det_modulus_matches_every_embedding(N, n, q):
+    # c0 conj(c0) = q^(n(n-1)) in Z[zeta_N] against |c0| = q^(n(n-1)/2) in
+    # every complex embedding, and c0 + 1 is rejected by both
+    params = select_chi(N, n)
+    F = field_make(*prime_power(q))
+    expected = q ** (n * (n - 1) // 2)
+    for x in trace_all_fast(params, F):
+        rec = char_poly(params, F, x)
+        c0 = rec.coeffs[0]
+        for const, pure in ((c0, True), (c0 + 1, False)):
+            rec.coeffs = (const,) + rec.coeffs[1:]
+            floating = all(abs(abs(z) - expected) <= 1e-6 * expected
+                           for z in all_embeddings(const))
+            assert verify_det(rec).abs_ok == floating == pure
 
 
 def test_det_skipped_for_non_sum_zero():

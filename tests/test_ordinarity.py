@@ -109,7 +109,7 @@ def test_lucas_examples():
 
 
 def test_lucas_requires_l_power():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="power of l"):
         lucas_check(2, 6, 2, [1, 1], 5)
 
 
@@ -132,5 +132,5 @@ def test_unit_root_requires_slopes():
     test = build_ordinary_test(params, 7)
     K = test.field_v
     rec = char_poly(params, K, K.from_encoding(3))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="newton_polygon first"):
         unit_root_check(test, rec)

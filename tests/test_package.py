@@ -3,6 +3,7 @@ only the layers it uses, and every layer still resolves by name."""
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import types
@@ -112,3 +113,18 @@ def test_running_a_trace_layer_leaves_numpy_unloaded(layer, name):
                        "print(type(m).__name__, 'numpy' in sys.modules)")
     assert out.stderr == "" and out.returncode == 0
     assert out.stdout == "module False\n"
+
+
+def test_every_package_exception_is_bad_input_or_a_failed_check():
+    # bad input is a ValueError (exit 2), a failed check a VerificationFailed
+    # (exit 1); nothing else may escape a subcommand
+    from dwork_forge.util import VerificationFailed
+    errors = []
+    for info in pkgutil.iter_modules(dwork_forge.__path__):
+        mod = importlib.import_module(f"dwork_forge.{info.name}")
+        errors += [cls for cls in vars(mod).values()
+                   if isinstance(cls, type) and issubclass(cls, BaseException)
+                   and cls.__module__ == mod.__name__]
+    assert len(errors) > 10
+    assert [cls.__qualname__ for cls in errors
+            if issubclass(cls, ValueError) == issubclass(cls, VerificationFailed)] == []
