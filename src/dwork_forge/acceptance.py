@@ -327,11 +327,10 @@ def criterion_9(seed):
                 y_checked += len(table)
                 # the witness class is reached by no crystalline extension
                 i, x = br.genericity_obstruction((s_,), (t_,), e, p, f)
-                witness_verdict = br.change_of_variables_solver(
-                    {(i, x): one}, top, bot)
-                check(witness_verdict == br.INFEASIBLE, (e, s_, t_))
+                reached, failures = br.obstruction_frame_verdicts(
+                    top, bot, (i, x))
+                check(not reached, (e, s_, t_))
                 # constructive direction: each clean basis class round-trips
-                failures = br.clean_class_failures(top, bot)
                 check(not failures, (e, s_, t_, failures))
                 # spot check the table against the batch checker and the
                 # one-shot solver, with and without a random unit d

@@ -21,6 +21,14 @@ monodromy condition kills every term of degree l < s_i - e + max(n_{i+1}, 1)
 with l != t_i mod p, and when sum(s_j - t_j - e) < 0 an explicit etale
 witness class exists that no crystalline extension reaches. All rational
 arithmetic is exact.
+
+The change-of-variables relation between Breuil-Kisin classes and etale
+window classes is one sparse linear system per direction and truncation,
+and every class given to it is one right-hand-side column of one
+elimination. obstruction_frame_verdicts decides a whole obstruction frame in
+three: the window normal forms of its clean classes, then the witness and
+those forms back at two truncations, where a verdict that changes between
+them is a WindowTooSmall failure.
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .ff import FFElem, field_make
-from .linalg import sparse_left_null_space, sparse_solve
+from .ff import TABLE_LIMIT, FFElem, TooLarge, field_make
+from .linalg import (sparse_feasible, sparse_left_null_space, sparse_solve,
+                     sparse_solve_columns)
 from .util import VerificationFailed, check
 
 
@@ -588,21 +597,26 @@ def _lambda_bounds(top: RankOneBK, bottom: RankOneBK, data_degrees, margin=0):
     return G, L, U, e_low
 
 
-def _cov_system(given: dict, top: RankOneBK, bottom: RankOneBK,
-                unknown_space, to_etale: bool, margin=0):
+def _cov_solve(givens, top: RankOneBK, bottom: RankOneBK, unknown_space,
+               to_etale: bool, margin=0, verdicts_only=False):
     """Shared solver for the change-of-variables relation
 
         y_j = y'_j + (b)_j u^(t_j) phi(lambda_{j-1}) - (a)_j u^(s_j) lambda_j.
 
     to_etale=False: y' is given, unknowns are (y in unknown_space, lambda).
     to_etale=True: y is given, unknowns are (y' in unknown_space, lambda).
-    Returns (dict for the solved class, lambda list) or INFEASIBLE.
+    The rows are built once, truncated by _lambda_bounds past every given
+    class of givens, and each given class is one right-hand-side column of
+    one elimination. Returns, per given class, (dict for the solved class,
+    lambda list) or INFEASIBLE; with verdicts_only, whether each is
+    feasible, read off the echelon form.
     """
     p, f, e = top.p, top.f, top.e
     F = top.a.field
     s, t = top.s, bottom.s
-    data_degs = set(unknown_space) | set(given)
-    G, L, U, e_low = _lambda_bounds(top, bottom, data_degs, margin)
+    data = set().union(*givens)
+    G, L, U, e_low = _lambda_bounds(top, bottom, data | set(unknown_space),
+                                    margin)
     cls_index = {key: k for k, key in enumerate(sorted(unknown_space))}
     # lambda_{j,l} for L <= l <= U_j is the unknown lam_base[j] + l
     lam_base, k = [], len(cls_index)
@@ -612,37 +626,48 @@ def _cov_system(given: dict, top: RankOneBK, bottom: RankOneBK,
     nunk = k
 
     ca, cb = (F.to_ks(c) for c in _twists(top, bottom))
-    given = dict(zip(given, F.to_ks(given.values())))
-    rows, rhs = [], []
+    terms = {}   # (j, g) -> the row of the equation of degree g at index j
     for j in range(f):
         jp = (j - 1) % f
         # orientation: the unknown class enters with +1; lambda terms carry
         # the sign that moves the given data to the right-hand side
         phi_k = cb[j] if to_etale else F.k_neg(cb[j])
         lam_k = F.k_neg(ca[j]) if to_etale else ca[j]
-        for g in range(e_low, G + 1):
-            row = {}
-            idx = cls_index.get((j, g))
-            if idx is not None:
-                row[idx] = 0
-            gl, rem = divmod(g - t[j], p)
-            if rem == 0 and L <= gl <= U[jp]:
-                row[lam_base[jp] + gl] = phi_k
-            l = g - s[j]
-            if L <= l <= U[j]:
-                _add_term(row, lam_base[j] + l, lam_k, F)
-            b = given.get((j, g))
-            if row or b is not None:
-                rows.append(row)
-                rhs.append(b)
-    sol = sparse_solve(rows, rhs, nunk, F)
-    if sol is None:
-        return INFEASIBLE
-    cls = {key: F.from_dlog(sol[idx]) for key, idx in cls_index.items()
-           if sol[idx] is not None}
-    lam = [{l: F.from_dlog(sol[lam_base[j] + l]) for l in range(L, U[j] + 1)
-            if sol[lam_base[j] + l] is not None} for j in range(f)]
-    return cls, lam
+        # lambda_{j-1,l} enters degree t_j + p l and lambda_{j,l} degree
+        # s_j + l; equations run from e_low to G
+        for l in range(L, min(U[jp], (G - t[j]) // p) + 1):
+            terms[(j, t[j] + p * l)] = {lam_base[jp] + l: phi_k}
+        for l in range(L, U[j] + 1):
+            row = terms.setdefault((j, s[j] + l), {})
+            _add_term(row, lam_base[j] + l, lam_k, F)
+    for key, idx in cls_index.items():
+        terms.setdefault(key, {})[idx] = 0
+    # given data off every equation's index j is not read
+    keys = sorted(terms.keys() | {(j, g) for j, g in data if 0 <= j < f})
+    rows = [terms.get(key, {}) for key in keys]
+    row_of = {key: i for i, key in enumerate(keys)}
+    columns = [{row_of[key]: k for key, k in zip(given, F.to_ks(given.values()))
+                if k is not None and key in row_of} for given in givens]
+    if verdicts_only:
+        return sparse_feasible(rows, columns, nunk, F)
+    out = []
+    for sol in sparse_solve_columns(rows, columns, nunk, F):
+        if sol is None:
+            out.append(INFEASIBLE)
+            continue
+        cls = {key: F.from_dlog(sol[idx]) for key, idx in cls_index.items()
+               if sol[idx] is not None}
+        lam = [{l: F.from_dlog(sol[lam_base[j] + l]) for l in range(L, U[j] + 1)
+                if sol[lam_base[j] + l] is not None} for j in range(f)]
+        out.append((cls, lam))
+    return out
+
+
+def _cov_system(given: dict, top: RankOneBK, bottom: RankOneBK,
+                unknown_space, to_etale: bool, margin=0):
+    """_cov_solve for the one given class: (dict for the solved class,
+    lambda list) or INFEASIBLE."""
+    return _cov_solve([given], top, bottom, unknown_space, to_etale, margin)[0]
 
 
 def _bk_class_space(top: RankOneBK, bottom: RankOneBK):
@@ -703,42 +728,74 @@ def normal_form_in_windows(y: dict, top: RankOneBK, bottom: RankOneBK):
     return verdict[0]
 
 
-def clean_class_failures(top: RankOneBK, bottom: RankOneBK):
-    """The keys (j, l) of the clean basis classes {(j, l): 1}, l < s_j outside
-    the forbidden degrees, whose window normal form, or the change of
-    variables back from it, is infeasible."""
+def obstruction_frame_verdicts(top: RankOneBK, bottom: RankOneBK, witness):
+    """(whether the witness class {witness: 1} is reached by a crystalline
+    extension, the clean-class failures) of one frame, in three
+    eliminations.
+
+    The clean basis classes are {(j, l): 1} for l < s_j outside the
+    forbidden degrees; one fails when its window normal form, or the change
+    of variables back from that form, is infeasible. The normal forms of
+    every clean class come from one to-etale system; the witness and those
+    normal forms are then the columns of one back system at margin 0 and one
+    at margin 2ep, and a verdict that differs between the two raises
+    WindowTooSmall, as in change_of_variables_solver. Verdicts equal those
+    of normal_form_in_windows and change_of_variables_solver class by
+    class: a larger truncation may pick another normal form, but it is
+    equivalent to the first, and reachability is a property of the class.
+    """
+    _check_frame(top, bottom)
     one = top.a.field.one()
-    forbidden = breuil_forbidden_degrees(make_ext_problem(top, bottom))
-    nfs = {(j, l): normal_form_in_windows({(j, l): one}, top, bottom)
-           for j in range(top.f) for l in range(top.s[j]) if l not in forbidden[j]}
-    return [key for key, nf in nfs.items() if nf == INFEASIBLE
-            or change_of_variables_solver(nf, top, bottom) == INFEASIBLE]
+    space = _bk_class_space(top, bottom)
+    # the special degree, when there is one, is at least s_0
+    clean = [(j, l) for j, l in space if l < top.s[j]]
+    nfs = []
+    if clean:
+        nfs = _cov_solve([{key: one} for key in clean], top, bottom,
+                         _window_class_space(top, bottom), to_etale=True)
+    givens = [{witness: one}] + [nf[0] for nf in nfs if nf != INFEASIBLE]
+    v1, v2 = (_cov_solve(givens, top, bottom, space, to_etale=False,
+                         margin=margin, verdicts_only=True)
+              for margin in (0, 2 * top.e * top.p))
+    if v1 != v2:
+        raise WindowTooSmall("verdict changed under widened truncation")
+    back = iter(v1[1:])
+    failures = [key for key, nf in zip(clean, nfs)
+                if nf == INFEASIBLE or not next(back)]
+    return v1[0], failures
 
 
 # ---------------------------------------------------------------------------
 # chain slope forcing
 
+def _levels_fit(hmax, f):
+    """Whether the (hmax + 1)^f levels of f heights hold at most TABLE_LIMIT
+    heights; hmax >= 1 gives at least 2^f levels, so a large f is decided
+    without the power."""
+    if hmax and f >= TABLE_LIMIT.bit_length():
+        return False
+    return (hmax + 1) ** f * f <= TABLE_LIMIT
+
+
 def increasing_chains(d, e, f):
     """Every chain s(1), ..., s(d) of heights in [0, e(d-1)]^f that meets the
     increment condition sum_j(s(i+1)_j - s(i)_j - e) >= 0 at each step. Each
     step adds at least ef to the level total, which ends at most at e(d-1)f,
-    so the totals are exactly 0, ef, ..., ef(d-1)."""
+    so the totals are exactly 0, ef, ..., ef(d-1), and the chains are the
+    product of the level lists with those totals, in lexicographic order.
+
+    The (e(d-1) + 1)^f levels are built first: TooLarge, before any of them,
+    when they hold more than TABLE_LIMIT heights."""
     if min(d, e, f) < 1:
         raise PreconditionViolated("d, e and f must be at least 1")
     hmax = e * (d - 1)
+    if not _levels_fit(hmax, f):
+        raise TooLarge(f"(d, e, f) = {(d, e, f)}: the (e(d-1) + 1)^f levels "
+                       f"of f heights exceed table limit {TABLE_LIMIT}")
     by_sum = {}
     for level in product(range(hmax + 1), repeat=f):
         by_sum.setdefault(sum(level), []).append(level)
-
-    def extend(chain, low):
-        if len(chain) == d:
-            yield chain
-            return
-        for total in range(low, hmax * f - (d - 1 - len(chain)) * e * f + 1):
-            for level in by_sum.get(total, ()):
-                yield from extend(chain + (level,), total + e * f)
-
-    yield from extend((), 0)
+    return product(*(by_sum[i * e * f] for i in range(d)))
 
 
 def chain_slope_check(chain, e):

@@ -157,11 +157,10 @@ def _frame_report(p, e, f, s, t, F):
         entry["obstruction"] = {"i": i, "x": x}
         top = br.make_rank_one(p, f, e, s, one)
         bot = br.make_rank_one(p, f, e, t, one)
-        wit = br.change_of_variables_solver({(i, x): one}, top, bot)
-        in_window_ok = not br.clean_class_failures(top, bot)
+        reached, failures = br.obstruction_frame_verdicts(top, bot, (i, x))
         entry["solver"] = {
-            "witness": "infeasible" if wit == br.INFEASIBLE else "feasible",
-            "in_window": "feasible" if in_window_ok else "infeasible"}
+            "witness": "feasible" if reached else "infeasible",
+            "in_window": "infeasible" if failures else "feasible"}
     return entry
 
 

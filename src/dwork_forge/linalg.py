@@ -14,7 +14,9 @@ column-order Gauss-Jordan gives. det reads the pivots of the echelon form;
 mat_inv, solve_linear, null_space and left_null_space read the reduced form
 of FFElem matrices, and sparse_solve, sparse_null_space and
 sparse_left_null_space that of sparse dlog rows, which is how the Breuil
-systems are built.
+systems are built. sparse_solve_columns solves one system for several
+right-hand sides in one elimination, each a column after the unknowns, and
+sparse_feasible reads only their verdicts off the echelon form.
 """
 
 from __future__ import annotations
@@ -103,6 +105,59 @@ def _transpose(rows, ncols):
 
 # -- sparse dlog interface ----------------------------------------------------
 
+def _augmented_echelon(rows, columns, ncols, field: FieldDesc):
+    """(_echelon of rows augmented by the right-hand sides, the indices of
+    the inconsistent ones).
+
+    Right-hand side k is a sparse dlog column {row index: dlog} and sits at
+    column ncols + k, after every unknown, so the pivots fall on unknowns
+    first. Right-hand side k is inconsistent exactly when a pivot row whose
+    pivot lies past the unknowns has an entry at ncols + k: those rows span
+    the combinations of right-hand sides that the left null vectors of rows
+    read.
+    """
+    aug = list(rows)
+    for k, column in enumerate(columns):
+        for i, b in column.items():
+            if aug[i] is rows[i]:
+                aug[i] = dict(rows[i])
+            aug[i][ncols + k] = b
+    pivots = _echelon(aug, field)
+    bad = {k - ncols for c, row in pivots.items() if c >= ncols for k in row}
+    return pivots, bad
+
+
+def sparse_feasible(rows, columns, ncols, field: FieldDesc):
+    """Whether rows * x = b has a solution, for each sparse dlog column b of
+    columns ({row index: dlog}), read off one echelon form."""
+    _, bad = _augmented_echelon(rows, columns, ncols, field)
+    return [k not in bad for k in range(len(columns))]
+
+
+def sparse_solve_columns(rows, columns, ncols, field: FieldDesc):
+    """One solution of rows * x = b for each sparse dlog column b of columns
+    ({row index: dlog}), for sparse dlog rows over ncols columns, from one
+    elimination.
+
+    Each entry is the dlogs of x with free variables set to zero, or None
+    when that right-hand side is inconsistent: per column, exactly what
+    sparse_solve gives. The pivot rows past the unknowns are left out of the
+    back reduction; they are zero at every consistent column.
+    """
+    pivots, bad = _augmented_echelon(rows, columns, ncols, field)
+    R = _back_reduce({c: row for c, row in pivots.items() if c < ncols}, field)
+    out = []
+    for k in range(len(columns)):
+        if k in bad:
+            out.append(None)
+            continue
+        x = [None] * ncols
+        for c, row in R.items():
+            x[c] = row.get(ncols + k)
+        out.append(x)
+    return out
+
+
 def sparse_solve(rows, rhs, ncols, field: FieldDesc):
     """One solution of rows * x = rhs, for sparse dlog rows over ncols
     columns and a dlog right-hand side.
@@ -110,14 +165,8 @@ def sparse_solve(rows, rhs, ncols, field: FieldDesc):
     Returns the dlogs of x with free variables set to zero, or None when the
     system is inconsistent.
     """
-    aug = [row if b is None else {**row, ncols: b} for row, b in zip(rows, rhs)]
-    pivots = _echelon(aug, field)
-    if ncols in pivots:
-        return None
-    x = [None] * ncols
-    for c, row in _back_reduce(pivots, field).items():
-        x[c] = row.get(ncols)
-    return x
+    column = {i: b for i, b in enumerate(rhs) if b is not None}
+    return sparse_solve_columns(rows, [column], ncols, field)[0]
 
 
 def sparse_null_space(rows, ncols, field: FieldDesc):

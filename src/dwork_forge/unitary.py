@@ -23,7 +23,7 @@ from itertools import chain
 
 from .ff import (FFElem, FieldDesc, NotPrime, _is_prime, check_table_size,
                  embed, extension_of, field_make, prime_power, pull_back)
-from .linalg import _echelon, det, mat_identity, mat_inv, mat_mul
+from .linalg import _echelon, det, mat_inv, mat_mul
 from .util import VerificationFailed, check
 
 
@@ -347,11 +347,8 @@ def sym_power_embed(beta: int, n: int, m: int, p: int):
     b2 = embed(Fp.from_int(beta), Fp2)
     if b2.is_zero():
         raise ValueError("beta must be nonzero mod p")
-    A = [[b2, Fp2.zero()], [Fp2.zero(), b2.inv()]]
-    An = A
-    Mn = mat_identity(Fp2, 2)
-    for _ in range(n):
-        Mn = mat_mul(Mn, A)
+    # diag(beta, beta^(-1))^n = diag(beta^n, beta^(-n)): one dlog product each
+    Mn = [[b2 ** n, Fp2.zero()], [Fp2.zero(), b2 ** -n]]
     S = sym_power_matrix(Mn, m)
     if m == 1:
         return S, [Fp2.one()], embed(Fp.from_int(beta * beta % p), Fp2)

@@ -331,9 +331,10 @@ def test_check_raises_verification_failed():
 OPTIMIZED_BREAKS = {
     "witness bounds": (8, "breuil.genericity_obstruction = "
                           "lambda s, t, e, p, f: (0, t[0])"),
-    "witness verdict": (9, "breuil.change_of_variables_solver = "
-                           "lambda y, top, bot: 'feasible'"),
-    "clean classes": (9, "breuil.clean_class_failures = lambda top, bot: ['x']"),
+    "witness verdict": (9, "breuil.obstruction_frame_verdicts = "
+                           "lambda top, bot, witness: (True, [])"),
+    "clean classes": (9, "breuil.obstruction_frame_verdicts = "
+                         "lambda top, bot, witness: (False, ['x'])"),
     "spot checks": (9, "breuil.monodromy_feasibility_checker = "
                        "lambda top, bot: (None, lambda y: None)"),
     "chain slopes": (10, "breuil.chain_slope_check = lambda chain, e: False"),

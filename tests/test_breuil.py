@@ -21,8 +21,10 @@ from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 _monodromy_weights, make_rank_one,
                                 monodromy_feasibility_checker,
                                 monodromy_verdict_table,
-                                normal_form_in_windows, slope_data,
+                                normal_form_in_windows,
+                                obstruction_frame_verdicts, slope_data,
                                 solve_monodromy)
+from dwork_forge import linalg
 from dwork_forge.ff import IncompatibleFields, field_make
 
 F5 = field_make(5, 1)
@@ -476,6 +478,129 @@ def test_change_of_variables_witness_and_roundtrip():
                     assert change_of_variables_solver(nf, top, bot) != INFEASIBLE
 
 
+def obstruction_frames(p, f, es):
+    """(top, bottom, witness) for every frame of the breuil-generic sweep
+    at (p, f) and each e of es with sum(s_j - t_j - e) < 0, a = b = 1."""
+    one = field_make(p, f).one()
+    for e in es:
+        hi = e * (p - 2)
+        for s in product(range(hi + 1), repeat=f):
+            for t in product(range(hi + 1), repeat=f):
+                if sum(s[j] - t[j] - e for j in range(f)) < 0:
+                    yield (make_rank_one(p, f, e, s, one),
+                           make_rank_one(p, f, e, t, one),
+                           genericity_obstruction(s, t, e, p, f))
+
+
+def per_class_verdicts(top, bot, witness):
+    """obstruction_frame_verdicts one class at a time, through
+    change_of_variables_solver and normal_form_in_windows."""
+    one = top.a.field.one()
+    reached = change_of_variables_solver({witness: one}, top, bot) != INFEASIBLE
+    forb = breuil_forbidden_degrees(make_ext_problem(top, bot))
+    failures = []
+    for j in range(top.f):
+        for l in range(top.s[j]):
+            if l in forb[j]:
+                continue
+            nf = normal_form_in_windows({(j, l): one}, top, bot)
+            if nf == INFEASIBLE or change_of_variables_solver(
+                    nf, top, bot) == INFEASIBLE:
+                failures.append((j, l))
+    return reached, failures
+
+
+@pytest.mark.parametrize("p,f,es", [(5, 1, (1, 2, 3)), (3, 2, (1, 2))])
+def test_frame_verdicts_match_the_per_class_solvers(p, f, es):
+    chi_equal_frames = 0
+    for top, bot, witness in obstruction_frames(p, f, es):
+        assert obstruction_frame_verdicts(top, bot, witness) == \
+            per_class_verdicts(top, bot, witness), (top.s, bot.s, top.e)
+        chi_equal_frames += chi_equal(top, bot)
+    assert chi_equal_frames > 0      # frames with the special degree are in
+
+
+def test_frame_verdicts_read_a_reachable_witness():
+    # a window class that a crystalline extension reaches reads reached
+    top = make_rank_one(5, 1, 2, (3,), ONE)
+    bot = make_rank_one(5, 1, 2, (0,), ONE)
+    assert per_class_verdicts(top, bot, (0, 2)) == (True, [])
+    assert obstruction_frame_verdicts(top, bot, (0, 2)) == (True, [])
+
+
+@pytest.mark.parametrize("p,e,f", [(3, 2, 2), (7, 3, 1), (5, 2, 1)])
+def test_three_eliminations_per_obstruction_frame(monkeypatch, p, e, f):
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(rows, field):
+        calls.append(1)
+        return echelon(rows, field)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    kinds = Counter()
+    for top, bot, witness in obstruction_frames(p, f, (e,)):
+        calls.clear()
+        obstruction_frame_verdicts(top, bot, witness)
+        forb = breuil_forbidden_degrees(make_ext_problem(top, bot))
+        clean = any(l not in forb[j] for j in range(f) for l in range(top.s[j]))
+        # one to-etale system for the clean classes (none without one), and
+        # the back system at margin 0 and at margin 2ep
+        assert len(calls) == (3 if clean else 2), (top.s, bot.s)
+        kinds[clean] += 1
+    assert kinds[True] > 0
+
+
+def test_frame_guard_reruns_the_back_system_at_margin_2ep(monkeypatch):
+    from dwork_forge import breuil
+    from dwork_forge.breuil import WindowTooSmall
+    solve = breuil._cov_solve
+    margins = []
+
+    def spy(givens, *args, margin=0, verdicts_only=False, **kwargs):
+        out = solve(givens, *args, margin=margin, verdicts_only=verdicts_only,
+                    **kwargs)
+        if verdicts_only:
+            margins.append(margin)
+        return out
+
+    monkeypatch.setattr(breuil, "_cov_solve", spy)
+    top, bot, witness = next(obstruction_frames(5, 1, (2,)))
+    obstruction_frame_verdicts(top, bot, witness)
+    assert margins == [0, 2 * 2 * 5]
+
+    def flipped(givens, *args, margin=0, verdicts_only=False, **kwargs):
+        out = solve(givens, *args, margin=margin, verdicts_only=verdicts_only,
+                    **kwargs)
+        return [not out[0]] + out[1:] if margin else out
+
+    monkeypatch.setattr(breuil, "_cov_solve", flipped)
+    with pytest.raises(WindowTooSmall):
+        obstruction_frame_verdicts(top, bot, witness)
+
+
+@pytest.mark.parametrize("to_etale", [False, True])
+def test_cov_truncation_reaches_every_given_class(to_etale):
+    # at s = 3, t = 0, p = 5 only lambda_{-44} reaches u^-41 (not a multiple
+    # of p), its phi-term u^-220 only lambda_{-223}, and so on down forever:
+    # u^-41 is infeasible. u^-40 is the phi-term of lambda_{-8}, whose other
+    # term u^-5 is that of lambda_{-1}, whose other term u^2 is a class
+    # degree in both directions: feasible, but only with lambda indices
+    # below the unknowns' own truncation (L = -3), so the truncation must
+    # reach past the given data, alone or in a batch
+    from dwork_forge.breuil import _bk_class_space, _cov_solve, _window_class_space
+    top = make_rank_one(5, 1, 2, (3,), ONE)
+    bot = make_rank_one(5, 1, 2, (0,), ONE)
+    space = (_window_class_space if to_etale else _bk_class_space)(top, bot)
+    givens = [{(0, -41): ONE}, {}, {(0, -40): ONE},
+              {(0, 1): ONE, (0, -41): ONE}]
+    verdicts = _cov_solve(givens, top, bot, space, to_etale,
+                          verdicts_only=True)
+    assert verdicts == [False, True, True, False]
+    sols = _cov_solve(givens, top, bot, space, to_etale)
+    assert [sol != INFEASIBLE for sol in sols] == verdicts
+
+
 def test_etale_phi_class_support_checked():
     from dwork_forge.breuil import make_etale_class
     top = make_rank_one(5, 1, 2, (3,), ONE)
@@ -578,3 +703,17 @@ def test_chain_count_is_the_closed_form(d, e, f):
 def test_increasing_chains_reject_small_parameters(d, e, f):
     with pytest.raises(PreconditionViolated):
         next(increasing_chains(d, e, f))
+
+
+def test_chain_level_bound_is_the_table_limit():
+    from dwork_forge.breuil import _levels_fit
+    from dwork_forge.ff import TABLE_LIMIT, TooLarge
+    # 2^16 levels of 16 heights is exactly the limit; d = 1 has one level
+    assert _levels_fit(1, 16) and not _levels_fit(1, 17)
+    assert _levels_fit(0, TABLE_LIMIT) and not _levels_fit(0, TABLE_LIMIT + 1)
+    assert not _levels_fit(10 ** 30, 1) and not _levels_fit(1, 10 ** 20)
+    assert len(list(increasing_chains(2, 1, 16))) == 1
+    with pytest.raises(TooLarge):
+        increasing_chains(2, 1, 17)
+    with pytest.raises(PreconditionViolated):    # checked before the size
+        increasing_chains(0, 1, 10 ** 20)

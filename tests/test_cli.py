@@ -393,6 +393,10 @@ def test_failed_check_in_a_subcommand_is_one_error_line(capsys, monkeypatch, arg
     "ordinary-scan --N 999983 --n 2 --l 7",
     "ordinary-scan --N 2147483659 --n 2 --R 1,2147483658 --l 7",
     "ordinary-scan --N 2147483659 --n 3 --l 7",
+    # the chain search's level table, (e(d-1) + 1)^f levels of f heights
+    "breuil-chain --d 2 --e 1 --f 100000000000000000000",
+    "breuil-chain --d 3 --e 1 --f 30",
+    "breuil-chain --d 1 --e 1 --f 100000000000000000000",
 ])
 def test_large_N_is_refused_before_any_enumeration(capsys, argv):
     t0 = time.perf_counter()
@@ -401,3 +405,10 @@ def test_large_N_is_refused_before_any_enumeration(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_long_chain_is_not_a_recursion(capsys):
+    # one chain of 2000 levels: the enumeration has no recursion depth
+    code, out = run_cli(capsys, "breuil-chain", "--d", "2000", "--e", "1",
+                        "--f", "1")
+    assert code == 0 and json.loads(out)["chains_checked"] == 1

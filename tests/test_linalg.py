@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from dwork_forge.ff import IncompatibleFields, field_make
 from dwork_forge.linalg import (SingularMatrix, det, left_null_space,
                                 mat_identity, mat_inv, mat_mul, null_space,
-                                solve_linear)
+                                solve_linear, sparse_feasible, sparse_solve,
+                                sparse_solve_columns)
 from dwork_forge.unitary import _gram_ks, _pairing, char_poly_matrix, gu_fields
 
 F = field_make(5, 1)
@@ -366,3 +368,63 @@ def test_null_spaces():
             assert all(y.is_zero() for y in img)
         # rank-nullity
         assert len(null_space(A, F)) == 5 - (3 - len(left_null_space(A, F)))
+
+
+def random_sparse_system(rng, field, nrows, ncols, ncolumns):
+    """Sparse dlog rows (one of them empty, one the sum of two others) and
+    right-hand-side columns {row index: dlog}: consistent ones A x, the same
+    with an entry at the empty row added (inconsistent), and a zero column."""
+    L = field.q - 1
+    rows = [{j: rng.randrange(L) for j in range(ncols) if rng.random() < 0.3}
+            for _ in range(nrows - 2)]
+    total = dict(rows[0])
+    for j, k in rows[1].items():
+        v = field.k_add(total.pop(j, None), k)
+        if v is not None:
+            total[j] = v
+    rows += [{}, total]
+    empty = nrows - 2
+    columns = [{}]
+    while len(columns) < ncolumns:
+        x = [rng.randrange(L) if rng.random() < 0.6 else None
+             for _ in range(ncols)]
+        b = {}
+        for i, row in enumerate(rows):
+            acc = None
+            for j, k in row.items():
+                acc = field.k_add(acc, field.k_mul(k, x[j]))
+            if acc is not None:
+                b[i] = acc
+        if rng.random() < 0.4:
+            b[empty] = rng.randrange(L)
+        columns.append(b)
+    rng.shuffle(columns)
+    return rows, columns
+
+
+@pytest.mark.parametrize("field", [field_make(5, 1), field_make(3, 2),
+                                   field_make(7, 2)], ids=["F5", "F9", "F49"])
+def test_multi_column_solve_matches_one_column_solves(field):
+    rng = random.Random(field.q)
+    seen = Counter()
+    for _ in range(30):
+        nrows, ncols = rng.randint(4, 12), rng.randint(1, 12)
+        rows, columns = random_sparse_system(rng, field, nrows, ncols,
+                                             rng.randint(1, 6))
+        before = [dict(row) for row in rows]
+        dense = [field.from_ks([row.get(j) for j in range(ncols)])
+                 for row in rows]
+        sols = sparse_solve_columns(rows, columns, ncols, field)
+        verdicts = sparse_feasible(rows, columns, ncols, field)
+        assert rows == before                  # the inputs are left as they are
+        for column, sol, ok in zip(columns, sols, verdicts):
+            rhs = [column.get(i) for i in range(nrows)]
+            assert sol == sparse_solve(rows, rhs, ncols, field)
+            assert ok == (sol is not None)
+            ref = ref_solve(dense, field.from_ks(rhs), field)
+            assert (sol is None) == (ref is None)
+            if sol is not None:
+                assert field.from_ks(sol) == ref
+            seen["zero" if not column else
+                 "consistent" if ok else "inconsistent"] += 1
+    assert min(seen[kind] for kind in ("zero", "consistent", "inconsistent")) > 5

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import chain
 
 import pytest
@@ -209,6 +210,16 @@ def test_sym_power_embed(p, m, n, beta):
             break
     else:
         pytest.fail("spectrum does not match up to scalar")
+
+
+@pytest.mark.parametrize("n", [10 ** 9, 10 ** 9 + 3])
+def test_sym_power_embed_large_exponent_is_one_dlog_step(n):
+    # diag(beta, beta^-1)^n is formed by dlogs, not n products: a huge n
+    # answers at once and equals n mod p^2 - 1, the order of F_{p^2}^x
+    t0 = time.perf_counter()
+    B, eigs, alpha = sym_power_embed(2, n, 3, 11)
+    assert time.perf_counter() - t0 < 1.0
+    assert (B, eigs, alpha) == sym_power_embed(2, n % (11 ** 2 - 1), 3, 11)
 
 
 def test_induced_spectrum():
