@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .ff import TABLE_LIMIT, FFElem, TooLarge, field_make
 from .linalg import (sparse_feasible, sparse_left_null_space, sparse_solve,
@@ -191,43 +192,31 @@ def slope_data(s, t, e, p, f):
 class ExtProblem:
     """Extension of top = M(s;a) by bottom = M(t;b), with candidate y data.
 
-    y maps (component index, degree) -> coefficient in F. special_term, when
-    set, is the (index, degree) of the one extra term permitted by a nonzero
-    map top -> bottom.
+    y maps (component index, degree) -> coefficient in F; the index is read
+    mod f.
     """
     top: RankOneBK
     bottom: RankOneBK
     n: tuple
-    r: tuple
     y: dict
-    special_term: tuple | None = None
 
     @property
     def frame(self):
         return (self.top.p, self.top.f, self.top.e)
 
 
-def make_ext_problem(top: RankOneBK, bottom: RankOneBK, y=None,
-                     special_index=None) -> ExtProblem:
+def make_ext_problem(top: RankOneBK, bottom: RankOneBK, y=None) -> ExtProblem:
     _check_frame(top, bottom)
     p, f, e = top.p, top.f, top.e
-    n, r = slope_data(top.s, bottom.s, e, p, f)
-    degs, special = bk_extension_degrees(top, bottom)
-    special_term = None
-    if special_index is not None:
-        if special is None:
-            raise ValueError("no special degree: no nonzero map top -> bottom")
-        special_term = (special_index, special[special_index])
+    n, _ = slope_data(top.s, bottom.s, e, p, f)
+    degs, _ = bk_extension_degrees(top, bottom)
     y = dict(y or {})
     for (j, deg), cval in y.items():
-        allowed = set(degs[j % f])
-        if special_term is not None and special_term[0] == j % f:
-            allowed.add(special_term[1])
-        if deg not in allowed:
+        if deg not in degs[j % f]:
             raise ValueError(f"degree {deg} not allowed for y_{j}")
         if not isinstance(cval, FFElem):
             raise TypeError("y coefficients must be field elements")
-    return ExtProblem(top, bottom, n, r, y, special_term)
+    return ExtProblem(top, bottom, n, y)
 
 
 def bk_extension_degrees(top: RankOneBK, bottom: RankOneBK):
@@ -377,41 +366,6 @@ def solve_monodromy(problem: ExtProblem, d_unit=None):
         mu.append({m: F.from_dlog(k) for m, k in enumerate(comp, 1)
                    if k is not None})
     return mu
-
-
-@dataclass
-class EtalePhiClass:
-    """An etale extension class in image-window normal form.
-
-    y maps (component index, degree) -> coefficient; support must lie in the
-    image windows, plus the one special degree at the chosen index when
-    chi_1 = chi_2. Construct through make_etale_class to get the support
-    check.
-    """
-    top: RankOneBK
-    bottom: RankOneBK
-    y: dict
-
-    def __post_init__(self):
-        f = self.top.f
-        windows, _, special = etale_image_windows(self.top, self.bottom)
-        in_windows = {(j, l) for j in range(f) for l in windows[j]}
-        specials = set() if special is None else set(enumerate(special))
-        spec_used = [key for key in self.y
-                     if (key[0] % f, key[1]) in specials and key not in in_windows]
-        if len(spec_used) > 1:
-            raise ValueError("only one special term is allowed")
-        allowed = in_windows | specials
-        for (j, l), c in self.y.items():
-            if (j % f, l) not in allowed:
-                raise ValueError(f"degree {l} at index {j} outside the windows")
-            if not isinstance(c, FFElem):
-                raise TypeError("coefficients must be field elements")
-
-
-def make_etale_class(top: RankOneBK, bottom: RankOneBK, y: dict) -> EtalePhiClass:
-    _check_frame(top, bottom)
-    return EtalePhiClass(top, bottom, dict(y))
 
 
 def _monodromy_weights(top: RankOneBK, bottom: RankOneBK):
@@ -605,6 +559,7 @@ def _cov_solve(givens, top: RankOneBK, bottom: RankOneBK, unknown_space,
 
     to_etale=False: y' is given, unknowns are (y in unknown_space, lambda).
     to_etale=True: y is given, unknowns are (y' in unknown_space, lambda).
+    A given index j is read mod f, and terms that land on one key add up.
     The rows are built once, truncated by _lambda_bounds past every given
     class of givens, and each given class is one right-hand-side column of
     one elimination. Returns, per given class, (dict for the solved class,
@@ -614,7 +569,13 @@ def _cov_solve(givens, top: RankOneBK, bottom: RankOneBK, unknown_space,
     p, f, e = top.p, top.f, top.e
     F = top.a.field
     s, t = top.s, bottom.s
-    data = set().union(*givens)
+    given_ks = []   # per given class, {(j mod f, g): dlog of the sum}
+    for given in givens:
+        col = {}
+        for (j, g), k in zip(given, F.to_ks(given.values())):
+            col[(j % f, g)] = F.k_add(col.get((j % f, g)), k)
+        given_ks.append(col)
+    data = set().union(*given_ks)
     G, L, U, e_low = _lambda_bounds(top, bottom, data | set(unknown_space),
                                     margin)
     cls_index = {key: k for k, key in enumerate(sorted(unknown_space))}
@@ -642,12 +603,11 @@ def _cov_solve(givens, top: RankOneBK, bottom: RankOneBK, unknown_space,
             _add_term(row, lam_base[j] + l, lam_k, F)
     for key, idx in cls_index.items():
         terms.setdefault(key, {})[idx] = 0
-    # given data off every equation's index j is not read
-    keys = sorted(terms.keys() | {(j, g) for j, g in data if 0 <= j < f})
+    keys = sorted(terms.keys() | data)
     rows = [terms.get(key, {}) for key in keys]
     row_of = {key: i for i, key in enumerate(keys)}
-    columns = [{row_of[key]: k for key, k in zip(given, F.to_ks(given.values()))
-                if k is not None and key in row_of} for given in givens]
+    columns = [{row_of[key]: k for key, k in col.items() if k is not None}
+               for col in given_ks]
     if verdicts_only:
         return sparse_feasible(rows, columns, nunk, F)
     out = []
@@ -661,13 +621,6 @@ def _cov_solve(givens, top: RankOneBK, bottom: RankOneBK, unknown_space,
                 if sol[lam_base[j] + l] is not None} for j in range(f)]
         out.append((cls, lam))
     return out
-
-
-def _cov_system(given: dict, top: RankOneBK, bottom: RankOneBK,
-                unknown_space, to_etale: bool, margin=0):
-    """_cov_solve for the one given class: (dict for the solved class,
-    lambda list) or INFEASIBLE."""
-    return _cov_solve([given], top, bottom, unknown_space, to_etale, margin)[0]
 
 
 def _bk_class_space(top: RankOneBK, bottom: RankOneBK):
@@ -695,19 +648,17 @@ def _window_class_space(top: RankOneBK, bottom: RankOneBK):
 def change_of_variables_solver(y_prime, top: RankOneBK, bottom: RankOneBK):
     """Decide whether the etale class y' is reached by a crystalline extension.
 
-    y_prime is an EtalePhiClass or a raw dict (j, degree) -> coefficient.
-    Solves for (y, lambda) with y in the BK-allowed-minus-forbidden space.
+    y_prime maps (j, degree) -> coefficient, with j read mod f. Solves for
+    (y, lambda) with y in the BK-allowed-minus-forbidden space.
     The truncation bounds of _lambda_bounds are provably sufficient; as a
     guard they are re-run once with widened margins and a changed verdict is
     a hard WindowTooSmall error (it never fires).
     """
-    if isinstance(y_prime, EtalePhiClass):
-        y_prime = y_prime.y
     _check_frame(top, bottom)
     space = _bk_class_space(top, bottom)
-    v1 = _cov_system(y_prime, top, bottom, space, to_etale=False)
-    v2 = _cov_system(y_prime, top, bottom, space, to_etale=False,
-                     margin=2 * top.e * top.p)
+    v1, v2 = (_cov_solve([y_prime], top, bottom, space, to_etale=False,
+                         margin=margin)[0]
+              for margin in (0, 2 * top.e * top.p))
     if (v1 == INFEASIBLE) != (v2 == INFEASIBLE):
         raise WindowTooSmall("verdict changed under widened truncation")
     return v1
@@ -722,7 +673,7 @@ def normal_form_in_windows(y: dict, top: RankOneBK, bottom: RankOneBK):
     """
     _check_frame(top, bottom)
     space = _window_class_space(top, bottom)
-    verdict = _cov_system(y, top, bottom, space, to_etale=True)
+    verdict = _cov_solve([y], top, bottom, space, to_etale=True)[0]
     if verdict == INFEASIBLE:
         return INFEASIBLE
     return verdict[0]
@@ -785,7 +736,8 @@ def increasing_chains(d, e, f):
     product of the level lists with those totals, in lexicographic order.
 
     The (e(d-1) + 1)^f levels are built first: TooLarge, before any of them,
-    when they hold more than TABLE_LIMIT heights."""
+    when they hold more than TABLE_LIMIT heights, and before the first chain
+    when there are more than TABLE_LIMIT chains."""
     if min(d, e, f) < 1:
         raise PreconditionViolated("d, e and f must be at least 1")
     hmax = e * (d - 1)
@@ -795,7 +747,12 @@ def increasing_chains(d, e, f):
     by_sum = {}
     for level in product(range(hmax + 1), repeat=f):
         by_sum.setdefault(sum(level), []).append(level)
-    return product(*(by_sum[i * e * f] for i in range(d)))
+    lists = [by_sum[i * e * f] for i in range(d)]
+    count = prod(map(len, lists))
+    if count > TABLE_LIMIT:
+        raise TooLarge(f"(d, e, f) = {(d, e, f)}: {count} chains exceed "
+                       f"table limit {TABLE_LIMIT}")
+    return product(*lists)
 
 
 def chain_slope_check(chain, e):

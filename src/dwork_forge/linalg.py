@@ -11,12 +11,12 @@ pivot rows found so far, and _back_reduce turns its echelon form into the
 reduced row echelon form. Pivot columns and the reduced form depend on the
 matrix alone, not on the order of elimination, so every result is the one
 column-order Gauss-Jordan gives. det reads the pivots of the echelon form;
-mat_inv, solve_linear, null_space and left_null_space read the reduced form
-of FFElem matrices, and sparse_solve, sparse_null_space and
-sparse_left_null_space that of sparse dlog rows, which is how the Breuil
-systems are built. sparse_solve_columns solves one system for several
-right-hand sides in one elimination, each a column after the unknowns, and
-sparse_feasible reads only their verdicts off the echelon form.
+mat_inv, solve_linear and null_space read the reduced form of FFElem
+matrices, and sparse_solve, sparse_null_space and sparse_left_null_space
+that of sparse dlog rows, which is how the Breuil systems are built.
+sparse_solve_columns solves one system for several right-hand sides in one
+elimination, each a column after the unknowns, and sparse_feasible reads
+only their verdicts off the echelon form.
 """
 
 from __future__ import annotations
@@ -223,14 +223,6 @@ def null_space(rows, field: FieldDesc):
         return []
     return [field.from_ks(v) for v in
             sparse_null_space(_sparse(rows, field), len(rows[0]), field)]
-
-
-def left_null_space(rows, field: FieldDesc):
-    """Basis of {v : v * rows = 0}; empty when rows has no columns."""
-    if not rows or not rows[0]:
-        return []
-    return [field.from_ks(v) for v in
-            sparse_left_null_space(_sparse(rows, field), len(rows[0]), field)]
 
 
 def solve_linear(rows, rhs, field: FieldDesc):

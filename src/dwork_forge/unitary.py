@@ -9,8 +9,8 @@ The normalization layer runs on dlog rows (an entry is its dlog, or None for
 zero; conjugation multiplies a dlog by q). HermitianSpace holds the Gram
 matrix that way and checks it once; normal_form is the one Gram-Schmidt
 kernel and certifies_identity the one check of C-dagger A C = I. FFElem
-matrices appear only at the interface: hermitian_space, diagonalize_to_identity,
-_pairing and _find_anisotropic convert on the way in and out.
+matrices appear only at the interface: hermitian_space, diagonalize_to_identity
+and _pairing convert on the way in and out.
 
 The symmetric-power embedding and induced-representation spectra realize the
 matrix constructions used in the big-image arguments.
@@ -24,11 +24,7 @@ from itertools import chain
 from .ff import (FFElem, FieldDesc, NotPrime, _is_prime, check_table_size,
                  embed, extension_of, field_make, prime_power, pull_back)
 from .linalg import _echelon, det, mat_inv, mat_mul
-from .util import VerificationFailed, check
-
-
-class NoSolution(VerificationFailed):
-    pass
+from .util import check
 
 
 class Degenerate(ValueError):
@@ -75,28 +71,6 @@ def hilbert90_eta(lam: FFElem, q: int) -> FFElem:
     if lam.is_zero() or lam.k % (q - 1):
         raise ValueError("input must have norm 1")
     return lam.field.from_dlog(lam.k // (q - 1))
-
-
-def norm_preimage(c: FFElem, q: int) -> FFElem:
-    """The first eta (in dlog order) with eta^(q+1) = c, for c in F_q^x
-    embedded in F_{q^2}: g^(dlog(c) / (q+1))."""
-    if c.is_zero() or c.k % (q + 1):
-        raise NoSolution(f"no norm preimage of {c}")
-    return c.field.from_dlog(c.k // (q + 1))
-
-
-@dataclass
-class GUElement:
-    """A matrix known to lie in GU_n, with its multiplier cached."""
-    matrix: list
-    multiplier: FFElem
-
-
-def gu_element(M, q, Fq: FieldDesc) -> GUElement:
-    mult = is_gu(M, q, Fq)
-    if mult is None:
-        raise ValueError("matrix is not in GU_n")
-    return GUElement([row[:] for row in M], mult)
 
 
 def _conj(ks, q, L):
@@ -236,13 +210,6 @@ def _anisotropic(field, A, vectors, q):
                 if add(mul(c * q, wv), mul(c, vw)) is not None:
                     return [add(x, mul(c, y)) for x, y in zip(v, w)]
     raise Degenerate("no anisotropic vector: form degenerate on the span")
-
-
-def _find_anisotropic(G, vectors, q):
-    """_anisotropic for the form G = _gram_ks(A) and FFElem vectors."""
-    field, A = G
-    ks = [field.to_ks(v) for v in vectors]
-    return field.from_ks(_anisotropic(field, A, ks, q))
 
 
 def conjugate_into_gu(generators, P, q):
@@ -512,26 +479,3 @@ def induced_spectrum(psi_values, field: FieldDesc):
     mu_m = sorted(((efield.q - 1) // m * j) % (efield.q - 1) for j in range(m))
     check(ratios == mu_m, (ratios, mu_m))
     return eigs
-
-
-def eigenvalue_genericity(alpha: int, m: int, n: int, p: int) -> bool:
-    """True iff the m*n products alpha^i zeta^j (i < n, j < m, zeta of exact
-    order m) are pairwise distinct, in the smallest field containing mu_m."""
-    k = 1
-    while (p ** k - 1) % m != 0:
-        k += 1
-    Fp = field_make(p, 1)
-    if k == 1:
-        F = Fp
-        a = F.from_int(alpha)
-    else:
-        F = extension_of(Fp, k)
-        a = embed(Fp.from_int(alpha), F)
-    if a.is_zero():
-        raise ValueError("alpha must be nonzero mod p")
-    zeta = F.from_dlog((F.q - 1) // m)
-    seen = set()
-    for i in range(n):
-        for j in range(m):
-            seen.add((a ** i * zeta ** j).k)
-    return len(seen) == m * n

@@ -602,18 +602,38 @@ def test_cov_truncation_reaches_every_given_class(to_etale):
 
 
 def test_etale_phi_class_support_checked():
-    from dwork_forge.breuil import make_etale_class
     top = make_rank_one(5, 1, 2, (3,), ONE)
     bot = make_rank_one(5, 1, 2, (0,), ONE)
-    cls = make_etale_class(top, bot, {(0, 2): ONE, (0, 3): ONE})
+    cls = {(0, 2): ONE, (0, 3): ONE}
     assert change_of_variables_solver(cls, top, bot) != INFEASIBLE
-    with pytest.raises(ValueError):
-        make_etale_class(top, bot, {(0, 7): ONE})
-    # chi-equal pair admits its special degree
+    # a pair with chi_1 = chi_2, which has a special degree
     t5 = make_rank_one(5, 1, 2, (5,), ONE)
     b1 = make_rank_one(5, 1, 2, (1,), ONE)
     assert chi_equal(t5, b1)
-    make_etale_class(t5, b1, {(0, 5 + 1): ONE})
+
+
+@pytest.mark.parametrize("solve", [change_of_variables_solver,
+                                   normal_form_in_windows])
+def test_cov_reads_a_given_index_mod_f(solve):
+    # f = 1, so the given index 1 is index 0 in both directions, and
+    # coefficients that land on one key add up, to zero too. u^-41 is
+    # reached in neither direction; u^2 and u^3 are classes in both spaces
+    top = make_rank_one(5, 1, 2, (3,), ONE)
+    bot = make_rank_one(5, 1, 2, (0,), ONE)
+    assert solve({(1, -41): ONE}, top, bot) == INFEASIBLE
+    for g in (-41, 2, 3):
+        assert solve({(1, g): ONE}, top, bot) == solve({(0, g): ONE}, top, bot)
+        for a, b in [(1, 3), (2, 3), (4, 4)]:
+            a, b = F5.from_int(a), F5.from_int(b)
+            assert solve({(0, g): a, (1, g): b}, top, bot) == \
+                solve({(0, g): a + b}, top, bot), (a, b, g)
+
+
+def test_frame_verdicts_read_the_witness_index_mod_f():
+    # the witness at index i + f is the witness at i, frame by frame
+    for top, bot, (i, x) in obstruction_frames(3, 2, (2,)):
+        assert obstruction_frame_verdicts(top, bot, (i + 2, x)) == \
+            obstruction_frame_verdicts(top, bot, (i, x)), (top.s, bot.s)
 
 
 def test_change_of_variables_zero_class():
@@ -717,3 +737,14 @@ def test_chain_level_bound_is_the_table_limit():
         increasing_chains(2, 1, 17)
     with pytest.raises(PreconditionViolated):    # checked before the size
         increasing_chains(0, 1, 10 ** 20)
+
+
+def test_chain_count_bound_is_the_table_limit(monkeypatch):
+    from dwork_forge import breuil
+    from dwork_forge.ff import TooLarge
+    # (5, 2, 2) has 1 * 5 * 9 * 5 * 1 = 225 chains over 81 levels of 2 heights
+    monkeypatch.setattr(breuil, "TABLE_LIMIT", 225)
+    assert sum(1 for _ in increasing_chains(5, 2, 2)) == 225
+    monkeypatch.setattr(breuil, "TABLE_LIMIT", 224)
+    with pytest.raises(TooLarge, match="225 chains"):
+        increasing_chains(5, 2, 2)

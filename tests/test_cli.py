@@ -397,6 +397,9 @@ def test_failed_check_in_a_subcommand_is_one_error_line(capsys, monkeypatch, arg
     "breuil-chain --d 2 --e 1 --f 100000000000000000000",
     "breuil-chain --d 3 --e 1 --f 30",
     "breuil-chain --d 1 --e 1 --f 100000000000000000000",
+    # the chain count: 2,989,441 and about 5.4e35 chains, levels that fit
+    "breuil-chain --d 8 --e 3 --f 2",
+    "breuil-chain --d 20 --e 1 --f 3",
 ])
 def test_large_N_is_refused_before_any_enumeration(capsys, argv):
     t0 = time.perf_counter()

@@ -208,7 +208,7 @@ def cov_dump():
                                               (windows, bk, True)):
                     given = {k: F.from_encoding(rng.randrange(F.q))
                              for k in data if rng.random() < 0.5}
-                    verdict = br._cov_system(given, top, bot, space, to_etale)
+                    verdict = br._cov_solve([given], top, bot, space, to_etale)[0]
                     lines.append(" ".join([
                         repr((p, e, f, s, t, a.encoding, b.encoding, to_etale)),
                         repr(sorted((k, c.encoding) for k, c in given.items())),

@@ -6,11 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwork_forge.ff import IncompatibleFields, field_make
-from dwork_forge.linalg import (SingularMatrix, det, left_null_space,
-                                mat_identity, mat_inv, mat_mul, null_space,
-                                solve_linear, sparse_feasible, sparse_solve,
-                                sparse_solve_columns)
+from dwork_forge.linalg import (SingularMatrix, _sparse, det, mat_identity,
+                                mat_inv, mat_mul, null_space, solve_linear,
+                                sparse_feasible, sparse_left_null_space,
+                                sparse_solve, sparse_solve_columns)
 from dwork_forge.unitary import _gram_ks, _pairing, char_poly_matrix, gu_fields
+
+
+def left_null_space(rows, field):
+    """sparse_left_null_space of an FFElem matrix, as FFElem rows: the
+    basis of {v : v * rows = 0}, empty when rows has no columns."""
+    if not rows or not rows[0]:
+        return []
+    return [field.from_ks(v) for v in
+            sparse_left_null_space(_sparse(rows, field), len(rows[0]), field)]
+
 
 F = field_make(5, 1)
 
