@@ -23,7 +23,6 @@ from . import hypergeom as hg
 from . import ordinarity as od
 from . import unitary as un
 from .ff import extension_of, field_make, table_fits
-from .lambda_adic import reduce_mod_lambda
 from .util import VerificationFailed, check, stable_json
 
 TRACE_CONFIGS = [
@@ -137,6 +136,24 @@ def _ordinary_test(N, n, l):
     return _ord_tests[key]
 
 
+_norm_checks = {}
+
+
+def _norm_identity(N, n, l, d):
+    """What criteria 4 and 5 read off verify_norm_identity's rows for
+    (N, n, l) over F_{q_v^d}, computed once: (points, the x_dlog where the
+    identity fails, points with u(x) != 0, the x_dlog of those whose reduced
+    trace is zero). Only these are kept, not the rows."""
+    key = (N, n, l, d)
+    if key not in _norm_checks:
+        rows = od.verify_norm_identity(_ordinary_test(N, n, l), d)
+        unit = [r for r in rows if r.u_nonzero]
+        _norm_checks[key] = (len(rows), [r.x_dlog for r in rows if not r.ok],
+                             len(unit),
+                             [r.x_dlog for r in unit if r.trace_red.is_zero()])
+    return _norm_checks[key]
+
+
 def criterion_4():
     """Exact mod-lambda norm identity at every point, d in {1, 2}.
 
@@ -148,13 +165,11 @@ def criterion_4():
     details = []
     ok = True
     for N, n, l in NORM_CONFIGS:
-        test = _ordinary_test(N, n, l)
         for d in (1, 2):
-            rows = od.verify_norm_identity(test, d)
-            failures = [r.x_dlog for r in rows if not r.ok]
+            points, failures, _, _ = _norm_identity(N, n, l, d)
             ok &= not failures
             details.append({"N": N, "n": n, "l": l, "d": d,
-                            "points": len(rows), "failures": failures})
+                            "points": points, "failures": failures})
     return {"passed": ok, "sign": od.NORM_IDENTITY_SIGN, "details": details}
 
 
@@ -167,7 +182,8 @@ def criterion_5():
     (~1.5e8 points, beyond the 2^20 table limit), so the min-slope clause is
     verified there through its exact equivalent, the unit-trace clause
     u(x) != 0 => val_lambda(trace) = 0, which is what forces the slope-0
-    segment. Full ordinarity is advisory.
+    segment; it reads u(x) != 0 and the reduced trace off criterion 4's
+    norm-identity rows. Full ordinarity is advisory.
     """
     details = []
     ok = True
@@ -198,16 +214,8 @@ def criterion_5():
                                 "u_zero_skipped": skipped,
                                 "fully_ordinary": advisory})
             else:
-                traces = hg.trace_all_fast(test.params, K)
-                bad = []
-                checked = skipped = 0
-                for x in traces:
-                    if test.u_at(x).is_zero():
-                        skipped += 1
-                        continue
-                    checked += 1
-                    if reduce_mod_lambda(traces[x], test.lam).is_zero():
-                        bad.append(K.dlog(x))
+                points, _, checked, bad = _norm_identity(N, n, l, d)
+                skipped = points - checked
                 ok &= not bad
                 details.append({"N": N, "n": n, "l": l, "d": d,
                                 "mode": "unit-trace", "checked": checked,

@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import product
 from math import prod
 
-from .ff import TABLE_LIMIT, FFElem, TooLarge, field_make
+from .ff import TABLE_LIMIT, FFElem, TooLarge, check_table_size, field_make
 from .linalg import (sparse_feasible, sparse_left_null_space, sparse_solve,
                      sparse_solve_columns)
 from .util import VerificationFailed, check
@@ -79,13 +79,23 @@ class RankOneBK:
         return all(si <= self.e * (self.p - 2) for si in self.s)
 
 
-def frame_field(p, e, f):
+def frame_field(p, e, f, sweep=False):
     """The coefficient field F_{p^f} of the frame (p, e, f), which needs an
-    odd prime p and e, f >= 1."""
-    if p % 2 == 0:
+    odd prime p and e, f >= 1.
+
+    TooLarge, before the field is built, when the frames to decide (every
+    (s, t) in [0, e(p-2)]^(2f) for a sweep, else one) times
+    frame_system_bound(p, e, f) exceed TABLE_LIMIT."""
+    if p % 2 == 0 or p < 3:
         raise PreconditionViolated(f"p = {p} must be an odd prime")
     if e < 1 or f < 1:
         raise PreconditionViolated("e and f must be at least 1")
+    check_table_size(p, f)
+    frames = (e * (p - 2) + 1) ** (2 * f) if sweep else 1
+    size = frame_system_bound(p, e, f)
+    if frames * size > TABLE_LIMIT:
+        raise TooLarge(f"(p, e, f) = {(p, e, f)}: {frames} frame(s) of up to "
+                       f"{size} equations exceed table limit {TABLE_LIMIT}")
     return field_make(p, f)
 
 
@@ -549,6 +559,20 @@ def _lambda_bounds(top: RankOneBK, bottom: RankOneBK, data_degrees, margin=0):
     e_low = min([-G_neg] + [L + s[j] for j in range(f)]
                 + [p * L + t[j] for j in range(f)])
     return G, L, U, e_low
+
+
+def frame_system_bound(p, e, f):
+    """f (G - e_low + 1) for the largest G and the smallest e_low that
+    _lambda_bounds gives in the frame (p, e, f): at margin 2ep, heights s_j,
+    t_j in [0, h] with h = e(p-2), and data inside the BK class space and the
+    etale image windows, so in [-(e + ceil((h + e)/(p-1))), ceil(ph/(p-1))].
+    Every change-of-variables system of the frame has at most this many
+    equations: f components of degrees e_low..G."""
+    h, margin = e * (p - 2), 2 * e * p
+    G = -(-p * h // (p - 1)) + 1 + margin        # also bounds G* = g_star
+    G_neg = e - (-(h + e) // (p - 1)) + margin
+    L = min(-e, (-G_neg - h) // p) - 1
+    return f * (G - p * L + 1)                   # e_low >= min(-G_neg, pL) = pL
 
 
 def _cov_solve(givens, top: RankOneBK, bottom: RankOneBK, unknown_space,

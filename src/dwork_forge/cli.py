@@ -166,7 +166,7 @@ def _frame_report(p, e, f, s, t, F):
 
 def cmd_breuil_generic(args):
     p, e, f = args.p, args.e, args.f
-    F = br.frame_field(p, e, f)
+    F = br.frame_field(p, e, f, sweep=not (args.s or args.t))
     hi = e * (p - 2)
     from itertools import product as iproduct
     if args.s or args.t:
@@ -205,6 +205,7 @@ def cmd_breuil_oracle(args):
     t = tuple(int(v) for v in args.t.split(","))
     top = br.make_rank_one(p, f, e, s, one)
     bot = br.make_rank_one(p, f, e, t, one)
+    br.require_breuil_height(top, bot)    # before any range(s_j) is built
     y = {}
     if args.y:
         for part in args.y.split(","):

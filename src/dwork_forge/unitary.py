@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
-from .ff import (FFElem, FieldDesc, NotPrime, _is_prime, check_table_size,
-                 embed, extension_of, field_make, prime_power, pull_back)
+from .ff import (TABLE_LIMIT, FFElem, FieldDesc, NotPrime, TooLarge, _is_prime,
+                 check_table_size, embed, extension_of, field_make, prime_power,
+                 pull_back)
 from .linalg import _echelon, det, mat_inv, mat_mul
 from .util import check
 
@@ -201,11 +202,14 @@ def _anisotropic(field, A, vectors, q):
     # polarize: v + g^c w must work for some pair and scalar. Every vector is
     # isotropic here and x -> x^q is additive (q is a power of p), so the
     # first c in dlog order is found from
-    #   <v + g^c w, v + g^c w> = g^(cq) <w,v> + g^c <v,w>
+    #   <v + g^c w, v + g^c w> = g^(cq) <w,v> + g^c <v,w>, zero for every c
+    # when <w,v> = <v,w> = 0: such a pair is skipped.
     add, mul = field.k_add, field.k_mul
     for i, v in enumerate(vectors):
         for w in vectors[i + 1:]:
             wv, vw = _pair(field, A, w, v, q), _pair(field, A, v, w, q)
+            if wv is None and vw is None:
+                continue
             for c in range(field.q - 1):
                 if add(mul(c * q, wv), mul(c, vw)) is not None:
                     return [add(x, mul(c, y)) for x, y in zip(v, w)]
@@ -299,12 +303,15 @@ def sym_power_form(m, field):
 def sym_power_embed(beta: int, n: int, m: int, p: int):
     """Sym^(m-1) of diag(beta, beta^(-1))^n, conjugated into SU_m(F_{p^2}).
 
-    Returns (B, spectrum, alpha) where B-dagger B = I and det B = 1, and the
-    eigenvalue multiset of B equals {1, alpha^n, ..., alpha^(n(m-1))} up to a
-    common scalar, alpha = beta^2 (verified by ratio normalization).
+    Returns (B, spectrum, alpha): B-dagger B = I, det B = 1, alpha = beta^2
+    and the spectrum e_j = beta^(-n(m-1)) alpha^(nj), j < m, in dlog order,
+    that of the diagonal matrix B is conjugate to; char_poly_matrix(B) =
+    prod_j (X - e_j) checks it. TooLarge when m^3 exceeds TABLE_LIMIT.
     """
     if m < 1 or n < 0:
         raise ValueError("need m >= 1 and n >= 0")
+    if m ** 3 > TABLE_LIMIT:
+        raise TooLarge(f"m = {m}: m^3 exceeds table limit {TABLE_LIMIT}")
     check_table_size(p, 2)
     if p == 2 or not _is_prime(p):
         raise NotPrime(f"p = {p} must be an odd prime")
@@ -317,29 +324,20 @@ def sym_power_embed(beta: int, n: int, m: int, p: int):
     # diag(beta, beta^(-1))^n = diag(beta^n, beta^(-n)): one dlog product each
     Mn = [[b2 ** n, Fp2.zero()], [Fp2.zero(), b2 ** -n]]
     S = sym_power_matrix(Mn, m)
+    alpha = b2 * b2
     if m == 1:
-        return S, [Fp2.one()], embed(Fp.from_int(beta * beta % p), Fp2)
+        return S, [Fp2.one()], alpha
     G = sym_power_form(m, Fp2)
     (B,), _, mults = conjugate_into_gu([S], G, p)
     check(mults[0] == Fp.one() and det(B) == Fp2.one(), "B is not in SU_m")
-    eigs = matrix_eigenvalues(B)
-    alpha = embed(Fp.from_int(beta * beta % p), Fp2)
-    expected = [alpha ** (n * j) for j in range(m)]
-    check(_multiset_match_up_to_scalar(eigs, expected),
-          "spectrum is not alpha^(nj) up to a scalar")
-    return B, eigs, alpha
-
-
-def _multiset_match_up_to_scalar(eigs, expected):
-    def key(elem):
-        return (elem.k is None, elem.k)
-    for e0 in eigs:
-        for x0 in expected:
-            c = e0 / x0
-            scaled = sorted((c * x for x in expected), key=key)
-            if scaled == sorted(eigs, key=key):
-                return True
-    return False
+    spectrum = sorted((b2 ** (-n * (m - 1)) * alpha ** (n * j) for j in range(m)),
+                      key=lambda e: e.k)
+    poly = [Fp2.one()]                        # prod_j (X - e_j), ascending
+    for e in spectrum:
+        poly = [a - e * c for a, c in zip([Fp2.zero()] + poly, poly + [Fp2.zero()])]
+    check(char_poly_matrix(B) == poly,
+          "the spectrum is not beta^(-n(m-1)) alpha^(nj)")
+    return B, spectrum, alpha
 
 
 def char_poly_matrix(M):

@@ -19,6 +19,7 @@ import pytest
 from dwork_forge import acceptance
 from dwork_forge import breuil as br
 from dwork_forge import hypergeom as hg
+from dwork_forge import ordinarity as od
 from dwork_forge import unitary as un
 from dwork_forge.cyclotomic import ExactDivisionFailed
 from dwork_forge.ff import field_make
@@ -202,12 +203,32 @@ def test_criterion_5_alone_builds_the_sweep_it_reuses(report, monkeypatch):
     expected = {c["id"]: c for c in rep["criteria"] if c["id"] in (2, 5)}
     monkeypatch.setattr(acceptance, "_sweep_cache", {})
     monkeypatch.setattr(acceptance, "_ord_tests", {})
+    monkeypatch.setattr(acceptance, "_norm_checks", {})
     c5, _ = acceptance.run_criterion(5)
     # its d = 1 newton polygons went onto criterion 2's records
     for N, n, l in acceptance.NORM_CONFIGS:
         assert all(rec.slopes is not None for rec in acceptance._sweep(N, n, l)[2])
     c2, _ = acceptance.run_criterion(2)
     assert {2: c2, 5: c5} == expected
+
+
+def test_criterion_5_reads_the_norm_identity_rows_of_criterion_4(monkeypatch):
+    # the unit-trace branch, (11,3,23) at d = 2, evaluates no u(x) of its own
+    for cache in ("_sweep_cache", "_ord_tests", "_norm_checks"):
+        monkeypatch.setattr(acceptance, cache, {})
+    calls = []
+    u_at = od.OrdinaryTest.u_at
+    monkeypatch.setattr(od.OrdinaryTest, "u_at",
+                        lambda test, x: calls.append(x) or u_at(test, x))
+    c4 = acceptance.criterion_4()
+    assert len(calls) == sum(d["points"] for d in c4["details"])
+    calls.clear()
+    c5 = acceptance.criterion_5()
+    assert c5["passed"]
+    assert any(d["mode"] == "unit-trace" for d in c5["details"])
+    assert len(calls) == sum(d["checked"] + d["u_zero_skipped"]
+                             for d in c5["details"]
+                             if d["mode"] == "newton-polygon")
 
 
 def _flip_last_verdict(monkeypatch):

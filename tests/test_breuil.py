@@ -22,9 +22,10 @@ from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 monodromy_feasibility_checker,
                                 monodromy_verdict_table,
                                 normal_form_in_windows,
+                                frame_system_bound,
                                 obstruction_frame_verdicts, slope_data,
                                 solve_monodromy)
-from dwork_forge import linalg
+from dwork_forge import breuil, linalg
 from dwork_forge.ff import IncompatibleFields, field_make
 
 F5 = field_make(5, 1)
@@ -518,6 +519,23 @@ def test_frame_verdicts_match_the_per_class_solvers(p, f, es):
             per_class_verdicts(top, bot, witness), (top.s, bot.s, top.e)
         chi_equal_frames += chi_equal(top, bot)
     assert chi_equal_frames > 0      # frames with the special degree are in
+
+
+@pytest.mark.parametrize("p,f,es", [(5, 1, (1, 2)), (7, 1, (1, 3)),
+                                    (3, 2, (1, 2)), (3, 3, (1,))])
+def test_frame_system_bound_covers_every_system(monkeypatch, p, f, es):
+    # every change-of-variables system of a sweep, both directions and both
+    # margins, has at most frame_system_bound equations and unknowns
+    sizes = []
+    for name in ("sparse_feasible", "sparse_solve_columns"):
+        def recorded(rows, columns, nunk, F, solve=getattr(breuil, name)):
+            sizes.append(max(len(rows), nunk))
+            return solve(rows, columns, nunk, F)
+        monkeypatch.setattr(breuil, name, recorded)
+    for top, bot, witness in obstruction_frames(p, f, es):
+        sizes.clear()
+        obstruction_frame_verdicts(top, bot, witness)
+        assert 0 < max(sizes) <= frame_system_bound(p, top.e, f)
 
 
 def test_frame_verdicts_read_a_reachable_witness():

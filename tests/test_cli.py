@@ -400,6 +400,20 @@ def test_failed_check_in_a_subcommand_is_one_error_line(capsys, monkeypatch, arg
     # the chain count: 2,989,441 and about 5.4e35 chains, levels that fit
     "breuil-chain --d 8 --e 3 --f 2",
     "breuil-chain --d 20 --e 1 --f 3",
+    # frames times frame_system_bound: (3, 1, 7) is 16,384 x 154, the first
+    # f over the limit at (p, e) = (3, 1); e = 63,550 is the first one-frame
+    # e at (p, f) = (3, 1), 63,549 fits
+    "breuil-generic --p 5 --e 1000000000000000000000000000000 --f 2",
+    "breuil-generic --p 3 --e 30 --f 2",
+    "breuil-generic --p 3 --e 1 --f 7",
+    "breuil-generic --p 5 --e 100000000 --f 1 --s 0 --t 0",
+    "breuil-oracle --p 5 --e 100000000 --f 1 --s 0 --t 0",
+    "breuil-oracle --p 3 --e 63550 --f 1 --s 0 --t 0",
+    # a height over e(p-2) = 1, refused before the 10^11 degrees below s
+    "breuil-oracle --p 3 --e 1 --f 1 --s 100000000000 --t 1",
+    # m^3 > 2^20 from m = 102
+    "unitary-sym --p 1021 --beta 2 --n 1 --m 1000",
+    "unitary-sym --p 1021 --beta 2 --n 1 --m 102",
 ])
 def test_large_N_is_refused_before_any_enumeration(capsys, argv):
     t0 = time.perf_counter()
@@ -408,6 +422,33 @@ def test_large_N_is_refused_before_any_enumeration(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,layer,limit", [
+    # 16 frames of at most 36 equations; m^3 = 27
+    ("breuil-generic --p 5 --e 1 --f 1", br, 16 * 36),
+    ("breuil-oracle --p 5 --e 1 --f 1 --s 1 --t 2", br, 36),
+    ("unitary-sym --p 11 --beta 2 --n 2 --m 3", un, 27),
+])
+def test_cost_bounds_admit_their_edge(capsys, monkeypatch, argv, layer, limit):
+    monkeypatch.setattr(layer, "TABLE_LIMIT", limit)
+    assert main(argv.split(" ")) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(layer, "TABLE_LIMIT", limit - 1)
+    assert main(argv.split(" ")) == 2
+    assert "exceed" in capsys.readouterr().err
+
+
+def test_unitary_sym_cost_does_not_grow_with_p(capsys):
+    # the spectrum is fixed by the construction and Gram-Schmidt skips
+    # pairs that do not pair: no scan over the 1021^2 elements of F_{p^2}
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "unitary-sym", "--p", "1021", "--beta", "2",
+                        "--n", "1", "--m", "25")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "650e7f784cba06b0bea07070e0c644be94cd86da579bd6efee74d17fb913d6d6")
 
 
 def test_long_chain_is_not_a_recursion(capsys):

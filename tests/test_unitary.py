@@ -17,6 +17,7 @@ from dwork_forge.unitary import (Degenerate, _anisotropic, _gram_ks, _pairing,
                                  induced_spectrum, is_gu, matrix_eigenvalues,
                                  sym_power_embed, sym_power_form,
                                  sym_power_matrix)
+from dwork_forge.util import VerificationFailed
 
 
 def rand_matrix(rng, field, n):
@@ -201,6 +202,47 @@ def test_sym_power_embed(p, m, n, beta):
             break
     else:
         pytest.fail("spectrum does not match up to scalar")
+    # and exactly: beta^(-n(m-1)) alpha^(nj) for j < m, in dlog order
+    b = embed(Fq.from_int(beta), alpha.field)
+    assert eigs == sorted((b ** (-n * (m - 1)) * alpha ** (n * j)
+                           for j in range(m)), key=lambda e: e.k)
+
+
+def _off_in_one_coefficient(char_poly):
+    def mutant(M):
+        cp = char_poly(M)
+        cp[1] = cp[1] + cp[1].field.one()
+        return cp
+    return mutant
+
+
+def _spectrum_times_beta(char_poly):
+    def mutant(M):    # beta = 2 below
+        b = M[0][0].field.from_int(2)
+        return char_poly([[b * x for x in row] for row in M])
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_off_in_one_coefficient,
+                                    _spectrum_times_beta])
+@pytest.mark.parametrize("p,m,n", [(11, 3, 2), (13, 6, 1)])
+def test_sym_power_embed_checks_the_spectrum_identity(monkeypatch, mutate,
+                                                      p, m, n):
+    # the check pins the scalar: beta times the spectrum fails it too
+    monkeypatch.setattr(unitary, "char_poly_matrix",
+                        mutate(unitary.char_poly_matrix))
+    with pytest.raises(VerificationFailed, match="spectrum"):
+        sym_power_embed(2, n, m, p)
+
+
+def test_sym_power_embed_scans_no_roots(monkeypatch):
+    # the spectrum is fixed by the construction: no root scan of F_{p^2}
+    def refuse(*args):
+        raise AssertionError("root scan")
+    monkeypatch.setattr(unitary, "matrix_eigenvalues", refuse)
+    monkeypatch.setattr(unitary, "_roots_with_multiplicity", refuse)
+    B, eigs, alpha = sym_power_embed(2, 1, 6, 13)
+    assert len(eigs) == 6
 
 
 @pytest.mark.parametrize("n", [10 ** 9, 10 ** 9 + 3])
