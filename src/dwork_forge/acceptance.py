@@ -400,7 +400,7 @@ def criterion_11(seed):
         Fb = field_make(qbase, 1)
         for _ in range(25):
             psis = [Fb.from_dlog(rng.randrange(qbase - 1)) for _ in range(m)]
-            un.induced_spectrum(psis, Fb)  # checks ratio multiset = mu_m
+            un.induced_spectrum(psis, Fb)  # checks det(X - M) = X^m - c
         details[f"induced_m{m}"] = 25
     return {"passed": True, "details": details}
 

@@ -10,9 +10,9 @@ the list form of their Zech table only when a scalar kernel first reads it
 (_NumpyTableField), so a field that only feeds the vectorized trace engine
 holds no second copy. The list is what the dlog-integer kernels (k_add,
 k_mul, k_neg, k_dot, k_row_sub, k_sparse_sub) read, one entry at a time:
-FFElem addition goes through k_add; unitary's dlog Gram-Schmidt and its
-C-dagger A C = I certificate through k_dot, and its dense row updates
-(the Gram-Schmidt projections, the Hessenberg reduction) through k_row_sub;
+FFElem addition goes through k_add; unitary's C-dagger A C = I certificate
+through k_dot, and its dense row updates (the Hermitian elimination's
+vector and Gram updates, the Hessenberg reduction) through k_row_sub;
 the sparse elimination kernel of linalg through k_sparse_sub. The loop
 kernels k_dot, k_row_sub and k_sparse_sub take the Zech step
 a + b = g^a (1 + g^(b-a)) inline instead of calling k_add once per term, and

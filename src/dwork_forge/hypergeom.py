@@ -113,21 +113,30 @@ def _char_rows(params: HGParams, k: FieldDesc):
     at y = 1, in the smallest signed integer dtype that holds -N.
 
     1 - g^i = 1 + g^(i + (q-1)/2) (p odd; 1 + g^i when p = 2), so the dlog
-    of 1 - g^i is one Zech lookup, and chi_m(g^d) = zeta_N^(m d j^-1).
+    of 1 - g^i is one Zech lookup, and chi_m(g^d) = zeta_N^(m d j^-1). The
+    Zech table is read one block of rows at a time, so the temporaries stay
+    small beside the rows kept.
     """
     import numpy as np
-    N = params.N
-    shift = 0 if k.p == 2 else (k.q - 1) // 2
-    d = np.roll(k.zech_array(), -shift)  # dlog(1 - g^i); d[0] = -1
-    undefined = d < 0
-    d %= N
+    N, L = params.N, k.q - 1
+    shift = 0 if k.p == 2 else L // 2
+    zech = k.zech_array()
     jinv = _anchor_inverse(k, N)
     dtype = np.min_scalar_type(-N)
-    rows = []
-    for m in params.rho_exponents:
-        row = (np.arange(N) * (m * jinv % N) % N).astype(dtype)[d]
-        row[undefined] = -1
-        rows.append(row)
+    tables = [(np.arange(N) * (m * jinv % N) % N).astype(dtype)
+              for m in params.rho_exponents]
+    rows = [np.empty(L, dtype=dtype) for _ in tables]
+    for blk in row_blocks(L):
+        d = np.arange(blk.start + shift, min(blk.stop, L) + shift)
+        d %= L
+        d[:] = zech[d]      # dlog(1 - g^i), -1 at i = 0; indices stay intp
+        undefined = d < 0
+        d %= N
+        for row, table in zip(rows, tables):
+            out = row[blk]
+            out[:] = table[d]
+            out[undefined] = -1
+        del d, undefined    # freed before the next block's are made
     return rows
 
 

@@ -3,28 +3,33 @@
 Conjugation is x -> x^q; the adjoint is conjugate transpose. A Hermitian space
 is a Gram matrix A with A-dagger = A. Normalization to the identity form runs
 Hilbert 90 (a dlog division), a rescale making the pairing Hermitian, and
-Hermitian Gram-Schmidt using surjectivity of the norm F_{q^2} -> F_q.
+Hermitian elimination on the Gram matrix using surjectivity of the norm
+F_{q^2} -> F_q.
 
 The normalization layer runs on dlog rows (an entry is its dlog, or None for
 zero; conjugation multiplies a dlog by q). HermitianSpace holds the Gram
-matrix that way and checks it once; normal_form is the one Gram-Schmidt
-kernel and certifies_identity the one check of C-dagger A C = I. FFElem
-matrices appear only at the interface: hermitian_space, diagonalize_to_identity
-and _pairing convert on the way in and out.
+matrix that way, checks it and runs _eliminate once, which both decides
+nondegeneracy and finds C; normal_form returns that C after
+certifies_identity, the one check of C-dagger A C = I. FFElem matrices appear
+only at the interface: hermitian_space, diagonalize_to_identity and _pairing
+convert on the way in and out.
 
 The symmetric-power embedding and induced-representation spectra realize the
-matrix constructions used in the big-image arguments.
+matrix constructions used in the big-image arguments. Both spectra are fixed
+by the construction and checked by one characteristic-polynomial identity;
+matrix_eigenvalues, the root scan, is used by neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from itertools import chain
+from math import prod
 
 from .ff import (TABLE_LIMIT, FFElem, FieldDesc, NotPrime, TooLarge, _is_prime,
                  check_table_size, embed, extension_of, field_make, prime_power,
                  pull_back)
-from .linalg import _echelon, det, mat_inv, mat_mul
+from .linalg import det, mat_inv, mat_mul
 from .util import check
 
 
@@ -88,26 +93,23 @@ def adjoint_ks(field: FieldDesc, M, q):
 class HermitianSpace:
     """A Hermitian form on F_{q^2}^n as the dlog rows of its Gram matrix A.
 
-    Construction checks A-dagger = A and decides nondegeneracy from one
-    sparse echelon form of A.
+    Construction checks A-dagger = A and runs the Hermitian elimination
+    (_eliminate) once: the form is nondegenerate exactly when it completes,
+    and normal_form returns the basis change it found.
     """
     q: int
     field: FieldDesc           # F_{q^2}
     rows: list                 # n x n dlogs (None for zero)
     nondegenerate: bool = dc_field(init=False)
+    _columns: list = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = self.rows
         if any(len(row) != len(A) for row in A) or \
                 adjoint_ks(self.field, A, self.q) != A:
             raise ValueError("gram matrix is not Hermitian")
-        sparse = [{j: k for j, k in enumerate(row) if k is not None}
-                  for row in A]
-        self.nondegenerate = len(_echelon(sparse, self.field)) == len(A)
-
-    @property
-    def n(self):
-        return len(self.rows)
+        self._columns = _eliminate(self.field, A, self.q)
+        self.nondegenerate = self._columns is not None
 
 
 def hermitian_space(q, gram) -> HermitianSpace:
@@ -133,41 +135,71 @@ def _pairing(G, x, y, q):
     return FFElem(field, _pair(field, A, field.to_ks(x), field.to_ks(y), q))
 
 
-def normal_form(space: HermitianSpace):
-    """The dlog rows of a basis change C with C-dagger A C = I, by Hermitian
-    Gram-Schmidt on the standard basis.
+def _eliminate(field: FieldDesc, A, q):
+    """The columns of a basis change C with C-dagger A C = I, by Hermitian
+    elimination on the Gram matrix; None when A is degenerate.
 
-    Each step takes the first anisotropic vector v (_anisotropic), scales it
-    by eta with N(eta) = <v,v>^(-1) (a dlog division: <v,v> lies in F_q^x),
-    and subtracts <v,w> v from every remaining w. Exact by construction;
-    certifies_identity checks the result.
+    W holds the remaining vectors w_k (dlog columns, from the standard basis)
+    and G their Gram matrix G[j][k] = <w_j, w_k> (from A). Each step takes
+    v = w_i for the first i with G[i][i] != 0; else, every w_k being
+    isotropic, v = w_i + g^c w_j for the first pair i < j with G[i][j] != 0
+    and the first c in dlog order with
+      <v, v> = g^(cq) G[j][i] + g^c G[i][j] != 0,
+    which exists because x -> x^q is additive and the trace F_{q^2} -> F_q is
+    onto. The row of v is <v, w_k> = G[i][k] + g^(cq) G[j][k]. v is scaled
+    by eta with N(eta) = <v,v>^(-1) (a dlog division: <v,v> lies in F_q^x);
+    then with a_k = <v, w_k>, w_k <- w_k - a_k v and, as <v,v> = 1,
+    G[j][k] <- G[j][k] - a_j^q a_k. A vector that reaches zero keeps a zero
+    row and column of G, so no later step picks it. A step that finds
+    neither a pivot nor a pair has G = 0 on a nonzero span: the form is
+    degenerate there, and on F_{q^2}^n.
     """
-    if not space.nondegenerate:
-        raise Degenerate("the form is degenerate")
-    field, A, q = space.field, space.rows, space.q
-    n, L, dot = space.n, field.q - 1, field.k_dot
-    remaining = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    n, L = len(A), field.q - 1
+    add, mul, row_sub = field.k_add, field.k_mul, field.k_row_sub
+    W = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    G = [list(row) for row in A]
     columns = []
     for _ in range(n):
-        v = _anisotropic(field, A, remaining, q)
-        # v-dagger A, the conjugate of A v for A Hermitian: <v, w> = vA . w
-        vA = _conj([dot(row, v) for row in A], q, L)
-        eta, rem = divmod(-dot(vA, v) % L, q + 1)
+        i = next((i for i in range(n) if G[i][i] is not None), None)
+        if i is not None:
+            v, r, vv = list(W[i]), G[i], G[i][i]
+        else:                 # G stays Hermitian: G[j][i] = G[i][j]^q
+            i, j = next(((i, j) for i in range(n) for j in range(i + 1, n)
+                         if G[i][j] is not None), (None, None))
+            if i is None:
+                return None
+            wv, vw = G[j][i], G[i][j]
+            for c in range(L):
+                vv = add(mul(c * q, wv), mul(c, vw))
+                if vv is not None:
+                    break
+            v = [add(x, mul(c, y)) for x, y in zip(W[i], W[j])]
+            r = [add(x, mul(c * q, y)) for x, y in zip(G[i], G[j])]
+        eta, rem = divmod(-vv % L, q + 1)
         check(not rem, "<v,v> is not in F_q")
         v = [None if k is None else (k + eta) % L for k in v]
-        vA = [None if k is None else (k + eta * q) % L for k in vA]
+        a = [None if k is None else (k + eta * q) % L for k in r]
         columns.append(v)
-        cols = [c for c, k in enumerate(v) if k is not None]
-        new_remaining = []
-        for w in remaining:
-            proj = dot(vA, w)
-            if proj is not None:
-                field.k_row_sub(w, proj, v, cols)     # w - <v,w> v
-            if any(k is not None for k in w):
-                new_remaining.append(w)
-        remaining = new_remaining
-    C = [list(row) for row in zip(*columns)]
-    check(certifies_identity(field, A, C, q), "C-dagger A C is not I")
+        if len(columns) == n:
+            break
+        vcols = [k for k, x in enumerate(v) if x is not None]
+        acols = [k for k, x in enumerate(a) if x is not None]
+        for w, row, aj in zip(W, G, a):
+            if aj is not None:
+                row_sub(w, aj, v, vcols)          # w_j - a_j v
+                row_sub(row, aj * q, a, acols)    # G[j][k] - a_j^q a_k
+    return columns
+
+
+def normal_form(space: HermitianSpace):
+    """The dlog rows of a basis change C with C-dagger A C = I: the columns
+    of the space's one elimination (_eliminate), certified by
+    certifies_identity."""
+    if not space.nondegenerate:
+        raise Degenerate("the form is degenerate")
+    C = [list(row) for row in zip(*space._columns)]
+    check(certifies_identity(space.field, space.rows, C, space.q),
+          "C-dagger A C is not I")
     return C
 
 
@@ -191,29 +223,6 @@ def certifies_identity(field: FieldDesc, A, C, q):
             if dot(cq, ac) != (0 if i == j else None):
                 return False
     return True
-
-
-def _anisotropic(field, A, vectors, q):
-    """The first anisotropic dlog vector for the form A: a given vector, else
-    v + g^c w for the first pair and scalar that works."""
-    for v in vectors:
-        if _pair(field, A, v, v, q) is not None:
-            return v
-    # polarize: v + g^c w must work for some pair and scalar. Every vector is
-    # isotropic here and x -> x^q is additive (q is a power of p), so the
-    # first c in dlog order is found from
-    #   <v + g^c w, v + g^c w> = g^(cq) <w,v> + g^c <v,w>, zero for every c
-    # when <w,v> = <v,w> = 0: such a pair is skipped.
-    add, mul = field.k_add, field.k_mul
-    for i, v in enumerate(vectors):
-        for w in vectors[i + 1:]:
-            wv, vw = _pair(field, A, w, v, q), _pair(field, A, v, w, q)
-            if wv is None and vw is None:
-                continue
-            for c in range(field.q - 1):
-                if add(mul(c * q, wv), mul(c, vw)) is not None:
-                    return [add(x, mul(c, y)) for x, y in zip(v, w)]
-    raise Degenerate("no anisotropic vector: form degenerate on the span")
 
 
 def conjugate_into_gu(generators, P, q):
@@ -456,9 +465,12 @@ def induced_spectrum(psi_values, field: FieldDesc):
     """Eigenvalues of the induced block-cycle matrix for a generator Frobenius.
 
     psi_values are the m nonzero values of the character on the sigma-orbit;
-    Frobenius acts by the generator 1 of Z/m, so the matrix sends e_i to
-    psi_i e_(i+1). The eigenvalue multiset is {lam * zeta^j} for zeta a
-    primitive m-th root of unity (ratio-tested).
+    Frobenius acts by the generator 1 of Z/m, so the matrix M sends e_i to
+    psi_i e_(i+1) and det(X - M) = X^m - c with c = prod_i psi_i, which
+    char_poly_matrix checks. As mu_m lies in F, the roots are lam * mu_m for
+    any lam with lam^m = c: in F when c is an m-th power there, else in the
+    degree-m extension. Returned in dlog order, each checked to satisfy
+    e^m = c.
     """
     m = len(psi_values)
     if m < 2:
@@ -470,10 +482,12 @@ def induced_spectrum(psi_values, field: FieldDesc):
         if v.is_zero():
             raise ValueError("psi values must be nonzero")
         M[(i + 1) % m][i] = v
-    eigs = matrix_eigenvalues(M)
-    lam = eigs[0]
-    ratios = sorted((e / lam).k for e in eigs)
-    efield = eigs[0].field
-    mu_m = sorted(((efield.q - 1) // m * j) % (efield.q - 1) for j in range(m))
-    check(ratios == mu_m, (ratios, mu_m))
+    c = prod(psi_values, start=field.one())
+    check(char_poly_matrix(M) == [-c] + [field.zero()] * (m - 1) + [field.one()],
+          "det(X - M) is not X^m - prod psi")
+    if c.k % m:
+        c = embed(c, extension_of(field, m))
+    E, N = c.field, c.field.q - 1
+    eigs = E.from_ks(sorted((c.k // m + j * N // m) % N for j in range(m)))
+    check(all(e ** m == c for e in eigs), "an eigenvalue has e^m != c")
     return eigs

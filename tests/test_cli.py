@@ -350,7 +350,12 @@ def test_usage_error_is_one_error_line(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-SELFTEST_SEED_0_SHA256 = "3d599992ca5633c4e6a6ba3b4791e241dff3e4a4fab3a4fe620bf9b0309e7ed6"
+# the selftest --out report digests of the seeds the gate is held to
+SELFTEST_SHA256 = {
+    0: "3d599992ca5633c4e6a6ba3b4791e241dff3e4a4fab3a4fe620bf9b0309e7ed6",
+    7: "b246daeaa78dfece8791f797d0a21f57bc9e7947bd8ea259e01156c39f97c5e7",
+    669: "a272fbbafdae3e34da553766a3ba5f56d055cf4021b0521709415ca54e6bc339",
+}
 
 
 def test_selftest_report_is_the_same_under_optimize(tmp_path):
@@ -358,15 +363,18 @@ def test_selftest_report_is_the_same_under_optimize(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(dwork_forge.__file__)))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from dwork_forge.cli import main; sys.exit(main(sys.argv[2:]))")
-    digests = []
-    for flags in ([], ["-O"]):
-        out = tmp_path / f"report{len(flags)}.json"
-        proc = subprocess.run([sys.executable, *flags, "-c", code, src, "selftest",
-                               "--seed", "0", "--out", str(out)],
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert digests == [SELFTEST_SEED_0_SHA256] * 2
+    digests = {}
+    for seed in SELFTEST_SHA256:
+        for flags in ([], ["-O"]):
+            out = tmp_path / f"report{seed}_{len(flags)}.json"
+            proc = subprocess.run([sys.executable, *flags, "-c", code, src,
+                                   "selftest", "--seed", str(seed), "--out",
+                                   str(out)],
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            digests[seed, len(flags)] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == {(seed, o): sha for seed, sha in SELFTEST_SHA256.items()
+                       for o in (0, 1)}
 
 
 @pytest.mark.parametrize("argv,layer,name,error", [
@@ -440,7 +448,7 @@ def test_cost_bounds_admit_their_edge(capsys, monkeypatch, argv, layer, limit):
 
 
 def test_unitary_sym_cost_does_not_grow_with_p(capsys):
-    # the spectrum is fixed by the construction and Gram-Schmidt skips
+    # the spectrum is fixed by the construction and the elimination skips
     # pairs that do not pair: no scan over the 1021^2 elements of F_{p^2}
     t0 = time.perf_counter()
     code, out = run_cli(capsys, "unitary-sym", "--p", "1021", "--beta", "2",

@@ -222,8 +222,9 @@ def test_cov_digest():
 
 # the 1800 normal forms C that criterion 11 computes for seed 0, in order:
 # the same draws and the same det filter; recorded on the FFElem
-# Gram-Schmidt, before it moved onto dlog rows. The report keeps only counts,
-# so this is what pins the choices Gram-Schmidt makes.
+# Gram-Schmidt, before it moved onto dlog rows and then became an elimination
+# on the Gram matrix. The report keeps only counts, so this is what pins the
+# choices of pivot, pair and scalar.
 NORMAL_FORM_DIGEST = (
     "b5906918352a83051f7d61ebe9194b0306c853f16a2e1a4f9a20f98f02bb213c")
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from dwork_forge import hypergeom as hg
 from dwork_forge import util
 from dwork_forge.cyclotomic import CyclotomicInt, all_embeddings
-from dwork_forge.ff import (TABLE_LIMIT, TooLarge, embed, extension_of, field_make,
-                            prime_power)
+from dwork_forge.ff import (TABLE_LIMIT, TooLarge, _anchor_inverse, embed,
+                            extension_of, field_make, prime_power)
 from dwork_forge.hypergeom import (BadPoint, NoSumZeroSet, char_poly,
                                    hg_params, newton_polygon, select_chi,
                                    trace_all_fast, trace_naive, verify_det,
@@ -329,6 +329,50 @@ def test_char_rows_built_once_per_field(monkeypatch):
         hg.trace_at(params, F, x)
     trace_all_fast(params, F)
     assert calls == [(params, F)]
+
+
+def rolled_char_rows(params, k):
+    """The oracle: _char_rows from the whole Zech table rolled at once."""
+    import numpy as np
+    N = params.N
+    shift = 0 if k.p == 2 else (k.q - 1) // 2
+    d = np.roll(k.zech_array(), -shift)
+    undefined = d < 0
+    d %= N
+    jinv = _anchor_inverse(k, N)
+    rows = []
+    for m in params.rho_exponents:
+        row = (np.arange(N) * (m * jinv % N) % N).astype(
+            np.min_scalar_type(-N))[d]
+        row[undefined] = -1
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("N,n,p,f", [(3, 2, 262147, 1), (11, 3, 23, 3),
+                                     (5, 2, 2, 12), (7, 3, 29, 2)])
+def test_char_rows_match_the_rolled_table(monkeypatch, N, n, p, f):
+    # small blocks, so the rolled reads cross block boundaries and the wrap
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", 1000)
+    params, F = select_chi(N, n), field_make(p, f)
+    got, want = hg._char_rows(params, F), rolled_char_rows(params, F)
+    assert [(r.dtype, r.tolist()) for r in got] == \
+        [(r.dtype, r.tolist()) for r in want]
+
+
+def test_char_rows_peak_memory():
+    # the hg-trace --N 3 --n 2 --q 262147 rows: rolling the whole int32 Zech
+    # table made 1.9 MB of temporaries beside 0.5 MB of rows
+    params, F = select_chi(3, 2), field_make(262147, 1)
+    want = rolled_char_rows(params, F)       # builds the Zech array too
+    tracemalloc.start()
+    try:
+        rows = hg._char_rows(params, F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all((r == w).all() for r, w in zip(rows, want))
+    assert peak <= 1.5 * sum(r.nbytes for r in rows)
 
 
 def test_fast_cache_keyed_by_field_and_bounded(monkeypatch):

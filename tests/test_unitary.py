@@ -7,17 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwork_forge.ff import embed, field_make
-from dwork_forge.linalg import det, mat_identity, mat_mul
-from dwork_forge import unitary
-from dwork_forge.unitary import (Degenerate, _anisotropic, _gram_ks, _pairing,
-                                 _roots_with_multiplicity, adjoint,
-                                 certifies_identity, conjugate_into_gu,
-                                 diagonalize_to_identity, gu_fields,
-                                 hermitian_space, hilbert90_eta,
+from dwork_forge.linalg import _echelon, det, mat_identity, mat_mul
+from dwork_forge import linalg, unitary
+from dwork_forge.unitary import (Degenerate, HermitianSpace, _conj, _gram_ks,
+                                 _pair, _pairing, _roots_with_multiplicity,
+                                 adjoint, certifies_identity,
+                                 conjugate_into_gu, diagonalize_to_identity,
+                                 gu_fields, hermitian_space, hilbert90_eta,
                                  induced_spectrum, is_gu, matrix_eigenvalues,
-                                 sym_power_embed, sym_power_form,
+                                 normal_form, sym_power_embed, sym_power_form,
                                  sym_power_matrix)
-from dwork_forge.util import VerificationFailed
+from dwork_forge.util import VerificationFailed, check
 
 
 def rand_matrix(rng, field, n):
@@ -288,10 +288,197 @@ def test_induced_spectrum_validation():
         induced_spectrum([F7.one()] * 4, F7)         # 4 does not divide 6
 
 
+def induced_matrix(psis, field):
+    """The block-cycle matrix sending e_i to psi_i e_(i+1)."""
+    m = len(psis)
+    M = [[field.zero()] * m for _ in range(m)]
+    for i, v in enumerate(psis):
+        M[(i + 1) % m][i] = v
+    return M
+
+
+def induced_cases():
+    """(field, psis): every psi pair over F_7 and F_13, and 100 seeded
+    triples over each."""
+    rng = random.Random(25)
+    for p in (7, 13):
+        F = field_make(p, 1)
+        units = list(F.nonzero_elements())
+        for a in units:
+            for b in units:
+                yield F, [a, b]
+        for _ in range(100):
+            yield F, [rng.choice(units) for _ in range(3)]
+
+
+def test_induced_spectrum_matches_the_root_scan():
+    # the closed form returns the scan's field and its dlog order, over the
+    # base field when c is an m-th power and over the degree-m extension
+    # otherwise
+    fields = set()
+    for F, psis in induced_cases():
+        got = [(e.field, e.k) for e in induced_spectrum(psis, F)]
+        want = [(e.field, e.k)
+                for e in matrix_eigenvalues(induced_matrix(psis, F))]
+        assert got == want
+        fields.add(got[0][0].q)
+    assert fields == {7, 49, 343, 13, 169, 2197}
+
+
+def test_induced_spectrum_scans_no_roots(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("root scan")
+    monkeypatch.setattr(unitary, "matrix_eigenvalues", refuse)
+    monkeypatch.setattr(unitary, "_roots_with_multiplicity", refuse)
+    F13 = field_make(13, 1)
+    for c in (4, 2):          # a square and a non-square
+        assert len(induced_spectrum([F13.from_int(c), F13.one()], F13)) == 2
+    assert len(induced_spectrum([F13.from_int(2)] * 3, F13)) == 3
+
+
+@pytest.mark.parametrize("psis", [(4, 1), (2, 1), (2, 2, 2), (5, 1, 1)])
+def test_induced_spectrum_checks_the_char_poly(monkeypatch, psis):
+    F13 = field_make(13, 1)
+    monkeypatch.setattr(unitary, "char_poly_matrix",
+                        _off_in_one_coefficient(unitary.char_poly_matrix))
+    with pytest.raises(VerificationFailed, match="X\\^m"):
+        induced_spectrum([F13.from_int(x) for x in psis], F13)
+
+
 def test_matrix_eigenvalues_of_a_diagonal_matrix():
     F13 = field_make(13, 1)
     M = [[F13.from_int(2), F13.zero()], [F13.zero(), F13.from_int(4)]]
     assert sorted(e.encoding for e in matrix_eigenvalues(M)) == [2, 4]
+
+
+# -- oracle: the Gram-Schmidt on A that the elimination on G replaced --------
+
+def _anisotropic(field, A, vectors, q):
+    """The first anisotropic dlog vector for the form A: a given vector, else
+    v + g^c w for the first pair and scalar that works."""
+    for v in vectors:
+        if _pair(field, A, v, v, q) is not None:
+            return v
+    # polarize: v + g^c w must work for some pair and scalar. Every vector is
+    # isotropic here and x -> x^q is additive (q is a power of p), so the
+    # first c in dlog order is found from
+    #   <v + g^c w, v + g^c w> = g^(cq) <w,v> + g^c <v,w>, zero for every c
+    # when <w,v> = <v,w> = 0: such a pair is skipped.
+    add, mul = field.k_add, field.k_mul
+    for i, v in enumerate(vectors):
+        for w in vectors[i + 1:]:
+            wv, vw = _pair(field, A, w, v, q), _pair(field, A, v, w, q)
+            if wv is None and vw is None:
+                continue
+            for c in range(field.q - 1):
+                if add(mul(c * q, wv), mul(c, vw)) is not None:
+                    return [add(x, mul(c, y)) for x, y in zip(v, w)]
+    raise Degenerate("no anisotropic vector: form degenerate on the span")
+
+
+def gram_schmidt(field, A, q):
+    """Dlog rows of C with C-dagger A C = I by Hermitian Gram-Schmidt on the
+    standard basis, every pairing recomputed from A; Degenerate when some
+    step finds no anisotropic vector.
+
+    Each step takes the first anisotropic vector v (_anisotropic), scales it
+    by eta with N(eta) = <v,v>^(-1), and subtracts <v,w> v from every
+    remaining w, dropping those that become zero."""
+    n, L, dot = len(A), field.q - 1, field.k_dot
+    remaining = [[0 if i == j else None for j in range(n)] for i in range(n)]
+    columns = []
+    for _ in range(n):
+        v = _anisotropic(field, A, remaining, q)
+        # v-dagger A, the conjugate of A v for A Hermitian: <v, w> = vA . w
+        vA = _conj([dot(row, v) for row in A], q, L)
+        eta, rem = divmod(-dot(vA, v) % L, q + 1)
+        check(not rem, "<v,v> is not in F_q")
+        v = [None if k is None else (k + eta) % L for k in v]
+        vA = [None if k is None else (k + eta * q) % L for k in vA]
+        columns.append(v)
+        cols = [c for c, k in enumerate(v) if k is not None]
+        new_remaining = []
+        for w in remaining:
+            proj = dot(vA, w)
+            if proj is not None:
+                field.k_row_sub(w, proj, v, cols)     # w - <v,w> v
+            if any(k is not None for k in w):
+                new_remaining.append(w)
+        remaining = new_remaining
+    return [list(row) for row in zip(*columns)]
+
+
+def full_rank(field, A):
+    """The echelon rank test that decided nondegeneracy before the
+    elimination did."""
+    sparse = [{j: k for j, k in enumerate(row) if k is not None} for row in A]
+    return len(_echelon(sparse, field)) == len(A)
+
+
+def assert_elimination_matches_gram_schmidt(field, A, q):
+    sp = HermitianSpace(q, field, A)
+    assert sp.nondegenerate == full_rank(field, A)
+    assert outcome(normal_form, sp) == outcome(gram_schmidt, field, A, q)
+    return sp.nondegenerate
+
+
+def hermitian_2x2(q):
+    """Every Hermitian 2x2 Gram matrix over F_{q^2}, as dlog rows: diagonal
+    entries in F_q (dlogs divisible by q + 1), A[1][0] = A[0][1]^q."""
+    field = gu_fields(q)[1]
+    L = field.q - 1
+    diag = [None] + list(range(0, L, q + 1))
+    for a in diag:
+        for d in diag:
+            for b in [None] + list(range(L)):
+                yield field, [[a, b], [None if b is None else b * q % L, d]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_elimination_matches_gram_schmidt_on_every_2x2_form(q):
+    forms = list(hermitian_2x2(q))
+    assert len(forms) == q ** 4
+    verdicts = [assert_elimination_matches_gram_schmidt(field, A, q)
+                for field, A in forms]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def random_hermitian_ks(rng, field, n, q, zero_diagonal):
+    """A seeded Hermitian Gram matrix as dlog rows; a third of the entries are
+    zero, so degenerate forms turn up, and with zero_diagonal every basis
+    vector is isotropic and the first step polarizes."""
+    L = field.q - 1
+    A = [[None] * n for _ in range(n)]
+    for i in range(n):
+        if not zero_diagonal and rng.random() < 2 / 3:
+            A[i][i] = rng.randrange(0, L, q + 1)
+        for j in range(i + 1, n):
+            if rng.random() < 2 / 3:
+                A[i][j] = rng.randrange(L)
+                A[j][i] = A[i][j] * q % L
+    return A
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_elimination_matches_gram_schmidt_on_seeded_forms(q):
+    field = gu_fields(q)[1]
+    rng = random.Random(q)
+    verdicts = []
+    for n in range(1, 7):
+        for t in range(60):
+            A = random_hermitian_ks(rng, field, n, q, zero_diagonal=t % 2 == 0)
+            verdicts.append(assert_elimination_matches_gram_schmidt(field, A, q))
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_space_decides_nondegeneracy_without_echelon(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("echelon")
+    for mod in (linalg, unitary):
+        monkeypatch.setattr(mod, "_echelon", refuse, raising=False)
+    field = gu_fields(3)[1]
+    assert HermitianSpace(3, field, [[0, None], [None, 0]]).nondegenerate
+    assert not HermitianSpace(3, field, [[0, 0], [0, 0]]).nondegenerate
 
 
 def _find_anisotropic(G, vectors, q):
