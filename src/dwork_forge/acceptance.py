@@ -17,6 +17,7 @@ import random
 import sys
 import time
 from itertools import product
+from math import prod
 
 from . import breuil as br
 from . import hypergeom as hg
@@ -242,46 +243,46 @@ def criterion_6(seed):
     return {"passed": ok, "details": details}
 
 
-def _breuil_sweep_tuples():
+def _breuil_sweep_differences():
+    """(p, e, f, s, t, multiplicity) for each distinct d = s - t of the sweep
+    s, t in [0, h]^f, h = e(p-2): the representative s = max(0, d),
+    t = max(0, -d), and the prod_j (h + 1 - |d_j|) tuples with that d."""
     for p in (3, 5):
         for e in (1, 2, 3):
             for f in (1, 2):
                 hi = e * (p - 2)
-                for s in product(range(hi + 1), repeat=f):
-                    for t in product(range(hi + 1), repeat=f):
-                        yield p, e, f, s, t
+                for d in product(range(-hi, hi + 1), repeat=f):
+                    yield (p, e, f, tuple(max(0, x) for x in d),
+                           tuple(max(0, -x) for x in d),
+                           prod(hi + 1 - abs(x) for x in d))
 
 
 def criterion_7():
-    """Exhaustive slope invariants: recurrence and r_i in [1, p]."""
+    """Exhaustive slope invariants: recurrence and r_i in [1, p]. They read
+    (s, t, e) only through c = s - t - e, so one representative per c
+    stands for all of its tuples."""
     t0 = time.monotonic()
     count = 0
-    for p, e, f, s, t in _breuil_sweep_tuples():
+    for p, e, f, s, t, mult in _breuil_sweep_differences():
         br.slope_data(s, t, e, p, f)  # checks both invariants
-        count += 1
+        count += mult
     ok = time.monotonic() - t0 < 60.0
     return {"passed": ok, "tuples": count, "budget_s": 60}
 
 
 def criterion_8():
-    """Witness disjunction for every negative-total tuple in the sweep."""
+    """Witness disjunction for every negative-total tuple in the sweep, once
+    per c: i reads the floors and r, x - t_i = c_i + floor(n_{i+1}) + delta
+    (delta in {1, 2}), and x <= s_i - e is floor(n_{i+1}) + delta <= 0."""
     count = 0
-    for p, e, f, s, t in _breuil_sweep_tuples():
-        if sum(s[j] - t[j] - e for j in range(f)) >= 0:
+    for p, e, f, s, t, mult in _breuil_sweep_differences():
+        if sum(s) - sum(t) - e * f >= 0:
             continue
         # evaluates the disjunction once and checks that some index meets it
         i, x = br.genericity_obstruction(s, t, e, p, f)
         check((x - t[i]) % p != 0 and x <= s[i] - e, (p, e, f, s, t))
-        count += 1
+        count += mult
     return {"passed": True, "tuples": count}
-
-
-def _product_index(coeffs, p):
-    """Position of coeffs in itertools.product(range(p), repeat=len(coeffs))."""
-    idx = 0
-    for c in coeffs:
-        idx = idx * p + c
-    return idx
 
 
 def criterion_9(seed):
@@ -291,19 +292,16 @@ def criterion_9(seed):
     forbidden-degree predicate on all candidate y over F_5; the constructed
     witness class is change-of-variables infeasible; and every clean
     BK-allowed class normalizes into the image windows and its window class
-    is feasible. The feasibility verdicts of all y come as one table
-    (breuil.monodromy_verdict_table, running sums extended one degree at a
-    time) and are compared with the clean-degree mask, built the same way;
-    a mismatch fails the criterion naming (e, s, t) and the first mismatching
-    coefficients. Four seeded y per pair spot-check the table against the
-    batch checker and the one-shot solver, with and without a random unit d
-    (verdicts are d-independent).
+    is feasible. The first is the identity K = V of the subspace of feasible
+    y and that of the clean ones, proved once per pair by
+    breuil.monodromy_subspace_mismatch; a y where it fails is named with
+    (e, s, t). Four seeded y per pair spot-check the clean-degree predicate
+    against the batch checker and the one-shot solver, with and without a
+    random unit d (verdicts are d-independent).
     """
     p, f = 5, 1
     F = field_make(p, 1)
     one = F.one()
-    coef = [F.from_int(c) for c in range(p)]
-    coef_ks = F.to_ks(coef)
     rng = random.Random(seed)
     pairs = 0
     y_checked = 0
@@ -318,21 +316,18 @@ def criterion_9(seed):
                 bot = br.make_rank_one(p, f, e, (t_,), one)
                 # monodromy feasibility == forbidden-degree predicate, all y
                 forb = br.breuil_forbidden_degrees(br.make_ext_problem(top, bot))[0]
-                keys = [(0, l) for l in range(s_)]
-                table = br.monodromy_verdict_table(top, bot, keys, coef_ks)
-                mask = [True]
-                for l in range(s_):
-                    mask = [m and (c == 0 or l not in forb)
-                            for m in mask for c in range(p)]
-                if table != mask:
-                    coeffs, v, m = next(
-                        (c, v, m) for c, v, m in zip(
-                            product(range(p), repeat=s_), table, mask)
-                        if v != m)
+                mismatch = br.monodromy_subspace_mismatch(
+                    top, bot, [(0, l) for l in range(s_)],
+                    [l not in forb for l in range(s_)])
+                if mismatch is not None:
+                    y, v = mismatch
+                    clean = forb.isdisjoint(
+                        l for l, c in enumerate(y) if not c.is_zero())
                     error = (f"(e, s, t) = ({e}, {s_}, {t_}), coefficients "
-                             f"{coeffs}: table {v}, clean degrees {m}")
+                             f"{tuple(c.encoding for c in y)}: table {v}, "
+                             f"clean degrees {clean}")
                     return {"passed": False, "error": error}
-                y_checked += len(table)
+                y_checked += p ** s_
                 # the witness class is reached by no crystalline extension
                 i, x = br.genericity_obstruction((s_,), (t_,), e, p, f)
                 reached, failures = br.obstruction_frame_verdicts(
@@ -340,19 +335,19 @@ def criterion_9(seed):
                 check(not reached, (e, s_, t_))
                 # constructive direction: each clean basis class round-trips
                 check(not failures, (e, s_, t_, failures))
-                # spot check the table against the batch checker and the
+                # spot check the predicate against the batch checker and the
                 # one-shot solver, with and without a random unit d
                 _, feasible = br.monodromy_feasibility_checker(top, bot)
                 for _ in range(4):
                     coeffs = tuple(rng.randrange(p) for _ in range(s_))
-                    y = {(0, l): coef[c] for l, c in enumerate(coeffs) if c}
+                    y = {(0, l): F.from_int(c) for l, c in enumerate(coeffs) if c}
                     prob = br.make_ext_problem(top, bot, y=y)
                     v1 = br.solve_monodromy(prob) != br.INFEASIBLE
                     d_unit = {0: F.from_dlog(rng.randrange(p - 1)),
                               1: F.from_int(rng.randrange(p))}
                     v2 = br.solve_monodromy(prob, d_unit=d_unit) != br.INFEASIBLE
                     check(v1 == v2 == feasible(y)
-                          == table[_product_index(coeffs, p)], (e, s_, t_, coeffs))
+                          == forb.isdisjoint(l for _, l in y), (e, s_, t_, coeffs))
                 pairs += 1
         details.append({"e": e, "pairs_done": pairs})
     return {"passed": True, "pairs": pairs, "y_candidates": y_checked,

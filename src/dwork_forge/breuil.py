@@ -413,21 +413,8 @@ def _monodromy_weights(top: RankOneBK, bottom: RankOneBK):
     return degs, len(null_vecs), key_weights
 
 
-def _accumulate(sums, w, k, zech, L):
-    """sums[n] += g^(w_n + k) in place for every (n, w_n) in w: the running
-    dlog sum per null vector, None for zero."""
-    for n, wk in w:
-        b = (wk + k) % L
-        a = sums[n]
-        if a is None:
-            sums[n] = b
-        else:
-            z = zech[(b - a) % L]    # a + b = g^a (1 + g^(b-a))
-            sums[n] = None if z is None else (a + z) % L
-
-
 def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
-    """Batch form of solve_monodromy feasibility for exhaustive y sweeps.
+    """Batch form of solve_monodromy feasibility for many y of one frame.
 
     Builds the linear system and its left null space once and returns
     (allowed_degrees, check), where check maps a y dict to the verdict
@@ -436,56 +423,52 @@ def monodromy_feasibility_checker(top: RankOneBK, bottom: RankOneBK):
     feasible when every sum is zero.
     """
     F = top.a.field
-    zech, L = F._zech, F.q - 1
     degs, n_null, key_weights = _monodromy_weights(top, bottom)
-    weights = {}
 
     def check(y: dict) -> bool:
         sums = [None] * n_null
         for key, k in zip(y, F.to_ks(y.values())):
             if k is None:
                 continue
-            if key not in weights:
-                weights[key] = key_weights(key)
-            w = weights[key]
+            w = key_weights(key)
             if w is None:
                 return False
-            _accumulate(sums, w, k, zech, L)
+            for n, wk in w:
+                sums[n] = F.k_add(sums[n], F.k_mul(wk, k))
         return all(sm is None for sm in sums)
 
     return degs, check
 
 
-def monodromy_verdict_table(top: RankOneBK, bottom: RankOneBK, keys, coeff_dlogs):
-    """check(y) for every y = {key: g^k} with coefficient dlogs k drawn from
-    coeff_dlogs (None for zero, dropped from y) at each of the distinct keys,
-    as a list in itertools.product(coeff_dlogs, repeat=len(keys)) order.
+def monodromy_subspace_mismatch(top: RankOneBK, bottom: RankOneBK, keys, clean):
+    """None when the y = {keys[i]: c_i} that solve_monodromy finds feasible
+    are those with c_i = 0 wherever clean[i] is false; else (coefficients as
+    FFElems in the order of keys, feasible) of one y where the two differ.
 
-    The running sums start at zero and are extended one key at a time, so a
-    prefix shared by many tuples is summed once. A key whose term lands
-    outside every row makes each tuple with a nonzero coefficient there
-    infeasible, as check does.
+    The feasible y are the kernel K of the null-vector functionals of
+    _monodromy_weights (a key whose term lands in no row is forced to 0), the
+    clean ones the coordinate subspace V of the clean keys. K = V exactly
+    when every clean column is [] and the other columns not forced to 0 are
+    linearly independent; else a clean unit vector, or a nonzero dependency
+    among those columns, is a y where the two differ.
     """
     F = top.a.field
-    zech, L = F._zech, F.q - 1
     _, n_null, key_weights = _monodromy_weights(top, bottom)
-    zero = [None] * n_null
-    states = [zero]    # the running sums of each prefix; None: infeasible
-    for key in keys:
-        w = key_weights(key)
-        nxt = []
-        for sums in states:
-            for k in coeff_dlogs:
-                if sums is None or k is None:
-                    nxt.append(sums)
-                elif w is None:
-                    nxt.append(None)
-                else:
-                    ext = sums.copy()
-                    _accumulate(ext, w, k, zech, L)
-                    nxt.append(ext)
-        states = nxt
-    return [sums == zero for sums in states]
+    columns = [key_weights(key) for key in keys]
+    coeffs = [F.zero()] * len(keys)
+    for i, (w, ok) in enumerate(zip(columns, clean)):
+        if ok and w != []:
+            coeffs[i] = F.one()
+            return coeffs, False
+    rest = [i for i, (w, ok) in enumerate(zip(columns, clean))
+            if not ok and w is not None]
+    dependencies = sparse_left_null_space([dict(columns[i]) for i in rest],
+                                          n_null, F)
+    if not dependencies:
+        return None
+    for i, k in zip(rest, dependencies[0]):
+        coeffs[i] = F.from_dlog(k)
+    return coeffs, True
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 
 from .ff import _is_prime, _prime_factors
 from .util import row_blocks
@@ -146,6 +147,25 @@ def _evaluate(M, L, N):
     return acc % P
 
 
+def _parse(rows, N):
+    """A block of list rows of N entries as int64; OverflowError at 2^63."""
+    import numpy as np
+    return np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                       count=len(rows) * N).reshape(len(rows), N)
+
+
+def _max_and_sum(a, L, N):
+    """(max, sum) of a list-of-rows input from _parse, one block of rows at
+    a time, summed in Python ints where an int64 sum could pass 2^63."""
+    top = total = 0
+    for blk in row_blocks(L, N):
+        T = _parse(a[blk], N)
+        m = int(T.max())
+        top = max(top, m)
+        total += int(T.sum() if m * T.size < 1 << 63 else T.sum(dtype=object))
+    return top, total
+
+
 def _spectrum(a, L, N):
     """(the check-point value, the real FFT of each row) of a list-of-rows
     input whose entries are below 2^53, so that its float64 copy is exact.
@@ -159,7 +179,7 @@ def _spectrum(a, L, N):
     buf = np.empty((L, 2 * H))
     A = buf[:, :N]
     for blk in row_blocks(L, N):
-        A[blk] = np.array(a[blk], dtype=np.int64)   # parses faster than float64
+        A[blk] = _parse(a[blk], N)
     value = _evaluate(A, L, N)
     S = buf.view(np.complex128)
     for blk in row_blocks(L, N):
@@ -179,10 +199,12 @@ def _conv2d_fft(a, b, L, N):
     """
     if math.lcm(L, N) > MAX_CHECK_ORDER:
         return None
-    max_a, max_b = max(map(max, a)), max(map(max, b))
+    try:
+        (max_a, sum_a), (max_b, sum_b) = (_max_and_sum(x, L, N) for x in (a, b))
+    except OverflowError:
+        return None        # an entry of 2^63 or more: the exact engine
     if not max_a or not max_b:
         return None        # a zero factor: the exact engine returns zeros
-    sum_a, sum_b = sum(map(sum, a)), sum(map(sum, b))
     bound = min(sum_a * max_b, sum_b * max_a)    # bounds every product entry
     if bound >= _EXACT_FLOAT:
         return None        # some entry of the product may not be a float

@@ -16,9 +16,8 @@ vector and Gram updates, the Hessenberg reduction) through k_row_sub;
 the sparse elimination kernel of linalg through k_sparse_sub. The loop
 kernels k_dot, k_row_sub and k_sparse_sub take the Zech step
 a + b = g^a (1 + g^(b-a)) inline instead of calling k_add once per term, and
-so do the two other per-term loops of the selftest sweeps, which read _zech
-directly: the monodromy running sums of breuil._accumulate and the
-Horner evaluation in unitary._roots_with_multiplicity.
+so does the Horner evaluation in unitary._roots_with_multiplicity, which
+reads _zech directly.
 k_of_encoding reads the dlog table for callers that draw encodings and
 work on dlogs. zech_array() gives the Zech table as an array to the
 vectorized trace engine.

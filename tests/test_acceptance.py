@@ -13,6 +13,7 @@ import re
 import signal
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,8 @@ from dwork_forge import unitary as un
 from dwork_forge.cyclotomic import ExactDivisionFailed
 from dwork_forge.ff import field_make
 from dwork_forge.util import VerificationFailed, check, stable_json
+
+from breuil_oracles import breuil_sweep_tuples
 
 DESCRIPTIONS = {
     1: "trace oracle equivalence (fast == naive, < 30 s)",
@@ -164,18 +167,50 @@ def test_cli_import_leaves_subprocess_unloaded():
     assert out == "False\n"
 
 
+def _difference(e, s, t):
+    return tuple(si - ti - e for si, ti in zip(s, t))
+
+
 def test_criteria_7_and_8_compute_slope_data_once_per_difference():
-    tuples = list(acceptance._breuil_sweep_tuples())
+    tuples = list(breuil_sweep_tuples())
     negative = [(p, e, f, s, t) for p, e, f, s, t in tuples
                 if sum(s) - sum(t) - e * f < 0]
-    distinct = {(tuple(si - ti - e for si, ti in zip(s, t)), p, f)
-                for p, e, f, s, t in tuples}
+    distinct = {(_difference(e, s, t), p, f) for p, e, f, s, t in tuples}
+    cases = {(p, e, f, _difference(e, s, t)) for p, e, f, s, t in tuples}
+    negative_cases = {(p, e, f, _difference(e, s, t))
+                      for p, e, f, s, t in negative}
     br._slopes.cache_clear()
     assert acceptance.criterion_7()["tuples"] == len(tuples)
     assert acceptance.criterion_8()["tuples"] == len(negative)
     info = br._slopes.cache_info()
     assert info.misses == len(distinct)
-    assert info.hits + info.misses == len(tuples) + len(negative)
+    assert info.hits + info.misses == len(cases) + len(negative_cases)
+
+
+def test_sweep_differences_cover_the_sweep_with_multiplicities():
+    totals = Counter()
+    for p, e, f, s, t, mult in acceptance._breuil_sweep_differences():
+        assert all(0 <= v <= e * (p - 2) for v in s + t)
+        totals[(p, e, f)] += mult
+    assert totals == {(p, e, f): (e * (p - 2) + 1) ** (2 * f)
+                      for p in (3, 5) for e in (1, 2, 3) for f in (1, 2)}
+
+
+def test_each_sweep_tuple_is_decided_as_its_representative():
+    reps = {(p, e, f, _difference(e, s, t)): (s, t, mult)
+            for p, e, f, s, t, mult in acceptance._breuil_sweep_differences()}
+    counts = Counter()
+    for p, e, f, s, t in breuil_sweep_tuples():
+        c = _difference(e, s, t)
+        rs, rt, _ = reps[(p, e, f, c)]
+        counts[(p, e, f, c)] += 1
+        assert br.slope_data(s, t, e, p, f) == br.slope_data(rs, rt, e, p, f)
+        if sum(c) < 0:
+            i, x = br.genericity_obstruction(s, t, e, p, f)
+            ri, rx = br.genericity_obstruction(rs, rt, e, p, f)
+            # so the witness checks of criterion 8 read the same
+            assert (i, x - s[i], x - t[i]) == (ri, rx - rs[i], rx - rt[i])
+    assert counts == {key: mult for key, (_, _, mult) in reps.items()}
 
 
 def test_criterion_11_certifies_each_normal_form_once(monkeypatch):
@@ -231,21 +266,24 @@ def test_criterion_5_reads_the_norm_identity_rows_of_criterion_4(monkeypatch):
                              if d["mode"] == "newton-polygon")
 
 
-def _flip_last_verdict(monkeypatch):
-    table = br.monodromy_verdict_table
+def _weight_on_a_clean_degree(monkeypatch):
+    weights = br._monodromy_weights
 
-    def flipped(top, bot, keys, ks):
-        out = table(top, bot, keys, ks)
-        if len(keys) >= 2:
-            out[-1] = not out[-1]
-        return out
-    monkeypatch.setattr(br, "monodromy_verdict_table", flipped)
+    def weighted(top, bot):
+        degs, n_null, key_weights = weights(top, bot)
+
+        def moved(key):
+            w = key_weights(key)
+            return [(0, 0)] if w == [] and n_null else w
+        return degs, n_null, moved
+    monkeypatch.setattr(br, "_monodromy_weights", weighted)
 
 
 def _reverse_keys(monkeypatch):
-    table = br.monodromy_verdict_table
-    monkeypatch.setattr(br, "monodromy_verdict_table",
-                        lambda top, bot, keys, ks: table(top, bot, keys[::-1], ks))
+    mismatch = br.monodromy_subspace_mismatch
+    monkeypatch.setattr(
+        br, "monodromy_subspace_mismatch",
+        lambda top, bot, keys, clean: mismatch(top, bot, keys[::-1], clean))
 
 
 def _drop_forbidden_degree(monkeypatch):
@@ -262,7 +300,7 @@ CRITERION_9_ERROR = re.compile(
 
 
 @pytest.mark.parametrize("mutate, wrong", [
-    (_flip_last_verdict, "table"),
+    (_weight_on_a_clean_degree, "table"),
     (_reverse_keys, "table"),
     (_drop_forbidden_degree, "clean degrees"),
 ])

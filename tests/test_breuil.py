@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwork_forge.acceptance import _breuil_sweep_tuples
 from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 SpecialDegreeNotInteger, _alpha_differences,
                                 _slopes, _special_degrees, _y_constants,
@@ -20,13 +19,15 @@ from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 increasing_chains, make_ext_problem,
                                 _monodromy_weights, make_rank_one,
                                 monodromy_feasibility_checker,
-                                monodromy_verdict_table,
+                                monodromy_subspace_mismatch,
                                 normal_form_in_windows,
                                 frame_system_bound,
                                 obstruction_frame_verdicts, slope_data,
                                 solve_monodromy)
 from dwork_forge import breuil, linalg
 from dwork_forge.ff import IncompatibleFields, field_make
+
+from breuil_oracles import breuil_sweep_tuples, monodromy_verdict_table
 
 F5 = field_make(5, 1)
 ONE = F5.one()
@@ -159,7 +160,7 @@ def test_genericity_obstruction_rejects_length_mismatch():
 
 def test_slope_data_matches_the_oracle_on_the_selftest_sweep():
     # every tuple of criteria 7 and 8, not only one per distinct s - t - e
-    for p, e, f, s, t in _breuil_sweep_tuples():
+    for p, e, f, s, t in breuil_sweep_tuples():
         assert slope_data(s, t, e, p, f) == _slope_data_fractions(s, t, e, p, f)
         if sum(s) - sum(t) - e * f < 0:
             assert genericity_obstruction(s, t, e, p, f) == \
@@ -302,6 +303,72 @@ def test_verdict_table_equals_check(top, bot, keys, encodings):
     if (0, -1) in keys:
         assert _monodromy_weights(top, bot)[2]((0, -1)) is None
         assert not any(table[len(table) // len(elems):])
+
+
+def _criterion_9_pairs():
+    # the 44 (e, s, t) of criterion 9: p = 5, f = 1, s - t - e < 0
+    for e in (1, 2):
+        for s_ in range(3 * e + 1):
+            for t_ in range(3 * e + 1):
+                if s_ - t_ - e < 0:
+                    yield e, s_, t_
+
+
+def _identity_matches_the_table(top, bot, keys):
+    """Whether monodromy_subspace_mismatch finds a mismatch, asserting that
+    it does exactly when the table over F_5 differs from the clean-degree
+    mask, and that its y is a point where they differ."""
+    forb = breuil_forbidden_degrees(make_ext_problem(top, bot))[0]
+    table = monodromy_verdict_table(
+        top, bot, keys, F5.to_ks([F5.from_int(c) for c in range(5)]))
+    mask = [all(c == 0 or l not in forb for (_, l), c in zip(keys, coeffs))
+            for coeffs in product(range(5), repeat=len(keys))]
+    found = monodromy_subspace_mismatch(top, bot, keys,
+                                        [l not in forb for _, l in keys])
+    assert (found is None) == (table == mask), (top, bot, keys)
+    if found is not None:
+        y, verdict = found
+        idx = sum(c.encoding * 5 ** i for i, c in enumerate(reversed(y)))
+        assert len(y) == len(keys) and table[idx] == verdict != mask[idx]
+    return found is not None
+
+
+def _weight_on_zero_columns(w, n_null):
+    return [(0, 0)] if w == [] and n_null else w
+
+
+def _drop_first_null_vector(w, n_null):
+    return [(n, k) for n, k in w if n]
+
+
+def _one_nonzero_column(w, n_null):
+    return [(0, 0)] if w else w
+
+
+@pytest.mark.parametrize("mutate", [None, _weight_on_zero_columns,
+                                    _drop_first_null_vector,
+                                    _one_nonzero_column])
+def test_subspace_identity_agrees_with_the_verdict_table(monkeypatch, mutate):
+    # on every pair of criterion 9, with the true weights and with mutated
+    # ones that make some pair fail the identity
+    if mutate is not None:
+        weights = breuil._monodromy_weights
+
+        def mutated(top, bot):
+            degs, n_null, key_weights = weights(top, bot)
+            return degs, n_null, lambda key: mutate(key_weights(key), n_null)
+        monkeypatch.setattr(breuil, "_monodromy_weights", mutated)
+    mismatches = sum(_identity_matches_the_table(
+        make_rank_one(5, 1, e, (s_,), ONE), make_rank_one(5, 1, e, (t_,), ONE),
+        [(0, l) for l in range(s_)]) for e, s_, t_ in _criterion_9_pairs())
+    assert (mismatches == 0) == (mutate is None)
+
+
+@pytest.mark.parametrize("top, bot, keys, encodings",
+                         list(_verdict_table_cases())[:-1])
+def test_subspace_identity_on_the_verdict_table_cases(top, bot, keys, encodings):
+    # a key whose term lands in no row is clean, and fails the identity
+    assert _identity_matches_the_table(top, bot, keys) == ((0, -1) in keys)
 
 
 def _y_constants_ffelem(y, top, bottom):

@@ -221,6 +221,36 @@ def test_blocked_passes_match_naive(monkeypatch):
         assert convolution._conv2d_fft(a, b, L, N).tolist() == naive_conv2d(a, b, L, N)
 
 
+@pytest.mark.parametrize("block_entries", [7, util.BLOCK_ENTRIES])
+def test_bounds_equal_the_list_scans(monkeypatch, block_entries):
+    # seeded inputs whose rows are shared, as the indicators' are, with
+    # entries up to 2^62 so that some blocks are summed in Python ints
+    monkeypatch.setattr(util, "BLOCK_ENTRIES", block_entries)
+    rng = random.Random(8)
+    for L, N, hi in [(23, 3, 9), (40, 1, 1 << 40), (9, 6, 1 << 62),
+                     (3000, 5, 1 << 62), (5, 2, 0)]:
+        rows = [[rng.randrange(hi + 1) for _ in range(N)] for _ in range(N + 1)]
+        a = [rows[rng.randrange(N + 1)] for _ in range(L)]
+        assert convolution._max_and_sum(a, L, N) == \
+            (max(map(max, a)), sum(map(sum, a)))
+
+
+def test_entry_beyond_int64_reaches_kronecker(monkeypatch):
+    L, N = 4, 3
+    a = [[1, 0, 2], [0, 1 << 63, 0], [3, 0, 0], [0, 0, 1]]
+    b = [[2, 1, 0], [0, 0, 1], [1, 1, 1], [0, 4, 0]]
+    with pytest.raises(OverflowError):
+        convolution._max_and_sum(a, L, N)
+    assert convolution._conv2d_fft(a, b, L, N) is None
+    calls = []
+    kronecker = convolution.conv2d_kronecker
+    monkeypatch.setattr(convolution, "conv2d_kronecker",
+                        lambda *args: calls.append(1) or kronecker(*args))
+    out = conv2d_cyclic(a, b, L, N)
+    assert calls == [1] and out.dtype == object
+    assert out.tolist() == naive_conv2d(a, b, L, N)
+
+
 def test_shape_mismatch_is_a_value_error():
     with pytest.raises(ValueError, match="3 x 2 arrays got 2 and 3 rows"):
         conv2d_cyclic([[1, 0]] * 2, [[0, 1]] * 3, 3, 2)
