@@ -17,7 +17,6 @@ import random
 import sys
 import time
 from itertools import product
-from math import prod
 
 from . import breuil as br
 from . import hypergeom as hg
@@ -244,17 +243,13 @@ def criterion_6(seed):
 
 
 def _breuil_sweep_differences():
-    """(p, e, f, s, t, multiplicity) for each distinct d = s - t of the sweep
-    s, t in [0, h]^f, h = e(p-2): the representative s = max(0, d),
-    t = max(0, -d), and the prod_j (h + 1 - |d_j|) tuples with that d."""
+    """(p, e, f, s, t, multiplicity) over the sweep's (p, e, f): one
+    representative (s, t) per distinct s - t, from breuil.frame_classes."""
     for p in (3, 5):
         for e in (1, 2, 3):
             for f in (1, 2):
-                hi = e * (p - 2)
-                for d in product(range(-hi, hi + 1), repeat=f):
-                    yield (p, e, f, tuple(max(0, x) for x in d),
-                           tuple(max(0, -x) for x in d),
-                           prod(hi + 1 - abs(x) for x in d))
+                for _, s, t, mult in br.frame_classes(p, e, f):
+                    yield p, e, f, s, t, mult
 
 
 def criterion_7():

@@ -28,12 +28,12 @@ and every class given to it is one right-hand-side column of one
 elimination. obstruction_frame_verdicts decides a whole obstruction frame in
 three: the window normal forms of its clean classes, then the witness and
 those forms back at two truncations, where a verdict that changes between
-them is a WindowTooSmall failure.
+them is a WindowTooSmall failure. sweep_frame_verdicts decides the frames
+of a sweep with one such solve per difference s - t.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -60,19 +60,17 @@ class WindowTooSmall(VerificationFailed):
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
 class RankOneBK:
-    p: int
-    f: int
-    e: int
-    s: tuple
-    a: FFElem
+    """The rank-one datum M(s; a) of the frame (p, f, e): f nonnegative
+    heights s and a nonzero coefficient a."""
+    __slots__ = ("p", "f", "e", "s", "a")
 
-    def __post_init__(self):
-        if len(self.s) != self.f or any(si < 0 for si in self.s):
+    def __init__(self, p, f, e, s, a: FFElem):
+        if len(s) != f or any(si < 0 for si in s):
             raise ValueError("s must be f nonnegative integers")
-        if self.a.is_zero():
+        if a.is_zero():
             raise ValueError("a must be nonzero")
+        self.p, self.f, self.e, self.s, self.a = p, f, e, s, a
 
     @property
     def breuil_height_ok(self):
@@ -198,17 +196,16 @@ def slope_data(s, t, e, p, f):
     return n, r
 
 
-@dataclass
 class ExtProblem:
     """Extension of top = M(s;a) by bottom = M(t;b), with candidate y data.
 
     y maps (component index, degree) -> coefficient in F; the index is read
     mod f.
     """
-    top: RankOneBK
-    bottom: RankOneBK
-    n: tuple
-    y: dict
+    __slots__ = ("top", "bottom", "n", "y")
+
+    def __init__(self, top: RankOneBK, bottom: RankOneBK, n: tuple, y: dict):
+        self.top, self.bottom, self.n, self.y = top, bottom, n, y
 
     @property
     def frame(self):
@@ -721,6 +718,67 @@ def obstruction_frame_verdicts(top: RankOneBK, bottom: RankOneBK, witness):
     failures = [key for key, nf in zip(clean, nfs)
                 if nf == INFEASIBLE or not next(back)]
     return v1[0], failures
+
+
+def frame_verdicts(s, t, e, p, f, F):
+    """(whether the witness is reached, whether no clean class fails) for
+    the obstruction frame (s, t) with a = b = 1 over F and its
+    genericity_obstruction witness, by obstruction_frame_verdicts."""
+    one = F.one()
+    reached, failures = obstruction_frame_verdicts(
+        make_rank_one(p, f, e, s, one), make_rank_one(p, f, e, t, one),
+        genericity_obstruction(s, t, e, p, f))
+    return reached, not failures
+
+
+def frame_classes(p, e, f):
+    """(d, s, t, multiplicity) for each distinct d = s - t of the sweep
+    s, t in [0, h]^f, h = e(p-2): the representative s_j = h - max(0, -d_j),
+    t_j = h - max(0, d_j), the frame of that d with the largest heights, and
+    the prod_j (h + 1 - |d_j|) frames with that d. Every frame with that d
+    is the representative minus some c >= 0."""
+    h = e * (p - 2)
+    for d in product(range(-h, h + 1), repeat=f):
+        yield (d, tuple(h - max(0, -x) for x in d),
+               tuple(h - max(0, x) for x in d),
+               prod(h + 1 - abs(x) for x in d))
+
+
+def sweep_frame_verdicts(p, e, f, F):
+    """frame_verdicts for the obstruction frames (s, t) of the sweep
+    s, t in [0, e(p-2)]^f over F, solved once per d = s - t: returns the
+    function (s, t) -> verdicts.
+
+    Shift lemma. For c in Z^f, y_j -> u^(c_j) y_j with lambda unchanged
+    carries solutions of the change-of-variables relation
+    y_j = y'_j + u^(t_j) phi(lambda_{j-1}) - u^(s_j) lambda_j of (s, t) to
+    solutions of that of (s + c, t + c): each term gains u^(c_j). n, r and
+    the floors read only d, so these move by c_j at index j: the forbidden
+    degrees (l != t_j mod p, below s_j - e + max(n_{j+1}, 1)), the special
+    degree s_0 + alpha_0(s) - alpha_0(t) at index 0, the etale windows
+    [s_j + floor(n_{j+1}) - e + 1, s_j + floor(n_{j+1})] and the witness
+    (i, x) (x - t_i reads only d). The BK class space (degrees l < s_j and
+    the special one, minus the forbidden) and its clean classes (l < s_j)
+    move into those of (s + c, t + c) for c >= 0, which add the degrees
+    l < c_j. _lambda_bounds is sufficient at either margin, so the verdicts
+    are those over F((u)): a moved class is reached from a moved space
+    exactly when the class is reached from the space, and a clean class
+    fails exactly when it has no window normal form (the class itself comes
+    back). The representative of frame_classes has the largest heights of
+    its d, so a witness it does not reach is reached in no frame of that d,
+    and no failure there means none in any. A d whose representative reads
+    otherwise is decided frame by frame.
+    """
+    generic = {d for d, s, t, _ in frame_classes(p, e, f)
+               if sum(d) < e * f
+               and frame_verdicts(s, t, e, p, f, F) == (False, True)}
+
+    def verdicts(s, t):
+        if tuple(x - y for x, y in zip(s, t)) in generic:
+            return False, True
+        return frame_verdicts(s, t, e, p, f, F)
+
+    return verdicts
 
 
 # ---------------------------------------------------------------------------

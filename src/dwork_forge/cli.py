@@ -10,7 +10,6 @@ configuration and seed give byte-identical reports. Bad input ends in one
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -114,6 +113,7 @@ def cmd_hg_scan(args):
 
 
 def cmd_ordinary_scan(args):
+    import csv   # its only user; every other command starts without it
     params = _params_from(args)
     test = od.build_ordinary_test(params, args.l, args.tau)
     K = extension_of(test.field_v, args.d)
@@ -146,8 +146,7 @@ def cmd_ordinary_scan(args):
     return 0 if all_ok else 1
 
 
-def _frame_report(p, e, f, s, t, F):
-    one = F.one()
+def _frame_report(p, e, f, s, t, verdicts):
     n, r = br.slope_data(s, t, e, p, f)
     entry = {"p": p, "e": e, "f": f, "s": list(s), "t": list(t),
              "n": [f"{x.numerator}/{x.denominator}" for x in n],
@@ -155,12 +154,10 @@ def _frame_report(p, e, f, s, t, F):
     if sum(s[j] - t[j] - e for j in range(f)) < 0:
         i, x = br.genericity_obstruction(s, t, e, p, f)
         entry["obstruction"] = {"i": i, "x": x}
-        top = br.make_rank_one(p, f, e, s, one)
-        bot = br.make_rank_one(p, f, e, t, one)
-        reached, failures = br.obstruction_frame_verdicts(top, bot, (i, x))
+        reached, clean_ok = verdicts(s, t)
         entry["solver"] = {
             "witness": "feasible" if reached else "infeasible",
-            "in_window": "infeasible" if failures else "feasible"}
+            "in_window": "feasible" if clean_ok else "infeasible"}
     return entry
 
 
@@ -177,10 +174,14 @@ def cmd_breuil_generic(args):
         br.require_breuil_height(br.make_rank_one(p, f, e, s, F.one()),
                                  br.make_rank_one(p, f, e, t, F.one()))
         tuples = [(s, t)]
+
+        def verdicts(s, t):
+            return br.frame_verdicts(s, t, e, p, f, F)
     else:
         tuples = [(s, t) for s in iproduct(range(hi + 1), repeat=f)
                   for t in iproduct(range(hi + 1), repeat=f)]
-    entries = [_frame_report(p, e, f, s, t, F) for s, t in tuples]
+        verdicts = br.sweep_frame_verdicts(p, e, f, F)
+    entries = [_frame_report(p, e, f, s, t, verdicts) for s, t in tuples]
     payload = {"schema_version": SCHEMA_VERSION, "frames": entries}
     _emit(args, stable_json(payload))
     return 0

@@ -22,7 +22,6 @@ matrix_eigenvalues, the root scan, is used by neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import chain
 from math import prod
 
@@ -89,7 +88,6 @@ def adjoint_ks(field: FieldDesc, M, q):
     return [_conj(col, q, field.q - 1) for col in zip(*M)]
 
 
-@dataclass
 class HermitianSpace:
     """A Hermitian form on F_{q^2}^n as the dlog rows of its Gram matrix A.
 
@@ -97,18 +95,15 @@ class HermitianSpace:
     (_eliminate) once: the form is nondegenerate exactly when it completes,
     and normal_form returns the basis change it found.
     """
-    q: int
-    field: FieldDesc           # F_{q^2}
-    rows: list                 # n x n dlogs (None for zero)
-    nondegenerate: bool = dc_field(init=False)
-    _columns: list = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ("q", "field", "rows", "nondegenerate", "_columns")
 
-    def __post_init__(self):
-        A = self.rows
-        if any(len(row) != len(A) for row in A) or \
-                adjoint_ks(self.field, A, self.q) != A:
+    def __init__(self, q: int, field: FieldDesc, rows: list):
+        # field is F_{q^2}; rows are n x n dlogs (None for zero)
+        if any(len(row) != len(rows) for row in rows) or \
+                adjoint_ks(field, rows, q) != rows:
             raise ValueError("gram matrix is not Hermitian")
-        self._columns = _eliminate(self.field, A, self.q)
+        self.q, self.field, self.rows = q, field, rows
+        self._columns = _eliminate(field, rows, q)
         self.nondegenerate = self._columns is not None
 
 

@@ -204,6 +204,8 @@ def test_each_sweep_tuple_is_decided_as_its_representative():
         c = _difference(e, s, t)
         rs, rt, _ = reps[(p, e, f, c)]
         counts[(p, e, f, c)] += 1
+        # the representative has the largest heights of its class
+        assert all(x <= rx and y <= ry for x, y, rx, ry in zip(s, t, rs, rt))
         assert br.slope_data(s, t, e, p, f) == br.slope_data(rs, rt, e, p, f)
         if sum(c) < 0:
             i, x = br.genericity_obstruction(s, t, e, p, f)

@@ -22,8 +22,9 @@ from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 monodromy_subspace_mismatch,
                                 normal_form_in_windows,
                                 frame_system_bound,
-                                obstruction_frame_verdicts, slope_data,
-                                solve_monodromy)
+                                frame_verdicts, obstruction_frame_verdicts,
+                                slope_data, solve_monodromy,
+                                sweep_frame_verdicts)
 from dwork_forge import breuil, linalg
 from dwork_forge.ff import IncompatibleFields, field_make
 
@@ -586,6 +587,102 @@ def test_frame_verdicts_match_the_per_class_solvers(p, f, es):
             per_class_verdicts(top, bot, witness), (top.s, bot.s, top.e)
         chi_equal_frames += chi_equal(top, bot)
     assert chi_equal_frames > 0      # frames with the special degree are in
+
+
+@pytest.mark.parametrize("p,f,es", [(5, 1, (1, 2, 3)), (3, 2, (1, 2)),
+                                    (7, 1, (3,)), (3, 3, (1,))])
+def test_sweep_verdicts_are_the_verdicts_of_every_frame(p, f, es):
+    F = field_make(p, f)
+    chi_equal_frames = 0
+    for e in es:
+        verdicts = sweep_frame_verdicts(p, e, f, F)
+        for top, bot, witness in obstruction_frames(p, f, (e,)):
+            reached, failures = obstruction_frame_verdicts(top, bot, witness)
+            assert verdicts(top.s, bot.s) == (reached, not failures), \
+                (top.s, bot.s, e)
+            chi_equal_frames += chi_equal(top, bot)
+    assert chi_equal_frames > 0      # frames with the special degree are in
+
+
+def _shifted(frame, c):
+    p, e, f, s, t = frame
+    return (p, e, f, tuple(x + cj for x, cj in zip(s, c)),
+            tuple(x + cj for x, cj in zip(t, c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames((3, 5, 7, 11), 3, 3), st.data())
+def test_a_shift_moves_the_frame_data(frame, data):
+    # the parts of the shift lemma of sweep_frame_verdicts: for c >= 0 that
+    # keeps the heights in [0, e(p-2)], (s + c, t + c) has the windows, the
+    # special degrees, the forbidden degrees and the witness of (s, t) moved
+    # by c_j at index j, and a class space that holds the moved one and adds
+    # only degrees l < c_j
+    p, e, f, s, t = frame
+    h = e * (p - 2)
+    c = [data.draw(st.integers(0, h - max(x, y))) for x, y in zip(s, t)]
+    one = field_make(p, f).one()
+    sides = []
+    for _, _, _, s_, t_ in (frame, _shifted(frame, c)):
+        top, bot = (make_rank_one(p, f, e, v, one) for v in (s_, t_))
+        windows, dim, special = etale_image_windows(top, bot)
+        forbidden = breuil_forbidden_degrees(make_ext_problem(top, bot))
+        sides.append(([(w.start, w.stop) for w in windows], dim, special,
+                      {(j, l) for j, fs in enumerate(forbidden) for l in fs},
+                      set(breuil._bk_class_space(top, bot))))
+    (windows, dim, special, forbidden, space), \
+        (cwindows, cdim, cspecial, cforbidden, cspace) = sides
+
+    def moved(keys):
+        return {(j, l + c[j]) for j, l in keys}
+
+    assert [(a + cj, b + cj) for (a, b), cj in zip(windows, c)] == cwindows
+    assert dim == cdim
+    assert cspecial == (special and tuple(x + cj for x, cj in zip(special, c)))
+    assert moved(forbidden) <= cforbidden and moved(space) <= cspace
+    assert all(l < c[j] for j, l in cforbidden - moved(forbidden))
+    assert all(l < c[j] for j, l in cspace - moved(space))
+    if sum(s) - sum(t) < e * f:
+        i, x = genericity_obstruction(s, t, e, p, f)
+        assert genericity_obstruction(*_shifted(frame, c)[3:], e, p, f) == \
+            (i, x + c[i])
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames((3, 5, 7), 3, 2), st.data())
+def test_frame_verdicts_are_those_of_every_shift(frame, data):
+    p, e, f, s, t = frame
+    if sum(s) - sum(t) >= e * f:
+        return
+    h = e * (p - 2)
+    c = [data.draw(st.integers(-min(x, y), h - max(x, y)))
+         for x, y in zip(s, t)]
+    F = field_make(p, f)
+    assert frame_verdicts(s, t, e, p, f, F) == \
+        frame_verdicts(*_shifted(frame, c)[3:], e, p, f, F)
+
+
+def test_sweep_decides_by_frame_a_difference_whose_representative_fails(
+        monkeypatch):
+    # at (p, e, f) = (5, 1, 1) the frames with d = -1 are (0, 1), (1, 2) and
+    # (2, 3), the representative; a failure there is not read as a failure
+    # of the others, which are then solved one by one
+    solve = breuil.obstruction_frame_verdicts
+    solved = []
+
+    def failing(top, bot, witness):
+        solved.append((top.s, bot.s))
+        if (top.s, bot.s) == ((2,), (3,)):
+            return False, [(0, 0)]
+        return solve(top, bot, witness)
+
+    monkeypatch.setattr(breuil, "obstruction_frame_verdicts", failing)
+    verdicts = sweep_frame_verdicts(5, 1, 1, F5)
+    assert len(solved) == 4              # d in {-3, -2, -1, 0}
+    solved.clear()
+    assert verdicts((0,), (2,)) == (False, True) and solved == []
+    assert verdicts((1,), (2,)) == (False, True) and solved == [((1,), (2,))]
+    assert verdicts((2,), (3,)) == (False, False)
 
 
 @pytest.mark.parametrize("p,f,es", [(5, 1, (1, 2)), (7, 1, (1, 3)),

@@ -277,6 +277,44 @@ def test_algebra_commands_leave_numpy_unloaded():
     assert out == str([False] * (1 + len(ALGEBRA_COMMANDS)) + [True]) + "\n"
 
 
+@pytest.mark.parametrize("argv,solves", [("--p 7 --e 3 --f 1", 18),
+                                         ("--p 3 --e 2 --f 2", 24)])
+def test_breuil_generic_solves_once_per_difference(monkeypatch, capsys, argv,
+                                                   solves):
+    # one obstruction_frame_verdicts per d = s - t with sum(d_j - e) < 0:
+    # d in [-15, 2] at (7, 3, 1), every d in [-2, 2]^2 but (2, 2) at (3, 2, 2)
+    solve = br.obstruction_frame_verdicts
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(br, "obstruction_frame_verdicts", counted)
+    assert main(["breuil-generic", *argv.split(" ")]) == 0
+    capsys.readouterr()
+    assert len(calls) == solves
+
+
+def test_algebra_commands_leave_dataclasses_and_csv_unloaded():
+    # the Breuil and unitary data are plain __slots__ classes, and csv is
+    # imported by ordinary-scan alone; a fresh interpreter per command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwork_forge.__file__)))
+    code = ("import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); "
+            "import dwork_forge.cli as cli\n"
+            "def seen():\n"
+            "    return [m for m in ('csv', 'dataclasses') if m in sys.modules]\n"
+            "before = seen()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(sys.argv[2].split(' ')) == 0\n"
+            "print(before, seen())")
+    for argv in ALGEBRA_COMMANDS:
+        out = subprocess.run([sys.executable, "-c", code, src, argv],
+                             capture_output=True, text=True, timeout=120,
+                             check=True).stdout
+        assert out == "[] []\n", argv
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_cli_process_starts_no_blas_worker_threads():
     # numpy's bundled OpenBLAS starts a worker pool at import unless
