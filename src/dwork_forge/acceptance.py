@@ -310,7 +310,7 @@ def criterion_9(seed):
                 top = br.make_rank_one(p, f, e, (s_,), one)
                 bot = br.make_rank_one(p, f, e, (t_,), one)
                 # monodromy feasibility == forbidden-degree predicate, all y
-                forb = br.breuil_forbidden_degrees(br.make_ext_problem(top, bot))[0]
+                forb = br.breuil_forbidden_degrees(top, bot)[0]
                 mismatch = br.monodromy_subspace_mismatch(
                     top, bot, [(0, l) for l in range(s_)],
                     [l not in forb for l in range(s_)])
@@ -336,11 +336,10 @@ def criterion_9(seed):
                 for _ in range(4):
                     coeffs = tuple(rng.randrange(p) for _ in range(s_))
                     y = {(0, l): F.from_int(c) for l, c in enumerate(coeffs) if c}
-                    prob = br.make_ext_problem(top, bot, y=y)
-                    v1 = br.solve_monodromy(prob) != br.INFEASIBLE
+                    v1 = br.solve_monodromy(top, bot, y) != br.INFEASIBLE
                     d_unit = {0: F.from_dlog(rng.randrange(p - 1)),
                               1: F.from_int(rng.randrange(p))}
-                    v2 = br.solve_monodromy(prob, d_unit=d_unit) != br.INFEASIBLE
+                    v2 = br.solve_monodromy(top, bot, y, d_unit) != br.INFEASIBLE
                     check(v1 == v2 == feasible(y)
                           == forb.isdisjoint(l for _, l in y), (e, s_, t_, coeffs))
                 pairs += 1

@@ -196,36 +196,6 @@ def slope_data(s, t, e, p, f):
     return n, r
 
 
-class ExtProblem:
-    """Extension of top = M(s;a) by bottom = M(t;b), with candidate y data.
-
-    y maps (component index, degree) -> coefficient in F; the index is read
-    mod f.
-    """
-    __slots__ = ("top", "bottom", "n", "y")
-
-    def __init__(self, top: RankOneBK, bottom: RankOneBK, n: tuple, y: dict):
-        self.top, self.bottom, self.n, self.y = top, bottom, n, y
-
-    @property
-    def frame(self):
-        return (self.top.p, self.top.f, self.top.e)
-
-
-def make_ext_problem(top: RankOneBK, bottom: RankOneBK, y=None) -> ExtProblem:
-    _check_frame(top, bottom)
-    p, f, e = top.p, top.f, top.e
-    n, _ = slope_data(top.s, bottom.s, e, p, f)
-    degs, _ = bk_extension_degrees(top, bottom)
-    y = dict(y or {})
-    for (j, deg), cval in y.items():
-        if deg not in degs[j % f]:
-            raise ValueError(f"degree {deg} not allowed for y_{j}")
-        if not isinstance(cval, FFElem):
-            raise TypeError("y coefficients must be field elements")
-    return ExtProblem(top, bottom, n, y)
-
-
 def bk_extension_degrees(top: RankOneBK, bottom: RankOneBK):
     """Allowed degree sets {0..s_i-1} per index, plus the special degree
     s_j + alpha_j(top) - alpha_j(bottom) (an integer, checked) when a nonzero
@@ -236,19 +206,21 @@ def bk_extension_degrees(top: RankOneBK, bottom: RankOneBK):
     return degs, list(_special_degrees(top, bottom))
 
 
-def breuil_forbidden_degrees(problem: ExtProblem):
+def breuil_forbidden_degrees(top: RankOneBK, bottom: RankOneBK):
     """Degrees l < s_j - e + max(n_{j+1}, 1), l != t_j mod p, per index j.
 
     Only degrees from the allowed BK sets are listed (the rest cannot occur
     at all). The threshold uses the exact rational n_{j+1}.
     """
-    p, f, e = problem.frame
-    require_breuil_height(problem.top, problem.bottom)
-    s, t = problem.top.s, problem.bottom.s
-    degs, _ = bk_extension_degrees(problem.top, problem.bottom)
+    _check_frame(top, bottom)
+    require_breuil_height(top, bottom)
+    p, f, e = top.p, top.f, top.e
+    s, t = top.s, bottom.s
+    n, _ = slope_data(s, t, e, p, f)
+    degs, _ = bk_extension_degrees(top, bottom)
     out = []
     for j in range(f):
-        threshold = s[j] - e + max(problem.n[(j + 1) % f], Fraction(1))
+        threshold = s[j] - e + max(n[(j + 1) % f], Fraction(1))
         out.append({l for l in degs[j]
                     if l < threshold and (l - t[j]) % p != 0})
     return out
@@ -336,7 +308,7 @@ def _monodromy_system(top: RankOneBK, bottom: RankOneBK, d_poly, y_degrees):
     return keys, [terms.get(key, {}) for key in keys]
 
 
-def solve_monodromy(problem: ExtProblem, d_unit=None):
+def solve_monodromy(top: RankOneBK, bottom: RankOneBK, y=None, d_unit=None):
     """Solve the phi-N commutation constraint for mu'_j, or INFEASIBLE.
 
     The equation, an identity in F[u]/u^e for each component j (cyclic):
@@ -348,21 +320,30 @@ def solve_monodromy(problem: ExtProblem, d_unit=None):
     with mu'_j in u*F[u] (positive valuation: the crystallinity condition).
     Negative u-exponents cannot cancel between the two right-hand terms (the
     phi-term has exponents = t_j mod p after the shift, the y-term never), so
-    each negative-degree coefficient yields a hard linear constraint. d is a
-    u-adic unit, as a constant in F^x or a truncated unit polynomial; verdicts
-    do not depend on the choice.
+    each negative-degree coefficient yields a hard linear constraint.
+
+    y maps a key (j, l) to a field element: j is any integer, read mod f
+    (keys j and j + f add up), and 0 <= l < s_(j mod f); ValueError for
+    another degree, TypeError for a coefficient that is no field element.
+    d is a u-adic unit given as {u-degree: coefficient} with a nonzero
+    constant term, or None for d = 1; verdicts do not depend on the choice.
     """
-    _, f, e = problem.frame
-    F = problem.top.a.field
-    if d_unit is None:
-        d_unit = F.one()
-    d_unit = {0: d_unit} if isinstance(d_unit, FFElem) else dict(d_unit)
+    _check_frame(top, bottom)
+    f, e = top.f, top.e
+    F = top.a.field
+    y = y or {}
+    for (j, l), cval in y.items():
+        if not 0 <= l < top.s[j % f]:
+            raise ValueError(f"degree {l} not allowed for y_{j}")
+        if not isinstance(cval, FFElem):
+            raise TypeError("y coefficients must be field elements")
+    d_unit = {0: F.one()} if d_unit is None else d_unit
     d_poly = {k: v for k, v in zip(d_unit, F.to_ks(d_unit.values()))
               if v is not None}
     if 0 not in d_poly:
         raise ValueError("d must be a u-adic unit")
-    consts = _y_constants(problem.y, problem.top, problem.bottom)
-    keys, rows = _monodromy_system(problem.top, problem.bottom, d_poly, consts)
+    consts = _y_constants(y, top, bottom)
+    keys, rows = _monodromy_system(top, bottom, d_poly, consts)
     rhs = [F.k_neg(consts.get(key)) for key in keys]
     sol = sparse_solve(rows, rhs, f * (e - 1), F)
     if sol is None:
@@ -632,7 +613,7 @@ def _bk_class_space(top: RankOneBK, bottom: RankOneBK):
     Breuil-forbidden, plus the special degree (always = t_j mod p, hence
     monodromy-invisible) when a nonzero map exists."""
     degs, special = bk_extension_degrees(top, bottom)
-    forbidden = breuil_forbidden_degrees(make_ext_problem(top, bottom))
+    forbidden = breuil_forbidden_degrees(top, bottom)
     space = [(j, l) for j in range(len(degs))
              for l in sorted(degs[j] - forbidden[j])]
     if special is not None:

@@ -211,10 +211,9 @@ def cmd_breuil_oracle(args):
     if args.y:
         for part in args.y.split(","):
             key, c = _parse_y_term(part)
-            y[key] = F.from_int(c)
-    prob = br.make_ext_problem(top, bot, y=y)
-    forb = br.breuil_forbidden_degrees(prob)
-    mono = br.solve_monodromy(prob)
+            y[key] = y.get(key, F.zero()) + F.from_int(c)
+    mono = br.solve_monodromy(top, bot, y)
+    forb = br.breuil_forbidden_degrees(top, bot)
     windows, dim, _ = br.etale_image_windows(top, bot)
     payload = {"schema_version": SCHEMA_VERSION, "p": p, "e": e, "f": f,
                "s": list(s), "t": list(t), "d_unit": "1",

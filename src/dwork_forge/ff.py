@@ -15,9 +15,7 @@ through k_dot, and its dense row updates (the Hermitian elimination's
 vector and Gram updates, the Hessenberg reduction) through k_row_sub;
 the sparse elimination kernel of linalg through k_sparse_sub. The loop
 kernels k_dot, k_row_sub and k_sparse_sub take the Zech step
-a + b = g^a (1 + g^(b-a)) inline instead of calling k_add once per term, and
-so does the Horner evaluation in unitary._roots_with_multiplicity, which
-reads _zech directly.
+a + b = g^a (1 + g^(b-a)) inline instead of calling k_add once per term.
 k_of_encoding reads the dlog table for callers that draw encodings and
 work on dlogs. zech_array() gives the Zech table as an array to the
 vectorized trace engine.
@@ -420,30 +418,20 @@ class FieldDesc:
         p, f, q = self.p, self.f, self.q
         defpoly = list(self.defining_poly)
 
-        def mul_enc(a_enc, b_enc):
-            prod = _pmul(self._enc_to_poly(a_enc), self._enc_to_poly(b_enc), p)
-            return self._poly_to_enc(_pmod(prod, defpoly, p) if f > 1 else prod)
-
-        def pow_enc(a_enc, n):
-            r = 1
-            while n:
-                if n & 1:
-                    r = mul_enc(r, a_enc)
-                a_enc = mul_enc(a_enc, a_enc)
-                n >>= 1
-            return r
-
         # enc = 1 is a generator only of F_2^*, whose q - 1 has no prime factor.
         # For f > 1 the constants 1..p-1 lie in F_p^*, so none generates F_q^*
         # and the search starts at enc = p with the same result.
         factors = _prime_factors(q - 1)
         gen = next(enc for enc in range(1 if f == 1 else p, q)
-                   if all(pow_enc(enc, (q - 1) // r) != 1 for r in factors))
+                   if all(_ppowmod(self._enc_to_poly(enc), (q - 1) // r, defpoly, p)
+                          != [1] for r in factors))
         self.g_encoding = gen
 
         # Multiplication by g is F_p-linear on coordinate vectors: column j
-        # of its matrix holds the digits of g * x^j.
-        cols = [self._enc_to_poly(mul_enc(gen, p ** j)) for j in range(f)]
+        # of its matrix holds the f digits of g * x^j.
+        g = self._enc_to_poly(gen)
+        cols = [_pmod([0] * j + g, defpoly, p) for j in range(f)]
+        cols = [col + [0] * (f - len(col)) for col in cols]
         self._half = 0 if p == 2 else (q - 1) // 2     # dlog of -1
         # The Zech table's second form (the array of a list-built field, the
         # list of a numpy-built one) is made on first use. Both forms sit in

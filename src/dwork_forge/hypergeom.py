@@ -85,6 +85,8 @@ def select_chi(N, n) -> HGParams:
     """Lexicographically first sum-zero exponent set, preferring a trivial
     stabilizer in Gal(Q(zeta_N)/Q); falls back (with the flag cleared) when
     every sum-zero set is stabilized, which is unavoidable for n = 2."""
+    if n < 1:
+        raise ValueError(f"n = {n} must be at least 1")
     if N % 2 == 0 or N <= n or gcd(N, n) != 1:
         raise ValueError("need N odd, N > n, gcd(N, n) = 1")
     if N >= TABLE_LIMIT:    # N | q - 1 needs a field past the table limit

@@ -415,21 +415,11 @@ def _roots_with_multiplicity(poly, field):
     it, so the scan never goes back: it stays on a root until that root is
     divided out completely, then moves on."""
     add, mul = field.k_add, field.k_mul
-    zech, L = field._zech, field.q - 1
 
     def ev(pol, x):
-        # Horner's rule, acc = acc * x + c, with the Zech step inline
-        if x is None:
-            return pol[0]
-        acc = None
+        acc = None                            # Horner's rule
         for c in reversed(pol):
-            if acc is None:
-                acc = c
-                continue
-            acc = (acc + x) % L
-            if c is not None:
-                z = zech[(c - acc) % L]
-                acc = None if z is None else (acc + z) % L
+            acc = add(mul(acc, x), c)
         return acc
 
     def divide_linear(pol, r):

@@ -291,8 +291,8 @@ def _reverse_keys(monkeypatch):
 def _drop_forbidden_degree(monkeypatch):
     forbidden = br.breuil_forbidden_degrees
 
-    def dropped(problem):
-        return [set(sorted(ds)[:-1]) for ds in forbidden(problem)]
+    def dropped(top, bottom):
+        return [set(sorted(ds)[:-1]) for ds in forbidden(top, bottom)]
     monkeypatch.setattr(br, "breuil_forbidden_degrees", dropped)
 
 

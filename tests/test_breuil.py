@@ -16,7 +16,7 @@ from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 chain_slope_check, change_of_variables_solver,
                                 chi_equal, etale_image_windows,
                                 genericity_obstruction, hom_exists,
-                                increasing_chains, make_ext_problem,
+                                increasing_chains,
                                 _monodromy_weights, make_rank_one,
                                 monodromy_feasibility_checker,
                                 monodromy_subspace_mismatch,
@@ -219,22 +219,19 @@ def test_bk_extension_degrees():
 def test_forbidden_degrees_examples():
     top = make_rank_one(5, 1, 2, (3,), ONE)
     bot = make_rank_one(5, 1, 2, (0,), ONE)
-    prob = make_ext_problem(top, bot)
-    assert breuil_forbidden_degrees(prob) == [{1}]
+    assert breuil_forbidden_degrees(top, bot) == [{1}]
     # vacuous when the threshold drops to zero or below
     top2 = make_rank_one(5, 1, 2, (1,), ONE)
     bot2 = make_rank_one(5, 1, 2, (0,), ONE)
-    assert breuil_forbidden_degrees(make_ext_problem(top2, bot2)) == [set()]
+    assert breuil_forbidden_degrees(top2, bot2) == [set()]
 
 
 def test_monodromy_examples():
     top = make_rank_one(5, 1, 2, (3,), ONE)
     bot = make_rank_one(5, 1, 2, (0,), ONE)
-    assert solve_monodromy(make_ext_problem(top, bot)) == [{}]
-    assert solve_monodromy(
-        make_ext_problem(top, bot, y={(0, 1): ONE})) == INFEASIBLE
-    assert solve_monodromy(
-        make_ext_problem(top, bot, y={(0, 0): ONE})) != INFEASIBLE
+    assert solve_monodromy(top, bot) == [{}]
+    assert solve_monodromy(top, bot, {(0, 1): ONE}) == INFEASIBLE
+    assert solve_monodromy(top, bot, {(0, 0): ONE}) != INFEASIBLE
 
 
 def test_monodromy_forbidden_equivalence_and_d_independence():
@@ -242,7 +239,7 @@ def test_monodromy_forbidden_equivalence_and_d_independence():
     for (e, s_, t_) in [(2, 3, 0), (1, 2, 1), (2, 5, 2), (3, 4, 0)]:
         top = make_rank_one(5, 1, e, (s_,), ONE)
         bot = make_rank_one(5, 1, e, (t_,), ONE)
-        forb = breuil_forbidden_degrees(make_ext_problem(top, bot))[0]
+        forb = breuil_forbidden_degrees(top, bot)[0]
         degs, check = monodromy_feasibility_checker(top, bot)
         for coeffs in product(range(5), repeat=s_):
             y = {(0, l): F5.from_int(c) for l, c in enumerate(coeffs) if c}
@@ -250,11 +247,10 @@ def test_monodromy_forbidden_equivalence_and_d_independence():
             assert feasible == all(l not in forb for (_, l) in y)
             # spot the one-shot solver and a scaled unit d on a subsample
             if rng.random() < 0.05:
-                prob = make_ext_problem(top, bot, y=y)
-                assert (solve_monodromy(prob) != INFEASIBLE) == feasible
+                assert (solve_monodromy(top, bot, y) != INFEASIBLE) == feasible
                 d_unit = {0: F5.from_dlog(rng.randrange(4)),
                           1: F5.from_int(rng.randrange(5))}
-                assert (solve_monodromy(prob, d_unit=d_unit)
+                assert (solve_monodromy(top, bot, y, d_unit)
                         != INFEASIBLE) == feasible
 
 
@@ -264,13 +260,48 @@ def test_monodromy_f2():
     one = F25.one()
     top = make_rank_one(5, 2, 2, (3, 1), one)
     bot = make_rank_one(5, 2, 2, (0, 2), one)
-    assert solve_monodromy(make_ext_problem(top, bot)) is not INFEASIBLE
-    forb = breuil_forbidden_degrees(make_ext_problem(top, bot))
+    assert solve_monodromy(top, bot) is not INFEASIBLE
+    forb = breuil_forbidden_degrees(top, bot)
     degs, check = monodromy_feasibility_checker(top, bot)
     for j, ds in enumerate(degs):
         for l in ds:
             y = {(j, l): one}
             assert check(y) == (l not in forb[j]), (j, l)
+
+
+@pytest.mark.parametrize("key", [(0, 3), (1, 3), (0, -1), (-1, 5)])
+def test_monodromy_refuses_a_degree_outside_the_bk_range(key):
+    # s = (3,): a key (j, l) needs 0 <= l < 3, with j read mod f = 1
+    top = make_rank_one(5, 1, 2, (3,), ONE)
+    bot = make_rank_one(5, 1, 2, (0,), ONE)
+    with pytest.raises(ValueError,
+                       match=rf"^degree {key[1]} not allowed for y_{key[0]}$"):
+        solve_monodromy(top, bot, {(0, 0): ONE, key: ONE})
+
+
+def test_monodromy_refuses_a_coefficient_outside_the_field():
+    top = make_rank_one(5, 1, 2, (3,), ONE)
+    bot = make_rank_one(5, 1, 2, (0,), ONE)
+    with pytest.raises(TypeError, match="field elements"):
+        solve_monodromy(top, bot, {(0, 0): 1})
+
+
+@pytest.mark.parametrize("d_unit", [{1: ONE}, {0: F5.zero(), 1: ONE}, {}])
+def test_monodromy_refuses_a_d_without_a_unit_constant_term(d_unit):
+    top = make_rank_one(5, 1, 2, (3,), ONE)
+    bot = make_rank_one(5, 1, 2, (0,), ONE)
+    with pytest.raises(ValueError, match="u-adic unit"):
+        solve_monodromy(top, bot, None, d_unit)
+
+
+def test_monodromy_default_d_is_one():
+    F25 = field_make(5, 2)
+    top = make_rank_one(5, 2, 3, (3, 1), F25.gen())
+    bot = make_rank_one(5, 2, 3, (0, 2), F25.one())
+    for y in ({}, {(0, 0): F25.gen(), (1, 0): F25.one()}):
+        mu = solve_monodromy(top, bot, y)
+        assert mu == solve_monodromy(top, bot, y, {0: F25.one()})
+        assert mu != INFEASIBLE
 
 
 def _verdict_table_cases():
@@ -319,7 +350,7 @@ def _identity_matches_the_table(top, bot, keys):
     """Whether monodromy_subspace_mismatch finds a mismatch, asserting that
     it does exactly when the table over F_5 differs from the clean-degree
     mask, and that its y is a point where they differ."""
-    forb = breuil_forbidden_degrees(make_ext_problem(top, bot))[0]
+    forb = breuil_forbidden_degrees(top, bot)[0]
     table = monodromy_verdict_table(
         top, bot, keys, F5.to_ks([F5.from_int(c) for c in range(5)]))
     mask = [all(c == 0 or l not in forb for (_, l), c in zip(keys, coeffs))
@@ -410,7 +441,7 @@ def test_checker_matches_one_shot_solver(frame, data):
     consts = _y_constants(y, top, bot)
     assert dict(zip(consts, F.from_ks(consts.values()))) == \
         _y_constants_ffelem(y, top, bot)
-    feasible = solve_monodromy(make_ext_problem(top, bot, y=y)) != INFEASIBLE
+    feasible = solve_monodromy(top, bot, y) != INFEASIBLE
     assert check(y) == feasible
 
 
@@ -434,7 +465,7 @@ def test_checker_matches_solver_on_every_y(p, e, f, coeffs):
             keys = [(j, l) for j in range(f) for l in sorted(degs[j])]
             for cs in product(values, repeat=len(keys)):
                 y = dict(zip(keys, cs))
-                feasible = solve_monodromy(make_ext_problem(top, bot, y=y))
+                feasible = solve_monodromy(top, bot, y)
                 assert check(y) == (feasible != INFEASIBLE), (s, t, y)
 
 
@@ -458,7 +489,7 @@ def test_cancelling_terms_keep_their_row():
     y = {(0, 1): ONE, (1, 1): -ONE}
     assert check({(0, 1): ONE}) is False
     assert check(y) is True
-    assert solve_monodromy(make_ext_problem(top, bot, y=y)) != INFEASIBLE
+    assert solve_monodromy(top, bot, y) != INFEASIBLE
 
 
 def test_checker_rejects_foreign_coefficients():
@@ -540,7 +571,7 @@ def test_change_of_variables_witness_and_roundtrip():
                 i, x = genericity_obstruction((s_,), (t_,), e, 5, 1)
                 assert change_of_variables_solver(
                     {(i, x): ONE}, top, bot) == INFEASIBLE
-                forb = breuil_forbidden_degrees(make_ext_problem(top, bot))[0]
+                forb = breuil_forbidden_degrees(top, bot)[0]
                 for l in (l for l in range(s_) if l not in forb):
                     nf = normal_form_in_windows({(0, l): ONE}, top, bot)
                     assert nf != INFEASIBLE
@@ -566,7 +597,7 @@ def per_class_verdicts(top, bot, witness):
     change_of_variables_solver and normal_form_in_windows."""
     one = top.a.field.one()
     reached = change_of_variables_solver({witness: one}, top, bot) != INFEASIBLE
-    forb = breuil_forbidden_degrees(make_ext_problem(top, bot))
+    forb = breuil_forbidden_degrees(top, bot)
     failures = []
     for j in range(top.f):
         for l in range(top.s[j]):
@@ -626,7 +657,7 @@ def test_a_shift_moves_the_frame_data(frame, data):
     for _, _, _, s_, t_ in (frame, _shifted(frame, c)):
         top, bot = (make_rank_one(p, f, e, v, one) for v in (s_, t_))
         windows, dim, special = etale_image_windows(top, bot)
-        forbidden = breuil_forbidden_degrees(make_ext_problem(top, bot))
+        forbidden = breuil_forbidden_degrees(top, bot)
         sides.append(([(w.start, w.stop) for w in windows], dim, special,
                       {(j, l) for j, fs in enumerate(forbidden) for l in fs},
                       set(breuil._bk_class_space(top, bot))))
@@ -724,7 +755,7 @@ def test_three_eliminations_per_obstruction_frame(monkeypatch, p, e, f):
     for top, bot, witness in obstruction_frames(p, f, (e,)):
         calls.clear()
         obstruction_frame_verdicts(top, bot, witness)
-        forb = breuil_forbidden_degrees(make_ext_problem(top, bot))
+        forb = breuil_forbidden_degrees(top, bot)
         clean = any(l not in forb[j] for j in range(f) for l in range(top.s[j]))
         # one to-etale system for the clean classes (none without one), and
         # the back system at margin 0 and at margin 2ep
@@ -845,7 +876,7 @@ def test_change_of_variables_f2_sampled():
         bot = make_rank_one(5, 2, e, t, one)
         i, x = genericity_obstruction(s, t, e, 5, 2)
         assert change_of_variables_solver({(i, x): one}, top, bot) == INFEASIBLE
-        forb = breuil_forbidden_degrees(make_ext_problem(top, bot))
+        forb = breuil_forbidden_degrees(top, bot)
         for j in range(2):
             clean = [l for l in range(s[j]) if l not in forb[j]]
             if clean:

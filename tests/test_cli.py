@@ -1,11 +1,15 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dwork_forge
 from dwork_forge import breuil as br
@@ -21,6 +25,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def run_quiet(argv):
+    """(exit status, stdout, stderr) of one in-process call; the SystemExit
+    of a usage error gives its status."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_hg_trace(capsys):
@@ -103,6 +119,31 @@ def test_breuil_oracle(capsys):
     assert data["forbidden_degrees"] == [[1]]
     assert data["monodromy"] == "infeasible"
     assert data["image_windows"] == [[2, 3]]
+
+
+ORACLE_FRAMES = [(3, 2, 1), (5, 1, 1), (5, 2, 1), (7, 1, 1), (3, 1, 2),
+                 (3, 2, 2), (5, 1, 2)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_breuil_oracle_adds_y_terms_that_land_on_one_key(data):
+    # --y reads j mod f, so c at (j, l) is the class of c1 at (j + k1 f, l)
+    # plus c2 at (j + k2 f, l) whenever c1 + c2 = c mod p
+    p, e, f = data.draw(st.sampled_from(ORACLE_FRAMES))
+    hi = e * (p - 2)
+    s = data.draw(st.lists(st.integers(1, hi), min_size=f, max_size=f))
+    t = data.draw(st.lists(st.integers(0, hi), min_size=f, max_size=f))
+    j = data.draw(st.integers(0, f - 1))
+    l = data.draw(st.integers(0, s[j] - 1))
+    c, c1 = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+    c2 = (c - c1) % p + p * data.draw(st.integers(-1, 1))
+    k1, k2 = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+    frame = ["breuil-oracle", "--p", str(p), "--e", str(e), "--f", str(f),
+             "--s", ",".join(map(str, s)), "--t", ",".join(map(str, t)), "--y"]
+    whole = run_quiet(frame + [f"{j}.{l}:{c}"])
+    split = run_quiet(frame + [f"{j + k1 * f}.{l}:{c1},{j + k2 * f}.{l}:{c2}"])
+    assert whole[0] == 0 and split == whole
 
 
 def test_breuil_chain(capsys):
@@ -217,6 +258,15 @@ def test_extension_degree_below_one_is_a_typed_error(capsys, d):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == f"error: extension degree d = {d} must be at least 1\n"
+
+
+@pytest.mark.parametrize("N,n", [(3, "-1"), (3, "0"), (1, "0")])
+def test_exponent_count_below_one_is_a_typed_error(capsys, N, n):
+    # refused before the exponent sets are enumerated
+    code = main(["hg-trace", "--N", str(N), "--n", n, "--q", "7", "--x", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: n = {n} must be at least 1\n"
 
 
 @pytest.mark.parametrize("term", ["abc", "0:x", "1.2.3:1", "1:", ":1"])
@@ -502,3 +552,130 @@ def test_long_chain_is_not_a_recursion(capsys):
     code, out = run_cli(capsys, "breuil-chain", "--d", "2000", "--e", "1",
                         "--f", "1")
     assert code == 0 and json.loads(out)["chains_checked"] == 1
+
+
+# The CLI fuzz: every subcommand's grammar, as {flag: value} for a small
+# valid call and {flag: [values]} refused before any work or malformed.
+# A drawn call spoils at most one flag. The valid values keep off the slow
+# trace-engine inputs (n = 5 at large q, n = 1 at q = 776161, ordinary-scan
+# with d >= 2 at l = 3).
+HUGE_Q = [1048583, 2305843009213693951, 7 ** 100]
+BAD_R = ["x", "1,x", "0", "1,1", ",", "1,2,3,4,5"]
+BAD_Y = ["abc", "0:x", "1.2.3:1", "1:", ":1", "9:1", "-1:1", "0.-1:1", "1:1,"]
+BAD_MATRIX = ["[]", "[[1,0],[0]]", "5", "[[1.5]]", "[[true]]", "{",
+              "[[[1,2,3]]]", "[[]]", '"a"']
+
+
+def _spoiled(draw, cmd, good, bad):
+    flag = draw(st.sampled_from([None] * 3 + sorted(bad)))
+    if flag is not None:
+        good = dict(good, **{flag: draw(st.sampled_from(bad[flag]))})
+    return [cmd] + [str(v) for item in good.items() for v in item]
+
+
+def _heights(f, hi):
+    return st.lists(st.integers(0, hi), min_size=f, max_size=f).map(
+        lambda v: ",".join(map(str, v)))
+
+
+@st.composite
+def hg_argv(draw):
+    cmd = draw(st.sampled_from(["hg-trace", "hg-charpoly", "hg-scan"]))
+    N, n, q = draw(st.sampled_from([
+        (3, 2, 4), (3, 2, 7), (3, 2, 13), (3, 2, 16), (5, 2, 11), (5, 2, 16),
+        (7, 2, 8), (7, 3, 8), (7, 3, 29), (5, 4, 11)]))
+    good = {"--N": N, "--n": n, "--q": q}
+    bad = {"--N": [-1, 0, 2, 9, 2147483659], "--n": [-1, 0, 7],
+           "--q": [-7, 0, 1, 6, 10] + HUGE_Q, "--R": BAD_R}
+    if cmd != "hg-scan":
+        good["--x"] = draw(st.integers(2, q - 1))
+        bad["--x"] = [-1, 0, 1, q]
+    if cmd != "hg-trace" and draw(st.booleans()):
+        good["--l"] = draw(st.sampled_from([2, 3, 7, 13, 29]))
+        good["--tau"] = draw(st.integers(-2, 4))
+        bad["--l"] = [-1, 4, 2 ** 61 - 1]
+    return _spoiled(draw, cmd, good, bad)
+
+
+@st.composite
+def ordinary_argv(draw):
+    N, n, l = draw(st.sampled_from([(3, 2, 7), (3, 2, 13), (3, 2, 2),
+                                    (5, 2, 11), (7, 3, 2), (7, 3, 29)]))
+    good = {"--N": N, "--n": n, "--l": l, "--d": draw(st.integers(1, 2)),
+            "--tau": draw(st.integers(-1, 3))}
+    bad = {"--N": [-1, 0, 1048583], "--n": [-1, 0], "--l": [-1, 0, 4, 5],
+           "--d": [-1, 0, 100000000], "--R": BAD_R}
+    return _spoiled(draw, "ordinary-scan", good, bad)
+
+
+@st.composite
+def breuil_argv(draw):
+    cmd = draw(st.sampled_from(["breuil-generic", "breuil-oracle"]))
+    p, e, f = draw(st.sampled_from(ORACLE_FRAMES))
+    good = {"--p": p, "--e": e, "--f": f}
+    bad = {"--p": [-1, 2, 9, 1000000000000000003],
+           "--e": [-1, 0, 30, 63550, 100000000], "--f": [0, 7],
+           "--s": ["", "x", "1,,2", "100000000000"], "--t": ["", "-3"]}
+    if cmd == "breuil-oracle" or draw(st.booleans()):
+        good["--s"] = s = draw(_heights(f, e * (p - 2)))
+        good["--t"] = draw(_heights(f, e * (p - 2)))
+    if cmd == "breuil-oracle":
+        s = [int(v) for v in s.split(",")]
+        terms = draw(st.lists(st.tuples(st.integers(0, 2 * f), st.integers(0, 6),
+                                        st.integers(-2, 9)), max_size=3))
+        terms = [f"{j}.{l % s[j % f]}:{c}" for j, l, c in terms if s[j % f]]
+        if terms:
+            good["--y"] = ",".join(terms)
+        bad["--y"] = BAD_Y
+    return _spoiled(draw, cmd, good, bad)
+
+
+@st.composite
+def chain_argv(draw):
+    good = {"--d": draw(st.integers(1, 4)), "--e": draw(st.integers(1, 2)),
+            "--f": draw(st.integers(1, 2))}
+    bad = {"--d": [-1, 0, 20], "--e": [-1, 0], "--f": [0, 10 ** 20]}
+    return _spoiled(draw, "breuil-chain", good, bad)
+
+
+@st.composite
+def normalize_argv(draw):
+    size = draw(st.integers(1, 3))
+    if draw(st.booleans()):     # diagonal entries in F_q: a Hermitian form
+        M = [[draw(st.integers(-2, 8)) if i == j else 0 for j in range(size)]
+             for i in range(size)]
+    else:
+        entry = st.one_of(st.integers(-2, 8),
+                          st.lists(st.integers(-2, 8), min_size=2, max_size=2))
+        M = draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                          min_size=size, max_size=size))
+    good = {"--q": draw(st.sampled_from([2, 3, 5, 7, 11])),
+            "--matrix": json.dumps(M, separators=(",", ":"))}
+    bad = {"--q": [-3, 0, 1, 4, 9] + HUGE_Q, "--matrix": BAD_MATRIX}
+    return _spoiled(draw, "unitary-normalize", good, bad)
+
+
+@st.composite
+def sym_argv(draw):
+    good = {"--p": draw(st.sampled_from([3, 5, 7, 11, 61])),
+            "--beta": draw(st.integers(1, 3)), "--n": draw(st.integers(0, 3)),
+            "--m": draw(st.integers(1, 5))}
+    bad = {"--p": [-1, 1, 2, 4, 1000000000000000003], "--beta": [-1, 0],
+           "--n": [-1, -2], "--m": [-1, 0, 102, 1000]}
+    return _spoiled(draw, "unitary-sym", good, bad)
+
+
+USAGE_ERRORS = [["selftest", "--seed", "x"], ["selftest", "--bogus"], ["nope"],
+                [], ["hg-trace", "--N", "3"],
+                ["breuil-chain", "--d", "1.5", "--e", "1", "--f", "1"]]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(hg_argv(), ordinary_argv(), breuil_argv(), chain_argv(),
+                 normalize_argv(), sym_argv(), st.sampled_from(USAGE_ERRORS)))
+def test_every_drawn_call_ends_in_a_result_or_one_error_line(argv):
+    code, out, err = run_quiet(argv)
+    assert code in (0, 2), (argv, code, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: "), (argv, err)
+        assert err.count("\n") == 1, (argv, err)

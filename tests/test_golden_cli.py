@@ -157,12 +157,11 @@ def monodromy_dump():
                     y = {k: F.from_encoding(rng.randrange(F.q)) for k in keys
                          if rng.random() < 0.5}
                     y = {k: c for k, c in y.items() if not c.is_zero()}
-                    prob = br.make_ext_problem(top, bot, y=y)
                     lines.append(" ".join([
                         repr((p, e, f, s, t, a.encoding)),
                         repr(sorted((k, c.encoding) for k, c in y.items())),
-                        _mu_text(br.solve_monodromy(prob)),
-                        _mu_text(br.solve_monodromy(prob, d_unit=d_unit)),
+                        _mu_text(br.solve_monodromy(top, bot, y)),
+                        _mu_text(br.solve_monodromy(top, bot, y, d_unit)),
                         str(check(y))]))
     return "\n".join(lines) + "\n"
 
