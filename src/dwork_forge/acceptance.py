@@ -140,17 +140,17 @@ _norm_checks = {}
 
 
 def _norm_identity(N, n, l, d):
-    """What criteria 4 and 5 read off verify_norm_identity's rows for
+    """What criteria 4 and 5 read off verify_norm_identity's arrays for
     (N, n, l) over F_{q_v^d}, computed once: (points, the x_dlog where the
     identity fails, points with u(x) != 0, the x_dlog of those whose reduced
-    trace is zero). Only these are kept, not the rows."""
+    trace is zero). Only these are kept, not the arrays."""
     key = (N, n, l, d)
     if key not in _norm_checks:
-        rows = od.verify_norm_identity(_ordinary_test(N, n, l), d)
-        unit = [r for r in rows if r.u_nonzero]
-        _norm_checks[key] = (len(rows), [r.x_dlog for r in rows if not r.ok],
-                             len(unit),
-                             [r.x_dlog for r in unit if r.trace_red.is_zero()])
+        ident = od.verify_norm_identity(_ordinary_test(N, n, l), d)
+        unit_zero = ident.u_nonzero & (ident.trace_red == 0)
+        _norm_checks[key] = (len(ident.x_dlog), ident.x_dlog[~ident.ok].tolist(),
+                             int(ident.u_nonzero.sum()),
+                             ident.x_dlog[unit_zero].tolist())
     return _norm_checks[key]
 
 
@@ -183,7 +183,7 @@ def criterion_5():
     verified there through its exact equivalent, the unit-trace clause
     u(x) != 0 => val_lambda(trace) = 0, which is what forces the slope-0
     segment; it reads u(x) != 0 and the reduced trace off criterion 4's
-    norm-identity rows. Full ordinarity is advisory.
+    norm-identity arrays. Full ordinarity is advisory.
     """
     details = []
     ok = True

@@ -114,10 +114,15 @@ def cmd_hg_scan(args):
 
 def cmd_ordinary_scan(args):
     import csv   # its only user; every other command starts without it
+    if not args.R:
+        # the residue field depends on N and l alone: refuse it after the
+        # refusals that need no search and before select_chi's search
+        hg.check_chi(args.N, args.n)
+        la.residue_field(args.N, args.l, args.tau)
     params = _params_from(args)
     test = od.build_ordinary_test(params, args.l, args.tau)
     K = extension_of(test.field_v, args.d)
-    rows = od.verify_norm_identity(test, args.d)
+    ident = od.verify_norm_identity(test, args.d)
     polygons = {}
     if table_fits(K.p, K.f * params.n):    # char_poly builds F_{q^n}
         for x in hg.trace_all_fast(params, K):
@@ -129,21 +134,21 @@ def cmd_ordinary_scan(args):
     w = csv.writer(buf)
     w.writerow(["x_dlog", "u_x", "trace_mod_lambda", "norm_u",
                 "identity_ok", "min_slope", "slopes"])
-    all_ok = True
-    for r in rows:
-        sl = polygons.get(r.x_dlog)
+    for x_dlog, u_nonzero, trace_red, norm_u, ok in zip(
+            ident.x_dlog.tolist(), ident.u_nonzero.tolist(),
+            ident.trace_red.tolist(), ident.norm_u.tolist(), ident.ok.tolist()):
+        sl = polygons.get(x_dlog)
         w.writerow([
-            r.x_dlog,
-            "nonzero" if r.u_nonzero else "0",
-            r.trace_red.encoding,
-            r.norm_u.encoding,
-            int(r.ok),
+            x_dlog,
+            "nonzero" if u_nonzero else "0",
+            trace_red,
+            norm_u,
+            int(ok),
             str(min(sl)) if sl else "NA",
             " ".join(str(s) for s in sl) if sl else "NA",
         ])
-        all_ok &= r.ok
     _emit(args, buf.getvalue())
-    return 0 if all_ok else 1
+    return 0 if ident.ok.all() else 1
 
 
 def _frame_report(p, e, f, s, t, verdicts):

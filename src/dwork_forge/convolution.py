@@ -192,10 +192,11 @@ def _conv2d_fft(a, b, L, N):
     certified exact.
 
     Each input's row transforms are taken in its own buffer (see _spectrum).
-    a's column transforms make the product's spectrum; b's are multiplied
-    into it half of the columns at a time, so at most about 2.5 spectra are
-    live. The inverse is rounded, measured and written as int64 one block
-    of rows at a time.
+    a's columns are transformed one at a time over themselves, b's one at a
+    time into a temporary that is multiplied into a's, and the inverse runs
+    column by column in place, so the product takes a's buffer and at most
+    two spectra are live. The inverse is rounded, measured and written as
+    int64 one block of rows at a time.
     """
     if math.lcm(L, N) > MAX_CHECK_ORDER:
         return None
@@ -213,15 +214,15 @@ def _conv2d_fft(a, b, L, N):
         return None
     import numpy as np
     P = _check_point(L, N)[0]
-    ev_a, S = _spectrum(a, L, N)
-    C = np.fft.fft(S, axis=0)
-    del S
+    ev_a, C = _spectrum(a, L, N)
+    for j in range(C.shape[1]):
+        C[:, j] = np.fft.fft(C[:, j])
     ev_b, S = _spectrum(b, L, N)
-    half = (S.shape[1] + 1) // 2
-    for cols in (slice(0, half), slice(half, None)):
-        C[:, cols] *= np.fft.fft(S[:, cols], axis=0)
+    for j in range(C.shape[1]):
+        C[:, j] *= np.fft.fft(S[:, j])
     del S
-    C = np.fft.ifft(C, axis=0)
+    for j in range(C.shape[1]):
+        C[:, j] = np.fft.ifft(C[:, j])
     R = np.empty((L, N), dtype=np.int64)
     for blk in row_blocks(L, N):
         X = np.fft.irfft(C[blk], n=N, axis=1)

@@ -12,16 +12,21 @@ product of the first n-1 of them in the group ring Z[C_{q-1} x C_N], made by
 n-2 cyclic convolutions. Each convolution is a floating-point FFT that is
 certified exact or else recomputed by the exact Kronecker engine (see
 convolution.py). trace_all_fast multiplies the prefix by the last factor for
-the whole map at once; trace_at evaluates the last factor at one point only,
-with integer gathers. Characteristic polynomials take the trace over k from
-the full map and the traces over F_{q^d}, d = 2..n, from trace_at at the
-embedded point, and combine them via Newton's identities with exact
-division; purity / determinant / Newton-polygon checks quantify the expected
-weight n-1, determinant q^(n(n-1)/2) and slope structure.
+the whole map at once and keeps the product, an L x N array of
+zeta-exponent counts with one row per dlog, as a TraceMap: a point's value
+in Z[zeta_N] is made only when it is read, and ordinarity reduces the rows
+mod lambda without making any. trace_at evaluates the last factor at one
+point only, with integer gathers. Characteristic polynomials take the trace
+over k from the full map's row at dlog x and the traces over F_{q^d},
+d = 2..n, from trace_at at the embedded point, and combine them via
+Newton's identities with exact division; purity / determinant /
+Newton-polygon checks quantify the expected weight n-1, determinant
+q^(n(n-1)/2) and slope structure.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
@@ -81,16 +86,31 @@ def hg_params(N, n, R) -> HGParams:
     return HGParams(N, n, tuple(sorted(r % N for r in R)))
 
 
-def select_chi(N, n) -> HGParams:
-    """Lexicographically first sum-zero exponent set, preferring a trivial
-    stabilizer in Gal(Q(zeta_N)/Q); falls back (with the flag cleared) when
-    every sum-zero set is stabilized, which is unavoidable for n = 2."""
+def check_chi(N, n):
+    """The refusals of select_chi that need no search.
+
+    With N odd, N > n and gcd(N, n) = 1, a sum-zero n-subset of the nonzero
+    residues mod N exists unless n = 1 or n = N - 2: pairs {r, N - r} make
+    every even n <= N - 1, and {1, 2, N - 3} and (n - 3)/2 pairs from
+    4..(N-1)/2 every odd 3 <= n <= N - 4. The nonzero residues sum to 0, so
+    an (N - 2)-subset sums to 0 exactly when its complement, a single
+    nonzero residue, does.
+    """
     if n < 1:
         raise ValueError(f"n = {n} must be at least 1")
     if N % 2 == 0 or N <= n or gcd(N, n) != 1:
         raise ValueError("need N odd, N > n, gcd(N, n) = 1")
     if N >= TABLE_LIMIT:    # N | q - 1 needs a field past the table limit
         raise TooLarge(f"N = {N} exceeds table limit {TABLE_LIMIT}")
+    if n in (1, N - 2):
+        raise NoSumZeroSet(f"no sum-zero {n}-subset mod {N}")
+
+
+def select_chi(N, n) -> HGParams:
+    """Lexicographically first sum-zero exponent set, preferring a trivial
+    stabilizer in Gal(Q(zeta_N)/Q); falls back (with the flag cleared) when
+    every sum-zero set is stabilized, which is unavoidable for n = 2."""
+    check_chi(N, n)
     if n == 2:    # -1 stabilizes every pair {r, -r}: the first is the fallback
         return HGParams(N, 2, (1, N - 1))
     fallback = None
@@ -102,9 +122,7 @@ def select_chi(N, n) -> HGParams:
             return params
         if fallback is None:
             fallback = params
-    if fallback is None:
-        raise NoSumZeroSet(f"no sum-zero {n}-subset mod {N}")
-    return fallback
+    return fallback    # check_chi leaves only n with a sum-zero set
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +191,7 @@ def trace_naive(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
 
 FAST_CACHE_SIZE = 8
 _prefix_cache: dict = {}   # (params, FieldDesc) -> (rows, prefix), oldest first
-_fast_cache: dict = {}     # (params, FieldDesc) -> trace map, oldest first
+_fast_cache: dict = {}     # (params, FieldDesc) -> TraceMap, oldest first
 
 
 def _remember(cache, key, value):
@@ -227,6 +245,12 @@ def _prefix(params: HGParams, k: FieldDesc):
     return _remember(_prefix_cache, key, (rows, prefix))
 
 
+def _trace_value(params: HGParams, counts) -> CyclotomicInt:
+    """(-1)^(n-1) sum_z counts[z] zeta_N^z, from one row of zeta-exponent counts."""
+    value = CyclotomicInt.from_zeta_counts(params.N, counts.tolist())
+    return -value if (params.n - 1) % 2 else value
+
+
 def trace_at(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
     """The trace at one point, read off the cached prefix (see _prefix).
 
@@ -261,35 +285,54 @@ def trace_at(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
             idx = shift[r[j]]                   # one row per j, read at r[j]
             idx += (j * N)[:, None]
             counts += flat.take(idx).sum(axis=0)
-    counts = counts.tolist()
-    value = CyclotomicInt.from_zeta_counts(N, counts)
-    return -value if (params.n - 1) % 2 else value
+    return _trace_value(params, counts)
 
 
-def trace_all_fast(params: HGParams, k: FieldDesc):
-    """Map x -> trace for every x in k - {0,1}, by exact convolution.
+class TraceMap(Mapping):
+    """The read-only map x -> trace over k - {0, 1} of one (params, field).
 
-    The keys come in dlog order 1..q-2, so callers iterate the map as it is;
-    a cache hit returns the same dict. The cached prefix times the last
-    factor's matrix; agrees with trace_naive pointwise (tested). The last
-    FAST_CACHE_SIZE (params, field) pairs are cached. The key holds the field
-    itself, so a cached entry can never be read back for a different field.
+    It holds the L x N array of zeta-exponent counts that the convolution
+    returns (row j counts the terms at dlog j, row 0 is x = 1) and makes a
+    point's CyclotomicInt only when it is read. Keys are the points of k (of
+    any tower copy of it) and iterate in dlog order 1..q-2.
+    """
+
+    __slots__ = ("params", "field", "counts")
+
+    def __init__(self, params: HGParams, field: FieldDesc, counts):
+        self.params, self.field, self.counts = params, field, counts
+
+    def __getitem__(self, x):
+        if (not isinstance(x, FFElem) or x.field._pow is not self.field._pow
+                or not x.k):    # x = 0 (k None) and x = 1 (k 0) have no trace
+            raise KeyError(x)
+        return _trace_value(self.params, self.counts[x.k])
+
+    def __iter__(self):
+        return map(self.field.from_dlog, range(1, self.field.q - 1))
+
+    def __len__(self):
+        return self.field.q - 2
+
+
+def trace_all_fast(params: HGParams, k: FieldDesc) -> TraceMap:
+    """The trace at every x in k - {0,1}, by exact convolution: the cached
+    prefix times the last factor's matrix, kept as its count array (see
+    TraceMap); agrees with trace_naive pointwise (tested).
+
+    The last FAST_CACHE_SIZE (params, field) pairs are cached, and a cache
+    hit returns the same map. The key holds the field itself, so a cached
+    entry can never be read back for a different field.
     """
     key = (params, k)
     hit = _fast_cache.get(key)
     if hit is not None:
         return hit
-    N, n = params.N, params.n
-    L = k.q - 1
+    N, L = params.N, k.q - 1
     rows, prefix = _prefix(params, k)
     first = _indicator(prefix, N) if prefix.ndim == 1 else prefix.tolist()
-    C = conv2d_cyclic(first, _indicator(rows[-1], N), L, N).tolist()
-    sign = -1 if (n - 1) % 2 else 1
-    out = {}
-    for idx in range(1, L):  # idx 0 is x = 1, excluded from T_1
-        val = CyclotomicInt.from_zeta_counts(N, C[idx])
-        out[k.from_dlog(idx)] = val * sign if sign < 0 else val
-    return _remember(_fast_cache, key, out)
+    counts = conv2d_cyclic(first, _indicator(rows[-1], N), L, N)
+    return _remember(_fast_cache, key, TraceMap(params, k, counts))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,19 @@ def _multiplicative_order(l, N):
     return o
 
 
+def residue_field(N, l, tau_choice=1):
+    """F_{l^d}, d = ord(l mod N): the residue field of the places of
+    Q(zeta_N) over l. ValueError unless l is a prime not dividing N and
+    tau_choice is coprime to N; TooLarge past the table limit."""
+    if not _is_prime(l):
+        raise ValueError(f"l = {l} is not prime")
+    if N % l == 0:
+        raise ValueError(f"l = {l} divides N = {N}")
+    if gcd(tau_choice, N) != 1:
+        raise ValueError("tau_choice must be coprime to N")
+    return field_make(l, _multiplicative_order(l, N))
+
+
 class LambdaPrime:
     """A place of Q(zeta_N) over l (l prime, l not dividing N).
 
@@ -36,18 +49,12 @@ class LambdaPrime:
     """
 
     def __init__(self, N, l, tau_choice=1):
-        if not _is_prime(l):
-            raise ValueError(f"l = {l} is not prime")
-        if N % l == 0:
-            raise ValueError(f"l = {l} divides N = {N}")
-        if gcd(tau_choice, N) != 1:
-            raise ValueError("tau_choice must be coprime to N")
+        K = residue_field(N, l, tau_choice)
         self.N = N
         self.l = l
         self.tau_choice = tau_choice % N
-        self.d = _multiplicative_order(l, N)
-        self.residue_field = field_make(l, self.d)
-        K = self.residue_field
+        self.d = K.f
+        self.residue_field = K
         w = K.zeta_anchor(N) ** self.tau_choice
         self.zeta_image = w
         self._lift(w)

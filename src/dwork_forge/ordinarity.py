@@ -15,6 +15,12 @@ every x: the two (-1)^(n-1) factors (one in the trace, one from the n-1
 vanishing-character sums) cancel. The variant with a surviving (-1)^(n-1)
 prefactor is the identity for the bare character sum, without the trace's
 own prefactor.
+
+verify_norm_identity checks it at every point of F_{q_v^d} on arrays: the
+reduction mod lambda is a linear map of the trace map's count rows, u(x)
+runs on dlog integers through the Zech table, and the norm is a dlog
+multiply. u_at, the element-wise evaluation, serves the one-point readers:
+the ordinary locus and the unit-root check.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .ff import FFElem, FieldDesc, extension_of, norm_to_subfield
+from .ff import FFElem, FieldDesc, _exponent, extension_of
 from .hypergeom import CharPolyRecord, HGParams, trace_all_fast
-from .lambda_adic import LambdaPrime, lambda_prime, reduce_mod_lambda
-from .util import VerificationFailed, check
+from .lambda_adic import LambdaPrime, lambda_prime
+from .util import VerificationFailed, check, row_blocks
 
 # Calibrated against the (N=3, n=2, l=7) and (N=11, n=3, l=23) sweeps: the
 # reduced trace equals +Norm(u(x)), for every n.
@@ -101,30 +107,68 @@ def ordinary_locus(test: OrdinaryTest, d: int):
 
 
 @dataclass
-class NormIdentityRow:
-    x_dlog: int
-    u_nonzero: bool
-    trace_red: FFElem
-    norm_u: FFElem
-    ok: bool
+class NormIdentity:
+    """The norm identity over F_{q_v^d}, as arrays with one entry per point
+    x in dlog order 1..q_v^d - 2. The reduced trace and the norm are given
+    by their integer encodings in k(v)."""
+    x_dlog: object         # int64
+    u_nonzero: object      # bool: u(x) != 0
+    trace_red: object      # int64: reduce_lambda(trace at x)
+    norm_u: object         # int64: Norm_{k/k(v)}(u(x))
+    ok: object             # bool: trace_red == norm_u
 
 
-def verify_norm_identity(test: OrdinaryTest, d: int):
-    """Check reduce_lambda(trace) = Norm_{k/k(v)}(u(x)) at every point; the
-    sign is the calibrated NORM_IDENTITY_SIGN = +1.
+def verify_norm_identity(test: OrdinaryTest, d: int) -> NormIdentity:
+    """Check reduce_lambda(trace) = Norm_{k/k(v)}(u(x)) at every point of
+    k = F_{q_v^d}; the sign is the calibrated NORM_IDENTITY_SIGN = +1.
+
+    It runs on the trace map's count array a block of rows at a time, with
+    no field element per point. The reduction is linear in a row: with w the
+    image of zeta_N in k(v) = F_{l^a} and row z of W the F_l coordinates of
+    w^z, the coordinates of the reduced trace are (-1)^(n-1) (counts mod l)
+    @ W mod l. u(x) is evaluated by Horner's rule on dlogs, an addition
+    being one Zech lookup. Norm(x) = x^M, M = (q_v^d - 1)/(q_v - 1), is the
+    dlog times M, pulled back along the recorded embedding g_v -> g^e
+    (e = c M) as the dlog (k / M) c^-1 of k(v).
 
     Exact equality in k(v); failures are returned as data, not raised.
     """
-    K = extension_of(test.field_v, d)
-    traces = trace_all_fast(test.params, K)
-    rows = []
-    for x in traces:
-        t_red = reduce_mod_lambda(traces[x], test.lam)
-        u_val = test.u_at(x)
-        norm_u = norm_to_subfield(u_val, test.field_v)
-        rows.append(NormIdentityRow(K.dlog(x), not u_val.is_zero(),
-                                    t_red, norm_u, t_red == norm_u))
-    return rows
+    Fv, l, N = test.field_v, test.l, test.params.N
+    K = extension_of(Fv, d)
+    counts = trace_all_fast(test.params, K).counts
+    import numpy as np
+    L, Lv = K.q - 1, Fv.q - 1
+    place = l ** np.arange(Fv.f, dtype=np.int64)      # F_l coordinates -> encoding
+    w = test.lam.zeta_image
+    W = np.array([(w ** z).encoding for z in range(N)], dtype=np.int64)[:, None]
+    W = W // place % l
+    if (test.params.n - 1) % 2:
+        W = -W % l
+    zech = K.zech_array()
+    u_dlogs = [K.dlog(K.from_int(c)) if c else -1 for c in reversed(test.u_coeffs)]
+    M = L // Lv
+    e = 1 if d == 1 else _exponent(K, Fv)
+    pull = pow(e // M, -1, Lv)
+    encode_v = np.asarray(Fv._pow)
+    x = np.arange(1, L, dtype=np.int64)
+    u_nonzero = np.empty(L - 1, dtype=bool)
+    trace_red = np.empty(L - 1, dtype=np.int64)
+    norm_u = np.zeros(L - 1, dtype=np.int64)
+    for blk in row_blocks(L - 1, N):
+        rows = counts[blk.start + 1:blk.stop + 1] % l     # row 0 is x = 1
+        trace_red[blk] = (rows.astype(np.int64, copy=False) @ W % l) @ place
+        xb = x[blk]
+        acc = np.full(len(xb), -1, dtype=np.int64)        # dlog of u(x), -1 for 0
+        for c in u_dlogs:
+            nz = acc >= 0
+            acc[nz] = (acc[nz] + xb[nz]) % L              # acc * x
+            if c >= 0:                                    # acc + c
+                z = zech[(c - acc) % L]
+                acc = np.where(acc < 0, c, np.where(z < 0, -1, (acc + z) % L))
+        nz = acc >= 0
+        u_nonzero[blk] = nz
+        norm_u[blk][nz] = encode_v[acc[nz] * M % L // M * pull % Lv]
+    return NormIdentity(x, u_nonzero, trace_red, norm_u, trace_red == norm_u)
 
 
 def lucas_check(c: int, q_v: int, d: int, digits, l: int) -> bool:

@@ -250,22 +250,28 @@ def test_criterion_5_alone_builds_the_sweep_it_reuses(report, monkeypatch):
 
 
 def test_criterion_5_reads_the_norm_identity_rows_of_criterion_4(monkeypatch):
-    # the unit-trace branch, (11,3,23) at d = 2, evaluates no u(x) of its own
+    # the unit-trace branch, (11,3,23) at d = 2, evaluates no u(x) of its
+    # own and does not run the norm identity a second time
     for cache in ("_sweep_cache", "_ord_tests", "_norm_checks"):
         monkeypatch.setattr(acceptance, cache, {})
-    calls = []
+    u_calls, identities = [], []
     u_at = od.OrdinaryTest.u_at
     monkeypatch.setattr(od.OrdinaryTest, "u_at",
-                        lambda test, x: calls.append(x) or u_at(test, x))
+                        lambda test, x: u_calls.append(x) or u_at(test, x))
+    verify = od.verify_norm_identity
+    monkeypatch.setattr(od, "verify_norm_identity",
+                        lambda test, d: identities.append(d) or verify(test, d))
     c4 = acceptance.criterion_4()
-    assert len(calls) == sum(d["points"] for d in c4["details"])
-    calls.clear()
+    assert len(identities) == len(c4["details"]) == 2 * len(acceptance.NORM_CONFIGS)
+    u_calls.clear()
+    identities.clear()
     c5 = acceptance.criterion_5()
     assert c5["passed"]
     assert any(d["mode"] == "unit-trace" for d in c5["details"])
-    assert len(calls) == sum(d["checked"] + d["u_zero_skipped"]
-                             for d in c5["details"]
-                             if d["mode"] == "newton-polygon")
+    assert not identities
+    assert len(u_calls) == sum(d["checked"] + d["u_zero_skipped"]
+                               for d in c5["details"]
+                               if d["mode"] == "newton-polygon")
 
 
 def _weight_on_a_clean_degree(monkeypatch):

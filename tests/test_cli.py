@@ -193,6 +193,17 @@ def test_table_limit_is_a_typed_error(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_ordinary_scan_refuses_its_residue_field_before_select_chi(monkeypatch):
+    # F_{2^ord(2 mod 999983)} = F_2^499991 depends on N and l alone; the
+    # exponent-set search took about 1.5 s before the same refusal
+    def no_search(N, n):
+        raise AssertionError("select_chi ran")
+    monkeypatch.setattr(hg, "select_chi", no_search)
+    code, out, err = run_quiet(["ordinary-scan", "--N", "999983", "--n", "3", "--l", "2"])
+    assert (code, out) == (2, "")
+    assert err == "error: q = 2^499991 exceeds table limit 1048576\n"
+
+
 def test_point_encoding_out_of_range(capsys):
     code = main(["hg-trace", "--N", "3", "--n", "2", "--q", "7", "--x", "99"])
     err = capsys.readouterr().err

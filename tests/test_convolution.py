@@ -150,7 +150,7 @@ def test_fft_product_peak_memory():
     finally:
         tracemalloc.stop()
     assert out.dtype == np.int64
-    assert peak < 3 * L * N * 8
+    assert peak < 2.6 * L * N * 8
 
 
 def test_indicators_share_their_rows():

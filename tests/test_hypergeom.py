@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,21 @@ def test_select_chi_pair_is_the_first_sum_zero_pair(N):
     pairs = [R for R in combinations(range(1, N), 2) if sum(R) % N == 0]
     assert not any(hg.HGParams(N, 2, R).trivial_stabilizer for R in pairs)
     assert select_chi(N, 2) == hg.HGParams(N, 2, pairs[0])
+
+
+@pytest.mark.parametrize("N", range(3, 24, 2))
+def test_check_chi_refuses_exactly_the_n_without_a_sum_zero_set(N):
+    # the exhaustive search is the oracle of check_chi's closed-form rule
+    for n in range(1, N):
+        if gcd(N, n) != 1:
+            continue
+        exists = any(sum(R) % N == 0 for R in combinations(range(1, N), n))
+        if exists:
+            hg.check_chi(N, n)
+            assert select_chi(N, n).sum_zero
+        else:
+            with pytest.raises(NoSumZeroSet, match=f"no sum-zero {n}-subset mod {N}"):
+                hg.check_chi(N, n)
 
 
 def test_N_past_the_table_limit_is_refused():

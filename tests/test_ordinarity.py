@@ -1,9 +1,10 @@
 import random
+import tracemalloc
 from math import comb
 
 import pytest
 
-from dwork_forge.ff import char_value, extension_of
+from dwork_forge.ff import char_value, extension_of, norm_to_subfield
 from dwork_forge.hypergeom import char_poly, newton_polygon, select_chi, trace_all_fast
 from dwork_forge.lambda_adic import reduce_mod_lambda
 from dwork_forge.ordinarity import (build_ordinary_test, exponents_c,
@@ -81,19 +82,57 @@ def test_ordinary_locus_linear_u():
     assert len(locus) == 7 - 2 - 1
 
 
+def pointwise_norm_identity(test, d):
+    """The oracle: (x_dlog, u(x) != 0, reduced trace, norm, ok) at each
+    point, from reduce_mod_lambda, u_at and norm_to_subfield on field
+    elements, with the two sides as encodings in k(v)."""
+    K = extension_of(test.field_v, d)
+    traces = trace_all_fast(test.params, K)
+    rows = []
+    for x in traces:
+        t_red = reduce_mod_lambda(traces[x], test.lam)
+        u_val = test.u_at(x)
+        norm_u = norm_to_subfield(u_val, test.field_v)
+        rows.append((K.dlog(x), not u_val.is_zero(), t_red.encoding,
+                     norm_u.encoding, t_red == norm_u))
+    return rows
+
+
+def array_rows(ident):
+    return list(zip(ident.x_dlog.tolist(), ident.u_nonzero.tolist(),
+                    ident.trace_red.tolist(), ident.norm_u.tolist(),
+                    ident.ok.tolist()))
+
+
+# the residue fields k(v) = F_81 (N = 5, l = 3) and F_729 (N = 7, l = 3) are
+# not prime fields; N = 3, l = 2 is characteristic 2 over k(v) = F_4
 @pytest.mark.parametrize("N,n,l,d", [(3, 2, 7, 1), (3, 2, 7, 2),
                                      (11, 3, 23, 1), (11, 3, 23, 2),
-                                     (5, 2, 11, 1)])
+                                     (5, 2, 11, 1), (5, 2, 3, 2), (7, 3, 3, 1),
+                                     (3, 2, 2, 1), (3, 2, 2, 3)])
 def test_norm_identity_exhaustive(N, n, l, d):
-    params = select_chi(N, n)
-    test = build_ordinary_test(params, l)
-    rows = verify_norm_identity(test, d)
-    assert rows and all(r.ok for r in rows)
-    # d = 1 degenerate form: trace = u(x) mod lambda directly
-    if d == 1:
-        for r in rows:
-            x = test.field_v.from_dlog(r.x_dlog)
-            assert r.norm_u == test.u_at(x)
+    test = build_ordinary_test(select_chi(N, n), l)
+    ident = verify_norm_identity(test, d)
+    assert array_rows(ident) == pointwise_norm_identity(test, d)
+    assert ident.ok.all()
+    # both sides of the identity are nonzero somewhere, so neither is
+    # trivially equal to the other
+    assert ident.u_nonzero.any() and ident.trace_red.any()
+
+
+def test_norm_identity_peak_memory():
+    test = build_ordinary_test(select_chi(11, 3), 23)
+    verify_norm_identity(test, 2)      # the trace map and the tables it reads are cached
+    counts = trace_all_fast(test.params, extension_of(test.field_v, 2)).counts
+    tracemalloc.start()
+    try:
+        ident = verify_norm_identity(test, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    results = sum(a.nbytes for a in (ident.x_dlog, ident.u_nonzero,
+                                     ident.trace_red, ident.norm_u, ident.ok))
+    assert peak <= 2 * counts.nbytes + results
 
 
 def test_lucas_examples():
