@@ -52,10 +52,6 @@ NAMES = {
 }
 
 
-def _params(N, n):
-    return hg.select_chi(N, n)
-
-
 def criterion_1():
     """Trace oracle equivalence: trace_all_fast == trace_naive everywhere.
 
@@ -65,7 +61,7 @@ def criterion_1():
     details = []
     ok = True
     for N, n, q in TRACE_CONFIGS:
-        params = _params(N, n)
+        params = hg.select_chi(N, n)
         k = field_make(q, 1)
         fast = hg.trace_all_fast(params, k)
         agree = all(fast[x] == hg.trace_naive(params, k, x) == hg.trace_at(params, k, x)
@@ -78,7 +74,7 @@ def criterion_1():
 
 
 def _charpoly_sweep(N, n, q):
-    params = _params(N, n)
+    params = hg.select_chi(N, n)
     k = field_make(q, 1)
     recs = [hg.char_poly(params, k, x) for x in hg.trace_all_fast(params, k)]
     return params, k, recs
@@ -132,7 +128,7 @@ _ord_tests = {}
 def _ordinary_test(N, n, l):
     key = (N, n, l)
     if key not in _ord_tests:
-        _ord_tests[key] = od.build_ordinary_test(_params(N, n), l)
+        _ord_tests[key] = od.build_ordinary_test(hg.select_chi(N, n), l)
     return _ord_tests[key]
 
 

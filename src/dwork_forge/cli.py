@@ -4,7 +4,8 @@ Subcommands: hg-trace, hg-charpoly, hg-scan, ordinary-scan, breuil-generic,
 breuil-oracle, breuil-chain, unitary-normalize, unitary-sym, selftest.
 Outputs UTF-8 JSON (or CSV where stated) to --out or stdout; identical
 configuration and seed give byte-identical reports. Bad input ends in one
-``error:`` line and exit status 2, a failed check in one and status 1.
+``error:`` line and exit status 2, a failed hard check in one and status 1;
+a failed det, purity or norm identity check prints its output and exits 1.
 """
 
 from __future__ import annotations
@@ -31,21 +32,41 @@ class ConfigInvalid(ValueError):
     pass
 
 
-def _field_for(q):
-    return field_make(*prime_power(q))
-
-
-def _params_from(args):
+def _exponents(args):
+    """--R's exponent set, or None once select_chi's refusals that need no
+    search have passed: the search is left to the caller."""
     if args.R:
-        R = tuple(int(r) for r in args.R.split(","))
-        return hg.hg_params(args.N, args.n, R)
-    return hg.select_chi(args.N, args.n)
+        return hg.hg_params(args.N, args.n, tuple(int(r) for r in args.R.split(",")))
+    hg.check_chi(args.N, args.n)
+    return None
 
 
-def _validate_hg(args, q):
-    if args.N < 1 or (q - 1) % args.N != 0:
+def _hg_setup(args, charpoly):
+    """(params, F_q, place or None) of a trace command. It refuses q, N,
+    F_{q^n} (char_poly's tower), the exponents and the place, in that order,
+    all before select_chi's search and any field table."""
+    p, f = prime_power(args.q)
+    if args.N < 1 or (args.q - 1) % args.N != 0:
         raise ConfigInvalid(f"N = {args.N} must be a positive divisor of "
-                            f"q - 1 = {q - 1}")
+                            f"q - 1 = {args.q - 1}")
+    if charpoly:
+        check_table_size(p, f * args.n)
+    params = _exponents(args)
+    lam = la.lambda_prime(args.N, args.l, args.tau) if charpoly and args.l else None
+    if params is None:
+        params = hg.select_chi(args.N, args.n)
+    return params, field_make(p, f), lam
+
+
+def _checked_point(params, k, x, lam):
+    """char_poly at x, its slopes when there is a place, and both checks:
+    (the record's JSON dict, whether det and purity passed)."""
+    rec = hg.char_poly(params, k, x)
+    if lam is not None:
+        hg.newton_polygon(rec, lam)
+    det = hg.verify_det(rec)
+    pure = hg.verify_purity(rec)
+    return rec.to_json_dict(), det.passed and pure
 
 
 def _emit(args, text):
@@ -57,9 +78,7 @@ def _emit(args, text):
 
 
 def cmd_hg_trace(args):
-    _validate_hg(args, args.q)
-    params = _params_from(args)
-    k = _field_for(args.q)
+    params, k, _ = _hg_setup(args, charpoly=False)
     x = k.from_encoding(args.x)
     t = hg.trace_at(params, k, x)
     payload = {"schema_version": SCHEMA_VERSION, "N": params.N, "n": params.n,
@@ -70,40 +89,22 @@ def cmd_hg_trace(args):
 
 
 def cmd_hg_charpoly(args):
-    _validate_hg(args, args.q)
-    params = _params_from(args)
-    k = _field_for(args.q)
-    x = k.from_encoding(args.x)
-    rec = hg.char_poly(params, k, x)
-    if args.l:
-        lam = la.lambda_prime(params.N, args.l, args.tau)
-        hg.newton_polygon(rec, lam)
-    hg.verify_det(rec)
-    hg.verify_purity(rec)
-    _emit(args, stable_json(rec.to_json_dict()))
-    return 0
+    params, k, lam = _hg_setup(args, charpoly=True)
+    record, ok = _checked_point(params, k, k.from_encoding(args.x), lam)
+    _emit(args, stable_json(record))
+    return 0 if ok else 1
 
 
 def cmd_hg_scan(args):
-    _validate_hg(args, args.q)
-    params = _params_from(args)
-    p, f = prime_power(args.q)
-    check_table_size(p, f * params.n)     # char_poly builds F_{q^n}
-    k = field_make(p, f)
-    lam = la.lambda_prime(params.N, args.l, args.tau) if args.l else None
-    records = []
-    all_ok = True
+    params, k, lam = _hg_setup(args, charpoly=True)
+    records, all_ok = [], True
     for x in hg.trace_all_fast(params, k):
-        rec = hg.char_poly(params, k, x)
-        if lam is not None:
-            hg.newton_polygon(rec, lam)
-        det = hg.verify_det(rec)
-        pure = hg.verify_purity(rec)
-        records.append(rec.to_json_dict())
-        all_ok &= det.passed and pure
+        record, ok = _checked_point(params, k, x, lam)
+        records.append(record)
+        all_ok &= ok
     payload = {"schema_version": SCHEMA_VERSION, "config": {
         "N": params.N, "n": params.n, "R": list(params.rho_exponents),
-        "q": args.q, "l": args.l, "tau": args.tau,
+        "q": args.q, "l": args.l, "tau": args.tau % params.N,
         "sum_zero": params.sum_zero,
         "trivial_stabilizer": params.trivial_stabilizer},
         "points": records,
@@ -114,12 +115,12 @@ def cmd_hg_scan(args):
 
 def cmd_ordinary_scan(args):
     import csv   # its only user; every other command starts without it
-    if not args.R:
-        # the residue field depends on N and l alone: refuse it after the
-        # refusals that need no search and before select_chi's search
-        hg.check_chi(args.N, args.n)
+    params = _exponents(args)
+    if params is None:
+        # the residue field depends on N and l alone: refuse it before
+        # select_chi's search
         la.residue_field(args.N, args.l, args.tau)
-    params = _params_from(args)
+        params = hg.select_chi(args.N, args.n)
     test = od.build_ordinary_test(params, args.l, args.tau)
     K = extension_of(test.field_v, args.d)
     ident = od.verify_norm_identity(test, args.d)

@@ -19,7 +19,7 @@ from .util import check
 
 def _multiplicative_order(l, N):
     o, x = 1, l % N
-    while x != 1:
+    while x != 1 % N:     # (Z/1)^x is trivial: order 1
         x = x * l % N
         o += 1
     return o

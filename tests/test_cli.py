@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import dwork_forge
 from dwork_forge import breuil as br
+from dwork_forge import cli
+from dwork_forge import ff
 from dwork_forge import hypergeom as hg
 from dwork_forge import unitary as un
 from dwork_forge.cli import main
@@ -88,6 +90,67 @@ def test_hg_scan_fails_fast_on_an_oversized_extension(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: q = 1000003^2 exceeds table limit 1048576\n"
+
+
+def test_hg_scan_records_tau_mod_N(capsys):
+    # tau = 1, 4 and -2 name one place mod 3, so one config and one output
+    outs = {run_cli(capsys, "hg-scan", "--N", "3", "--n", "2", "--q", "7",
+                    "--l", "7", "--tau", tau) for tau in ("1", "4", "-2")}
+    assert len(outs) == 1
+    code, out = outs.pop()
+    assert code == 0 and json.loads(out)["config"]["tau"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "hg-scan --N 999983 --n 3 --q 1999967",
+    "hg-trace --N 999983 --n 3 --q 1999967 --x 2",
+    "hg-charpoly --N 999983 --n 7 --q 1999967 --x 2",
+])
+def test_trace_commands_refuse_q_before_select_chi(monkeypatch, argv):
+    # 999983 | 1999967 - 1: the exponent-set search took 1.5-2 s before
+    # the same refusal
+    def no_search(N, n):
+        raise AssertionError("select_chi ran")
+    monkeypatch.setattr(hg, "select_chi", no_search)
+    code, out, err = run_quiet(argv.split(" "))
+    assert (code, out) == (2, "")
+    assert err == "error: q = 1999967 exceeds table limit 1048576\n"
+
+
+def test_hg_charpoly_refuses_its_tower_before_any_field(monkeypatch):
+    # char_poly needs F_{1048573^2}: refused before F_1048573 is built
+    def no_field(p, f):
+        raise AssertionError(f"field_make({p}, {f}) ran")
+    monkeypatch.setattr(cli, "field_make", no_field)
+    monkeypatch.setattr(ff, "field_make", no_field)
+    code, out, err = run_quiet(["hg-charpoly", "--N", "3", "--n", "2",
+                                "--q", "1048573", "--x", "5"])
+    assert (code, out) == (2, "")
+    assert err == "error: q = 1048573^2 exceeds table limit 1048576\n"
+
+
+def _failed_purity(rec):
+    rec.checks["purity"] = "fail"
+    return False
+
+
+def _failed_det(rec):
+    rec.checks["det"] = "fail"
+    return hg.DetReport(False, False, None, rec.q)
+
+
+@pytest.mark.parametrize("name,fake,checks", [
+    ("verify_purity", _failed_purity, {"det": "pass", "purity": "fail"}),
+    ("verify_det", _failed_det, {"det": "fail", "purity": "pass"}),
+])
+def test_hg_charpoly_prints_its_record_and_exits_1_on_a_failed_check(
+        monkeypatch, name, fake, checks):
+    monkeypatch.setattr(hg, name, fake)
+    code, out, err = run_quiet(["hg-charpoly", "--N", "3", "--n", "2",
+                                "--q", "7", "--x", "3", "--l", "7"])
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["checks"] == checks and data["slopes"] == ["0/1", "1/1"]
 
 
 def test_ordinary_scan_csv(capsys):
@@ -254,6 +317,9 @@ def test_unitary_normalize_over_f2(capsys):
     "hg-charpoly --N 0 --n 1 --R 1 --q 7 --x 3",
     "hg-scan --N 0 --n 1 --R 1 --q 7",
     "ordinary-scan --N 0 --n 1 --R 1 --l 7 --d 2",
+    # N = 1 is refused by the exponent checks, before its place is built
+    "hg-scan --N 1 --n 2 --q 7 --l 7",
+    "hg-charpoly --N 1 --n 1 --R 1 --q 7 --x 3 --l 7",
 ])
 def test_bad_input_is_a_typed_error(capsys, argv):
     code = main(argv.split(" "))
@@ -497,6 +563,10 @@ def test_failed_check_in_a_subcommand_is_one_error_line(capsys, monkeypatch, arg
     "hg-trace --N 2147483659 --n 2 --q 7 --x 3",
     "hg-trace --N 2147483659 --n 2 --q 2147483660 --x 3",
     "hg-scan --N 2147483659 --n 2 --R 1,2 --q 2147483660",
+    # q past the table limit, refused before select_chi's search
+    "hg-scan --N 999983 --n 3 --q 1999967",
+    "hg-trace --N 999983 --n 3 --q 1999967 --x 2",
+    "hg-charpoly --N 999983 --n 7 --q 1999967 --x 2",
     "ordinary-scan --N 999983 --n 2 --l 7",
     "ordinary-scan --N 2147483659 --n 2 --R 1,2147483658 --l 7",
     "ordinary-scan --N 2147483659 --n 3 --l 7",

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import zip_longest
 from math import gcd, inf
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dwork_forge
 from dwork_forge.cyclotomic import CyclotomicInt, euler_phi_of
 from dwork_forge.ff import _pdivmod, _pmul, _ptrim
 from dwork_forge.lambda_adic import lambda_prime, reduce_mod_lambda, val_lambda
@@ -32,6 +36,18 @@ def test_residue_degree():
     assert lambda_prime(5, 7).d == 4     # ord(7 mod 5) = ord(2) = 4
     assert lambda_prime(7, 3).d == 6     # 3 is a primitive root mod 7
     assert lambda_prime(11, 23).d == 1
+
+
+def test_place_over_N_1_is_the_prime_field():
+    # (Z/1)^x is trivial, so ord(l mod 1) = 1; in a child process, so that
+    # an order loop that never ends fails the test instead of hanging it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dwork_forge.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from dwork_forge.lambda_adic import lambda_prime, residue_field\n"
+            "print(residue_field(1, 7).q, lambda_prime(1, 7).d)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, timeout=30, check=True).stdout
+    assert out == "7 1\n"
 
 
 def test_bad_inputs():
