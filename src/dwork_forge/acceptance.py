@@ -16,6 +16,7 @@ import os
 import random
 import sys
 import time
+from functools import cache
 from itertools import product
 
 from . import breuil as br
@@ -23,7 +24,7 @@ from . import hypergeom as hg
 from . import ordinarity as od
 from . import unitary as un
 from .ff import extension_of, field_make, table_fits
-from .util import VerificationFailed, check, stable_json
+from .util import SCHEMA_VERSION, VerificationFailed, check, stable_json
 
 TRACE_CONFIGS = [
     (3, 2, 7), (3, 2, 13),
@@ -73,21 +74,14 @@ def criterion_1():
     return {"passed": ok, "budget_s": 30, "details": details}
 
 
-def _charpoly_sweep(N, n, q):
+@cache
+def _sweep(N, n, q):
+    """(params, F_q, the char_poly record at every point), shared by
+    criteria 2, 3 and 5."""
     params = hg.select_chi(N, n)
     k = field_make(q, 1)
     recs = [hg.char_poly(params, k, x) for x in hg.trace_all_fast(params, k)]
     return params, k, recs
-
-
-_sweep_cache = {}
-
-
-def _sweep(N, n, q):
-    key = (N, n, q)
-    if key not in _sweep_cache:
-        _sweep_cache[key] = _charpoly_sweep(N, n, q)
-    return _sweep_cache[key]
 
 
 def criterion_2():
@@ -122,32 +116,21 @@ def criterion_3():
     return {"passed": ok, "details": details}
 
 
-_ord_tests = {}
-
-
+@cache
 def _ordinary_test(N, n, l):
-    key = (N, n, l)
-    if key not in _ord_tests:
-        _ord_tests[key] = od.build_ordinary_test(hg.select_chi(N, n), l)
-    return _ord_tests[key]
+    return od.build_ordinary_test(hg.select_chi(N, n), l)
 
 
-_norm_checks = {}
-
-
+@cache
 def _norm_identity(N, n, l, d):
     """What criteria 4 and 5 read off verify_norm_identity's arrays for
     (N, n, l) over F_{q_v^d}, computed once: (points, the x_dlog where the
     identity fails, points with u(x) != 0, the x_dlog of those whose reduced
     trace is zero). Only these are kept, not the arrays."""
-    key = (N, n, l, d)
-    if key not in _norm_checks:
-        ident = od.verify_norm_identity(_ordinary_test(N, n, l), d)
-        unit_zero = ident.u_nonzero & (ident.trace_red == 0)
-        _norm_checks[key] = (len(ident.x_dlog), ident.x_dlog[~ident.ok].tolist(),
-                             int(ident.u_nonzero.sum()),
-                             ident.x_dlog[unit_zero].tolist())
-    return _norm_checks[key]
+    ident = od.verify_norm_identity(_ordinary_test(N, n, l), d)
+    unit_zero = ident.u_nonzero & (ident.trace_red == 0)
+    return (len(ident.x_dlog), ident.x_dlog[~ident.ok].tolist(),
+            int(ident.u_nonzero.sum()), ident.x_dlog[unit_zero].tolist())
 
 
 def criterion_4():
@@ -413,7 +396,7 @@ def run_criterion(k, seed=0):
 
 def run_report(seed=0):
     """Criteria 1..11 as one deterministic report dict (no timing inside)."""
-    report = {"schema_version": 1, "seed": seed, "criteria": []}
+    report = {"schema_version": SCHEMA_VERSION, "seed": seed, "criteria": []}
     timings = {}
     for k in sorted(CRITERIA):
         res, elapsed = run_criterion(k, seed)

@@ -107,14 +107,6 @@ def require_breuil_height(*sides: RankOneBK):
         raise PreconditionViolated("both sides must have Breuil height <= e(p-2)")
 
 
-def alpha_invariants(s, p, f):
-    """alpha_i = (1/(p^f-1)) sum_{j=1..f} p^(f-j) s_{(j+i) mod f}, exact."""
-    den = p ** f - 1
-    return tuple(
-        Fraction(sum(p ** (f - j) * s[(j + i) % f] for j in range(1, f + 1)), den)
-        for i in range(f))
-
-
 def _alpha_differences(top: RankOneBK, bottom: RankOneBK):
     """(D, den) with alpha_i(s) - alpha_i(t) = D_i / den for i = 0..f-1:
     the integer numerators D_i = sum_{j=1..f} p^(f-j) (s - t)_{(j+i) mod f}

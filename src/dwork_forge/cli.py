@@ -22,10 +22,9 @@ from . import hypergeom as hg
 from . import lambda_adic as la
 from . import ordinarity as od
 from . import unitary as un
-from .ff import check_table_size, extension_of, field_make, prime_power, table_fits
-from .util import VerificationFailed, stable_json
-
-SCHEMA_VERSION = 1
+from .ff import (check_table_size, extension_of, field_make, invalid_encoding,
+                 prime_power, table_fits)
+from .util import SCHEMA_VERSION, VerificationFailed, stable_json
 
 
 class ConfigInvalid(ValueError):
@@ -43,8 +42,8 @@ def _exponents(args):
 
 def _hg_setup(args, charpoly):
     """(params, F_q, place or None) of a trace command. It refuses q, N,
-    F_{q^n} (char_poly's tower), the exponents and the place, in that order,
-    all before select_chi's search and any field table."""
+    F_{q^n} (char_poly's tower), the exponents, the place and the point
+    --x, in that order, all before select_chi's search and any field table."""
     p, f = prime_power(args.q)
     if args.N < 1 or (args.q - 1) % args.N != 0:
         raise ConfigInvalid(f"N = {args.N} must be a positive divisor of "
@@ -53,6 +52,9 @@ def _hg_setup(args, charpoly):
         check_table_size(p, f * args.n)
     params = _exponents(args)
     lam = la.lambda_prime(args.N, args.l, args.tau) if charpoly and args.l else None
+    x = getattr(args, "x", None)    # hg-scan has no --x
+    if x is not None and not 0 <= x < args.q:
+        raise invalid_encoding(x, p, f)
     if params is None:
         params = hg.select_chi(args.N, args.n)
     return params, field_make(p, f), lam

@@ -368,6 +368,16 @@ def _block_tables(cols, p, q):
     return powtab, dlog, zech
 
 
+def field_label(p, f):
+    """How messages name F_{p^f}: F_7, F_3^3."""
+    return f"F_{p}" if f == 1 else f"F_{p}^{f}"
+
+
+def invalid_encoding(enc, p, f):
+    """The error for an encoding enc outside range(p^f)."""
+    return FFError(f"invalid encoding {enc} for {field_label(p, f)}")
+
+
 class FieldDesc:
     """Immutable description of F_{p^f} with dlog and Zech tables."""
 
@@ -383,7 +393,7 @@ class FieldDesc:
         self.q = q
         self.defining_poly = self._find_defining_poly()
         self._build_tables()
-        self.label = f"F_{q}" if f == 1 else f"F_{p}^{f}"
+        self.label = field_label(p, f)
         self._parent = None     # (base, e) on a tower made by extension_of()
 
     def _find_defining_poly(self):
@@ -548,7 +558,7 @@ class FieldDesc:
 
     def from_encoding(self, enc):
         if not 0 <= enc < self.q:
-            raise FFError(f"invalid encoding {enc} for {self.label}")
+            raise invalid_encoding(enc, self.p, self.f)
         if enc == 0:
             return self.zero()
         return FFElem(self, int(self._dlog[enc]))

@@ -15,13 +15,14 @@ convolution.py). trace_all_fast multiplies the prefix by the last factor for
 the whole map at once and keeps the product, an L x N array of
 zeta-exponent counts with one row per dlog, as a TraceMap: a point's value
 in Z[zeta_N] is made only when it is read, and ordinarity reduces the rows
-mod lambda without making any. trace_at evaluates the last factor at one
-point only, with integer gathers. Characteristic polynomials take the trace
-over k from the full map's row at dlog x and the traces over F_{q^d},
-d = 2..n, from trace_at at the embedded point, and combine them via
-Newton's identities with exact division; purity / determinant /
-Newton-polygon checks quantify the expected weight n-1, determinant
-q^(n(n-1)/2) and slope structure.
+mod lambda without making any. The prefix and the map are functools LRU
+caches of the FAST_CACHE_SIZE most recently used (datum, field) pairs.
+trace_at evaluates the last factor at one point only, with integer gathers.
+Characteristic polynomials take the trace over k from the full map's row
+at dlog x and the traces over F_{q^d}, d = 2..n, from trace_at at the
+embedded point, and combine them via Newton's identities with exact
+division; purity / determinant / Newton-polygon checks quantify the
+expected weight n-1, determinant q^(n(n-1)/2) and slope structure.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 
@@ -37,7 +39,7 @@ from .cyclotomic import CyclotomicInt
 from .ff import (TABLE_LIMIT, FFElem, FieldDesc, TooLarge, _anchor_inverse, embed,
                  extension_of)
 from .lambda_adic import LambdaPrime, val_lambda
-from .util import VerificationFailed, check, row_blocks
+from .util import SCHEMA_VERSION, VerificationFailed, check, row_blocks
 
 
 class BadPoint(ValueError):
@@ -189,17 +191,7 @@ def trace_naive(params: HGParams, k: FieldDesc, x: FFElem) -> CyclotomicInt:
     return value
 
 
-FAST_CACHE_SIZE = 8
-_prefix_cache: dict = {}   # (params, FieldDesc) -> (rows, prefix), oldest first
-_fast_cache: dict = {}     # (params, FieldDesc) -> TraceMap, oldest first
-
-
-def _remember(cache, key, value):
-    """Store value under key, dropping the oldest of FAST_CACHE_SIZE entries."""
-    if len(cache) >= FAST_CACHE_SIZE:
-        del cache[next(iter(cache))]
-    cache[key] = value
-    return value
+FAST_CACHE_SIZE = 8    # (params, field) pairs kept by _prefix and trace_all_fast
 
 
 def _indicator(row, N):
@@ -212,6 +204,7 @@ def _indicator(row, N):
     return [onehot[e] for e in row.tolist()]
 
 
+@lru_cache(maxsize=FAST_CACHE_SIZE)
 def _prefix(params: HGParams, k: FieldDesc):
     """(rows, prefix): the character rows and the first n - 1 factors' product.
 
@@ -222,12 +215,8 @@ def _prefix(params: HGParams, k: FieldDesc):
     could pass 2^63. For n <= 2 it has at most one count per dlog and is kept
     as a row, like a character row: the first row itself for n = 2, and for
     n = 1 the empty product (exponent 0 at dlog 0, undefined elsewhere). The
-    last FAST_CACHE_SIZE pairs are cached.
+    FAST_CACHE_SIZE most recently used pairs are cached.
     """
-    key = (params, k)
-    hit = _prefix_cache.get(key)
-    if hit is not None:
-        return hit
     import numpy as np
     N, n, L = params.N, params.n, k.q - 1
     rows = _char_rows(params, k)
@@ -242,7 +231,7 @@ def _prefix(params: HGParams, k: FieldDesc):
             C = conv2d_cyclic(C.tolist(), _indicator(row, N), L, N)
         # a readout adds up at most L^(n-1) counts
         prefix = C if L ** (n - 1) < 1 << 63 else C.astype(object)
-    return _remember(_prefix_cache, key, (rows, prefix))
+    return rows, prefix
 
 
 def _trace_value(params: HGParams, counts) -> CyclotomicInt:
@@ -315,24 +304,22 @@ class TraceMap(Mapping):
         return self.field.q - 2
 
 
+@lru_cache(maxsize=FAST_CACHE_SIZE)
 def trace_all_fast(params: HGParams, k: FieldDesc) -> TraceMap:
     """The trace at every x in k - {0,1}, by exact convolution: the cached
     prefix times the last factor's matrix, kept as its count array (see
     TraceMap); agrees with trace_naive pointwise (tested).
 
-    The last FAST_CACHE_SIZE (params, field) pairs are cached, and a cache
-    hit returns the same map. The key holds the field itself, so a cached
-    entry can never be read back for a different field.
+    The FAST_CACHE_SIZE most recently used (params, field) pairs are cached,
+    and a cache hit returns the same map. The key holds the field itself,
+    and a field hashes by identity, so a cached entry can never be read back
+    for a different field, a tower copy of the same one included.
     """
-    key = (params, k)
-    hit = _fast_cache.get(key)
-    if hit is not None:
-        return hit
     N, L = params.N, k.q - 1
     rows, prefix = _prefix(params, k)
     first = _indicator(prefix, N) if prefix.ndim == 1 else prefix.tolist()
     counts = conv2d_cyclic(first, _indicator(rows[-1], N), L, N)
-    return _remember(_fast_cache, key, TraceMap(params, k, counts))
+    return TraceMap(params, k, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +342,7 @@ class CharPolyRecord:
 
     def to_json_dict(self):
         d = {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "N": self.params.N,
             "n": self.params.n,
             "R": list(self.params.rho_exponents),

@@ -29,11 +29,6 @@ class SingularMatrix(VerificationFailed):
     pass
 
 
-def mat_identity(field: FieldDesc, n: int):
-    return [[field.one() if i == j else field.zero() for j in range(n)]
-            for i in range(n)]
-
-
 def mat_mul(A, B):
     field = A[0][0].field
     cols = [field.to_ks(col) for col in zip(*B)]

@@ -1,5 +1,5 @@
-"""Helpers shared across layers: deterministic serialization for the CLI and
-the acceptance report, the root of every failed check, and the row blocks
+"""Helpers shared across layers: deterministic serialization and its schema
+version for the CLI and the acceptance report, the root of every failed check, and the row blocks
 that bound the temporaries of the numpy passes.
 
 The package fails in two ways only: bad input raises a ValueError (the CLI
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 
 BLOCK_ENTRIES = 1 << 14    # entries of one numpy pass over a block of rows
+SCHEMA_VERSION = 1         # of every JSON document the CLI and selftest write
 
 
 class VerificationFailed(Exception):

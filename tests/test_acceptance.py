@@ -144,8 +144,10 @@ def test_child_is_reaped_when_the_parent_report_raises(monkeypatch):
 
 def test_stale_parent_cache_is_caught(monkeypatch):
     # An in-process rerun would re-read this emptied sweep and agree with it.
-    params, k, _ = acceptance._sweep(3, 2, 7)
-    monkeypatch.setitem(acceptance._sweep_cache, (3, 2, 7), (params, k, []))
+    sweep = acceptance._sweep
+    params, k, _ = sweep(3, 2, 7)
+    monkeypatch.setattr(acceptance, "_sweep", lambda *key: (params, k, [])
+                        if key == (3, 2, 7) else sweep(*key))
     rep, _, ok = acceptance.selftest(seed=0)
     assert not ok and _criterion_12(rep)["passed"] is False
 
@@ -235,25 +237,30 @@ def test_criterion_11_certifies_each_normal_form_once(monkeypatch):
     assert calls["certifies_identity"] == calls["normal_form"] > forms
 
 
-def test_criterion_5_alone_builds_the_sweep_it_reuses(report, monkeypatch):
+def _cold_acceptance_caches(cold_cache):
+    return [cold_cache(acceptance, name)
+            for name in ("_sweep", "_ordinary_test", "_norm_identity")]
+
+
+def test_criterion_5_alone_builds_the_sweep_it_reuses(report, cold_cache):
     rep, _ = report
     expected = {c["id"]: c for c in rep["criteria"] if c["id"] in (2, 5)}
-    monkeypatch.setattr(acceptance, "_sweep_cache", {})
-    monkeypatch.setattr(acceptance, "_ord_tests", {})
-    monkeypatch.setattr(acceptance, "_norm_checks", {})
+    sweep, _, _ = _cold_acceptance_caches(cold_cache)
     c5, _ = acceptance.run_criterion(5)
     # its d = 1 newton polygons went onto criterion 2's records
+    built = sweep.cache_info().misses
     for N, n, l in acceptance.NORM_CONFIGS:
-        assert all(rec.slopes is not None for rec in acceptance._sweep(N, n, l)[2])
+        assert all(rec.slopes is not None for rec in sweep(N, n, l)[2])
+    assert sweep.cache_info().misses == built
     c2, _ = acceptance.run_criterion(2)
     assert {2: c2, 5: c5} == expected
 
 
-def test_criterion_5_reads_the_norm_identity_rows_of_criterion_4(monkeypatch):
+def test_criterion_5_reads_the_norm_identity_rows_of_criterion_4(monkeypatch,
+                                                                 cold_cache):
     # the unit-trace branch, (11,3,23) at d = 2, evaluates no u(x) of its
     # own and does not run the norm identity a second time
-    for cache in ("_sweep_cache", "_ord_tests", "_norm_checks"):
-        monkeypatch.setattr(acceptance, cache, {})
+    _cold_acceptance_caches(cold_cache)
     u_calls, identities = [], []
     u_at = od.OrdinaryTest.u_at
     monkeypatch.setattr(od.OrdinaryTest, "u_at",

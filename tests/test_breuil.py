@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from dwork_forge.breuil import (INFEASIBLE, PreconditionViolated,
                                 SpecialDegreeNotInteger, _alpha_differences,
                                 _slopes, _special_degrees, _y_constants,
-                                alpha_invariants,
                                 bk_extension_degrees, breuil_forbidden_degrees,
                                 chain_slope_check, change_of_variables_solver,
                                 chi_equal, etale_image_windows,
@@ -32,6 +31,15 @@ from breuil_oracles import breuil_sweep_tuples, monodromy_verdict_table
 
 F5 = field_make(5, 1)
 ONE = F5.one()
+
+
+def alpha_invariants(s, p, f):
+    """The oracle for _alpha_differences:
+    alpha_i = (1/(p^f-1)) sum_{j=1..f} p^(f-j) s_{(j+i) mod f}, exact."""
+    den = p ** f - 1
+    return tuple(
+        Fraction(sum(p ** (f - j) * s[(j + i) % f] for j in range(1, f + 1)), den)
+        for i in range(f))
 
 
 def test_alpha_examples():

@@ -274,6 +274,24 @@ def test_point_encoding_out_of_range(capsys):
     assert err == "error: invalid encoding 99 for F_7\n"
 
 
+@pytest.mark.parametrize("argv,err", [
+    # F_1048573's tables took 0.2 s and 41 MB before the same line
+    ("hg-trace --N 3 --n 2 --q 1048573 --x 2000000",
+     "invalid encoding 2000000 for F_1048573"),
+    ("hg-trace --N 13 --n 2 --q 27 --x 27", "invalid encoding 27 for F_3^3"),
+    ("hg-charpoly --N 13 --n 2 --q 27 --x 27", "invalid encoding 27 for F_3^3"),
+    ("hg-trace --N 3 --n 2 --q 7 --x -1", "invalid encoding -1 for F_7"),
+    ("hg-charpoly --N 3 --n 2 --q 7 --x -1", "invalid encoding -1 for F_7"),
+])
+def test_point_refused_before_any_field(monkeypatch, cold_cache, argv, err):
+    def no_table(self, p, f):
+        raise AssertionError(f"F_{p}^{f} was built")
+    monkeypatch.setattr(ff.FieldDesc, "__init__", no_table)
+    cold_cache(cli, "field_make")   # a field an earlier test made is no hit
+    code, out, got = run_quiet(argv.split(" "))
+    assert (code, out, got) == (2, "", f"error: {err}\n")
+
+
 def test_unitary_normalize_over_f2(capsys):
     # F_4 / F_2 with the hyperbolic Gram matrix [[0, 1], [1, 0]]
     code, out = run_cli(capsys, "unitary-normalize", "--q", "2",

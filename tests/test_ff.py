@@ -496,9 +496,10 @@ def test_k_dot_matches_ffelem_sum(pf, data):
 # fields above SCALAR_TABLE_LIMIT, with a datum whose trace they carry:
 # 4099 (n = 2, a row prefix) and 3^8 (n = 3, a convolution)
 @pytest.mark.parametrize("p,f,N,R", [(4099, 1, 3, (1, 2)), (3, 8, 5, (1, 2, 3))])
-def test_numpy_field_builds_its_zech_list_on_first_use(monkeypatch, p, f, N, R):
+def test_numpy_field_builds_its_zech_list_on_first_use(monkeypatch, cold_cache,
+                                                       p, f, N, R):
     F = FieldDesc(p, f)     # fresh: field_make's copy may have been read already
-    monkeypatch.setattr(hg, "_prefix_cache", {})
+    cold_cache(hg, "_prefix")   # so the module cache does not keep F after the test
     hg.trace_at(hg.hg_params(N, len(R), R), F, F.from_dlog(5))
     assert "_zech" not in vars(F)
     rng = random.Random(p)

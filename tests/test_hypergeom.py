@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -251,9 +252,8 @@ def test_readout_on_an_object_prefix(monkeypatch):
     # prefixes whose readout could pass 2^63 are kept as Python ints
     params = select_chi(11, 3)
     F = field_make(23, 1)
-    monkeypatch.setattr(hg, "_prefix_cache", {})
     rows, prefix = hg._prefix(params, F)
-    hg._prefix_cache[(params, F)] = (rows, prefix.astype(object))
+    monkeypatch.setattr(hg, "_prefix", lambda *key: (rows, prefix.astype(object)))
     for x in list(F.nonzero_elements())[1:]:
         assert hg.trace_at(params, F, x) == trace_naive(params, F, x)
 
@@ -283,25 +283,25 @@ def test_array_readout_equals_naive_property(case):
     rows, prefix = hg._prefix(params, E)
     assert prefix.ndim == 2
     if as_object:       # the dtype kept when a readout could pass 2^63
-        hg._prefix_cache[(params, E)] = (rows, prefix.astype(object))
-    try:
+        prefix = prefix.astype(object)
+    with mock.patch.object(hg, "_prefix", lambda *key: (rows, prefix)):
         for y in points:
             assert hg.trace_at(params, E, y) == trace_naive(params, E, y)
-    finally:
-        hg._prefix_cache.pop((params, E), None)
 
 
 @pytest.mark.parametrize("as_object", [False, True])
 def test_blocked_readouts_equal_naive(monkeypatch, as_object):
-    # blocks of a few rows, so both readouts cross block boundaries
+    # blocks of a few rows, so both readouts cross block boundaries, and the
+    # prefixes are made uncached, in such blocks too
     monkeypatch.setattr(util, "BLOCK_ENTRIES", 5)
-    monkeypatch.setattr(hg, "_prefix_cache", {})
+    make_prefix = hg._prefix.__wrapped__
     F, E = field_make(29, 1), extension_of(field_make(5, 1), 2)
     for params, K in [(hg_params(7, 2, (1, 3)), F), (hg_params(7, 1, (2,)), F),
                       (hg_params(8, 3, (1, 2, 5)), E)]:
-        rows, prefix = hg._prefix(params, K)
+        rows, prefix = make_prefix(params, K)
         if as_object and prefix.ndim == 2:
-            hg._prefix_cache[(params, K)] = (rows, prefix.astype(object))
+            prefix = prefix.astype(object)
+        monkeypatch.setattr(hg, "_prefix", lambda *key: (rows, prefix))
         for x in list(K.nonzero_elements())[1:]:
             assert hg.trace_at(params, K, x) == trace_naive(params, K, x)
 
@@ -333,18 +333,19 @@ def test_readout_bad_point():
             hg.trace_at(params, F7, x)
 
 
-def test_char_rows_built_once_per_field(monkeypatch):
+def test_char_rows_built_once_per_field(monkeypatch, cold_cache):
     params = select_chi(11, 3)
     F = extension_of(field_make(23, 1), 2)
     calls = []
     rows = hg._char_rows
     monkeypatch.setattr(hg, "_char_rows", lambda *a: calls.append(a) or rows(*a))
-    monkeypatch.setattr(hg, "_prefix_cache", {})
-    monkeypatch.setattr(hg, "_fast_cache", {})
+    prefix_of = cold_cache(hg, "_prefix")
+    fast = cold_cache(hg, "trace_all_fast")
     for x in list(F.nonzero_elements())[1:4]:
         hg.trace_at(params, F, x)
-    trace_all_fast(params, F)
+    fast(params, F)
     assert calls == [(params, F)]
+    assert prefix_of.cache_info()[:2] == (3, 1)    # (hits, misses)
 
 
 def rolled_char_rows(params, k):
@@ -391,31 +392,62 @@ def test_char_rows_peak_memory():
     assert peak <= 1.5 * sum(r.nbytes for r in rows)
 
 
-def test_fast_cache_keyed_by_field_and_bounded(monkeypatch):
+def _fast_cache_fields():
+    """F_4 and its tower copy extension_of(F_2, 2), then 9 more fields."""
+    base = field_make(2, 1)
+    return [field_make(2, 2)] + [extension_of(base, 2 * d) for d in range(1, 6)] \
+        + [field_make(q, 1) for q in (7, 13, 19, 31, 37)]
+
+
+def test_fast_cache_keyed_by_field_and_bounded(cold_cache):
     # start empty: a map cached by an earlier test would be a hit that keeps
     # its old place in the eviction order
-    monkeypatch.setattr(hg, "_fast_cache", {})
+    fast = cold_cache(hg, "trace_all_fast")
     params = select_chi(3, 2)
-    base = field_make(2, 1)
-    fields = [field_make(2, 2)] + [extension_of(base, 2 * d) for d in range(1, 6)] \
-        + [field_make(q, 1) for q in (7, 13, 19, 31, 37)]
-    maps = [trace_all_fast(params, F) for F in fields]
-    assert [key[1] for key in hg._fast_cache] == fields[-hg.FAST_CACHE_SIZE:]
+    fields = _fast_cache_fields()
+    maps = [fast(params, F) for F in fields]
+    info = fast.cache_info()
+    assert (info.misses, info.currsize) == (len(fields), hg.FAST_CACHE_SIZE)
+    # the newest FAST_CACHE_SIZE pairs are hits that return the same map
+    kept = slice(-hg.FAST_CACHE_SIZE, None)
+    assert all(fast(params, F) is m for F, m in zip(fields[kept], maps[kept]))
+    assert fast.cache_info().hits == hg.FAST_CACHE_SIZE
     # field_make(2, 2) and extension_of(F_2, 2) are distinct objects, so
     # neither may be served the other's map
     assert maps[0] is not maps[1]
-    assert trace_all_fast(params, fields[-1]) is maps[-1]
+    assert fast(params, fields[0]) is not maps[0]      # evicted
+
+
+def test_fast_cache_keeps_the_most_recently_used(cold_cache):
+    # a pair read again just before its eviction outlives the pairs read
+    # after it the first time: least recently used, not first in, goes first
+    fast = cold_cache(hg, "trace_all_fast")
+    assert fast.cache_parameters()["maxsize"] == hg.FAST_CACHE_SIZE
+    params = select_chi(3, 2)
+    fields = _fast_cache_fields()
+    first = fast(params, fields[0])
+    for F in fields[1:hg.FAST_CACHE_SIZE]:
+        fast(params, F)
+    assert fast(params, fields[0]) is first            # full now: a hit
+    fast(params, fields[hg.FAST_CACHE_SIZE])           # evicts fields[1]
+    assert fast(params, fields[0]) is first
+    assert fast.cache_info()[:2] == (2, hg.FAST_CACHE_SIZE + 1)
+    # the tower copy of F_4 is a key of its own, not F_4's map
+    tower = fast(params, fields[1])
+    assert tower is not first and tower.field is fields[1]
+    assert fast.cache_info().misses == hg.FAST_CACHE_SIZE + 2
 
 
 @pytest.mark.parametrize("N,n,q", [(3, 2, 7), (3, 2, 49), (11, 3, 23)])
-def test_fast_map_keys_in_dlog_order(monkeypatch, N, n, q):
+def test_fast_map_keys_in_dlog_order(cold_cache, N, n, q):
     # the scans iterate the map as it is, so its order is the report's order
-    monkeypatch.setattr(hg, "_fast_cache", {})
+    fast = cold_cache(hg, "trace_all_fast")
     params = select_chi(N, n)
     F = field_make(*prime_power(q))
     for _ in range(2):      # a miss, then a cache hit
-        assert [x.k for x in trace_all_fast(params, F)] == list(range(1, q - 1))
-    assert len(hg._fast_cache) == 1
+        assert [x.k for x in fast(params, F)] == list(range(1, q - 1))
+    info = fast.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_trace_conj_symmetry():

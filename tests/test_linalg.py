@@ -6,11 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwork_forge.ff import IncompatibleFields, field_make
-from dwork_forge.linalg import (SingularMatrix, _sparse, det, mat_identity,
+from dwork_forge.linalg import (SingularMatrix, _sparse, det,
                                 mat_inv, mat_mul, null_space, solve_linear,
                                 sparse_feasible, sparse_left_null_space,
                                 sparse_solve, sparse_solve_columns)
 from dwork_forge.unitary import _gram_ks, _pairing, char_poly_matrix, gu_fields
+
+
+def mat_identity(field, n):
+    return [[field.one() if i == j else field.zero() for j in range(n)]
+            for i in range(n)]
 
 
 def left_null_space(rows, field):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwork_forge.ff import embed, field_make
-from dwork_forge.linalg import _echelon, det, mat_identity, mat_mul
+from dwork_forge.linalg import _echelon, det, mat_mul
 from dwork_forge import linalg, unitary
 from dwork_forge.unitary import (Degenerate, HermitianSpace, _conj, _gram_ks,
                                  _pair, _pairing, _roots_with_multiplicity,
@@ -18,6 +18,8 @@ from dwork_forge.unitary import (Degenerate, HermitianSpace, _conj, _gram_ks,
                                  normal_form, sym_power_embed, sym_power_form,
                                  sym_power_matrix)
 from dwork_forge.util import VerificationFailed, check
+
+from test_linalg import mat_identity
 
 
 def rand_matrix(rng, field, n):
