@@ -178,9 +178,9 @@ def criterion_5():
                     recs = [hg.char_poly(test.params, K, x)
                             for x in hg.trace_all_fast(test.params, K)]
                 checked = skipped = full = 0
-                for rec in recs:
-                    hg.newton_polygon(rec, test.lam)
-                    rep = od.unit_root_check(test, rec)  # raises on violation
+                for rec in recs:    # unit_root_check raises on a violation
+                    rep = od.unit_root_check(
+                        test, rec, hg.newton_polygon(rec, test.lam))
                     if rep.skipped:
                         skipped += 1
                     else:

@@ -31,11 +31,20 @@ class ConfigInvalid(ValueError):
     pass
 
 
+def _int_tuple(flag, text):
+    """The integers of a comma-separated flag value, or one error line."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigInvalid(f"{flag} {text!r} is not a comma-separated "
+                            "list of integers") from None
+
+
 def _exponents(args):
     """--R's exponent set, or None once select_chi's refusals that need no
     search have passed: the search is left to the caller."""
     if args.R:
-        return hg.hg_params(args.N, args.n, tuple(int(r) for r in args.R.split(",")))
+        return hg.hg_params(args.N, args.n, _int_tuple("--R", args.R))
     hg.check_chi(args.N, args.n)
     return None
 
@@ -64,11 +73,12 @@ def _checked_point(params, k, x, lam):
     """char_poly at x, its slopes when there is a place, and both checks:
     (the record's JSON dict, whether det and purity passed)."""
     rec = hg.char_poly(params, k, x)
-    if lam is not None:
-        hg.newton_polygon(rec, lam)
+    slopes = None if lam is None else hg.newton_polygon(rec, lam)
     det = hg.verify_det(rec)
     pure = hg.verify_purity(rec)
-    return rec.to_json_dict(), det.passed and pure
+    checks = {"det": "skipped" if det.skipped else "pass" if det.passed else "fail",
+              "purity": "pass" if pure else "fail"}
+    return rec.to_json_dict(slopes, checks), det.passed and pure
 
 
 def _emit(args, text):
@@ -130,9 +140,9 @@ def cmd_ordinary_scan(args):
     if table_fits(K.p, K.f * params.n):    # char_poly builds F_{q^n}
         for x in hg.trace_all_fast(params, K):
             rec = hg.char_poly(params, K, x)
-            hg.newton_polygon(rec, test.lam)
-            od.unit_root_check(test, rec)
-            polygons[K.dlog(x)] = rec.slopes
+            slopes = hg.newton_polygon(rec, test.lam)
+            od.unit_root_check(test, rec, slopes)
+            polygons[K.dlog(x)] = slopes
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["x_dlog", "u_x", "trace_mod_lambda", "norm_u",
@@ -177,8 +187,7 @@ def cmd_breuil_generic(args):
     if args.s or args.t:
         if not (args.s and args.t):
             raise ConfigInvalid("give both --s and --t or neither")
-        s = tuple(int(v) for v in args.s.split(","))
-        t = tuple(int(v) for v in args.t.split(","))
+        s, t = _int_tuple("--s", args.s), _int_tuple("--t", args.t)
         br.require_breuil_height(br.make_rank_one(p, f, e, s, F.one()),
                                  br.make_rank_one(p, f, e, t, F.one()))
         tuples = [(s, t)]
@@ -210,8 +219,7 @@ def cmd_breuil_oracle(args):
     p, e, f = args.p, args.e, args.f
     F = br.frame_field(p, e, f)
     one = F.one()
-    s = tuple(int(v) for v in args.s.split(","))
-    t = tuple(int(v) for v in args.t.split(","))
+    s, t = _int_tuple("--s", args.s), _int_tuple("--t", args.t)
     top = br.make_rank_one(p, f, e, s, one)
     bot = br.make_rank_one(p, f, e, t, one)
     br.require_breuil_height(top, bot)    # before any range(s_j) is built
@@ -274,7 +282,10 @@ def cmd_unitary_normalize(args):
     if f != 1:
         raise ConfigInvalid("unitary-normalize supports prime q")
     Fq2 = un.gu_fields(args.q)[1]
-    data = json.loads(args.matrix)
+    try:
+        data = json.loads(args.matrix)
+    except (ValueError, RecursionError) as exc:    # nested past the parser's depth
+        raise ConfigInvalid(f"--matrix cannot be read as JSON: {exc}") from None
     A = _matrix_from_json(data, Fq2, p)
     # normal_form certifies C-dagger A C = I or raises VerificationFailed
     C = un.diagonalize_to_identity(un.hermitian_space(args.q, A))

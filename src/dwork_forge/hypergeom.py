@@ -21,14 +21,16 @@ trace_at evaluates the last factor at one point only, with integer gathers.
 Characteristic polynomials take the trace over k from the full map's row
 at dlog x and the traces over F_{q^d}, d = 2..n, from trace_at at the
 embedded point, and combine them via Newton's identities with exact
-division; purity / determinant / Newton-polygon checks quantify the
-expected weight n-1, determinant q^(n(n-1)/2) and slope structure.
+division, into a frozen CharPolyRecord. The purity, determinant and
+Newton-polygon checks are functions of the record's polynomial: they return
+their verdicts (a bool, a DetReport, the slopes) for the expected weight
+n-1, determinant q^(n(n-1)/2) and slope structure, and write nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -325,23 +327,24 @@ def trace_all_fast(params: HGParams, k: FieldDesc) -> TraceMap:
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
-@dataclass
+@dataclass(frozen=True)
 class CharPolyRecord:
+    """What char_poly computed at one point. The checks below read it and
+    return their verdicts; none of them writes it."""
     params: HGParams
     q: int
     field: FieldDesc
     x: FFElem
     traces: tuple          # tr Frob^d, d = 1..n
     coeffs: tuple          # det(X - Frob) ascending: coeffs[j] multiplies X^j
-    slopes: tuple | None = None
-    checks: dict = dc_field(default_factory=dict)
 
     @property
     def x_dlog(self):
         return self.field.dlog(self.x)
 
-    def to_json_dict(self):
-        d = {
+    def to_json_dict(self, slopes, checks):
+        """The record's JSON dict, with the caller's slopes (or None) and checks."""
+        return {
             "schema_version": SCHEMA_VERSION,
             "N": self.params.N,
             "n": self.params.n,
@@ -350,11 +353,10 @@ class CharPolyRecord:
             "x_dlog": self.x_dlog,
             "traces": [list(t.coeffs) for t in self.traces],
             "coeffs": [list(c.coeffs) for c in self.coeffs],
-            "slopes": None if self.slopes is None
-            else [f"{s.numerator}/{s.denominator}" for s in self.slopes],
-            "checks": self.checks,
+            "slopes": None if slopes is None
+            else [f"{s.numerator}/{s.denominator}" for s in slopes],
+            "checks": checks,
         }
-        return d
 
 
 def newton_coeffs_from_traces(traces, N, n):
@@ -408,11 +410,11 @@ def char_poly(params: HGParams, k: FieldDesc, x: FFElem) -> CharPolyRecord:
 # ---------------------------------------------------------------------------
 # polygon / determinant / purity checks
 
-def newton_polygon(rec: CharPolyRecord, lam: LambdaPrime):
+def newton_polygon(rec: CharPolyRecord, lam: LambdaPrime) -> tuple:
     """Normalized lambda-adic Newton slopes of the record, nondecreasing.
 
     Slopes are the root valuations (lower convex hull of (i, val(coeff_i))),
-    divided by [k : F_l] when the point field has characteristic l.
+    divided by [k : F_l] when the point field k has characteristic l.
     """
     vals = [val_lambda(c, lam) for c in rec.coeffs]
     check(vals[-1] == 0, "polynomial must be monic")
@@ -427,22 +429,13 @@ def newton_polygon(rec: CharPolyRecord, lam: LambdaPrime):
             else:
                 break
         hull.append(pt)
-    if rec.q % lam.l == 0:
-        m = 0
-        qq = rec.q
-        while qq % lam.l == 0:
-            qq //= lam.l
-            m += 1
-        check(qq == 1, "point field must be a power of l for normalization")
-    else:
-        m = 1
+    m = rec.field.f if rec.field.p == lam.l else 1
     slopes = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         s = Fraction(y1 - y2, x2 - x1) / m
         slopes.extend([s] * (x2 - x1))
     slopes.sort()
-    rec.slopes = tuple(slopes)
-    return rec.slopes
+    return tuple(slopes)
 
 
 TOL = 1e-6   # relative tolerance of the floating-point |.| comparisons
@@ -470,7 +463,6 @@ def verify_det(rec: CharPolyRecord) -> DetReport:
     n = rec.params.n
     expected = rec.q ** (n * (n - 1) // 2)
     if not rec.params.sum_zero:
-        rec.checks["det"] = "skipped"
         return DetReport(True, False, None, expected)
     c0 = rec.coeffs[0]
     eig_prod = c0 if n % 2 == 0 else -c0
@@ -481,9 +473,7 @@ def verify_det(rec: CharPolyRecord) -> DetReport:
     else:
         sign = None
     abs_ok = c0 * c0.conj() == expected * expected
-    rep = DetReport(False, abs_ok, sign, expected)
-    rec.checks["det"] = "pass" if rep.passed else "fail"
-    return rep
+    return DetReport(False, abs_ok, sign, expected)
 
 
 def verify_purity(rec: CharPolyRecord) -> bool:
@@ -502,6 +492,4 @@ def verify_purity(rec: CharPolyRecord) -> bool:
             raise RootFindingFailed(
                 f"root residual {abs(val):.3e} too big (scale {scale:.3e})")
     w = rec.q ** (n - 1)
-    ok = all(abs(abs(r) ** 2 - w) <= TOL * w for r in roots)
-    rec.checks["purity"] = "pass" if ok else "fail"
-    return ok
+    return all(abs(abs(r) ** 2 - w) <= TOL * w for r in roots)

@@ -20,7 +20,8 @@ verify_norm_identity checks it at every point of F_{q_v^d} on arrays: the
 reduction mod lambda is a linear map of the trace map's count rows, u(x)
 runs on dlog integers through the Zech table, and the norm is a dlog
 multiply. u_at, the element-wise evaluation, serves the one-point readers:
-the ordinary locus and the unit-root check.
+the ordinary locus and the unit-root check, which is handed the slopes
+that hypergeom.newton_polygon returned for the point.
 """
 
 from __future__ import annotations
@@ -200,22 +201,20 @@ class UnitRootReport:
     fully_ordinary: bool     # advisory: slopes == (0, 1, ..., n-1)
 
 
-def unit_root_check(test: OrdinaryTest, rec: CharPolyRecord) -> UnitRootReport:
-    """u(x) != 0 forces a unit Frobenius eigenvalue (min normalized slope 0).
+def unit_root_check(test: OrdinaryTest, rec: CharPolyRecord,
+                    slopes: tuple) -> UnitRootReport:
+    """u(x) != 0 forces a unit Frobenius eigenvalue: min normalized slope 0,
+    for the slopes that newton_polygon returned for the record at test.lam.
 
     The slope chain s_i <= s_(i+1) + 1 is quoted from Drinfeld--Kedlaya and
     not re-verified; full ordinarity is reported as advisory only.
     """
-    if rec.slopes is None:
-        raise ValueError("compute newton_polygon first")
     # u has coefficients in F_l, so it evaluates in whatever field rec.x lives in
-    u_val = test.u_at(rec.x)
-    if u_val.is_zero():
+    if test.u_at(rec.x).is_zero():
         return UnitRootReport(True, False, False)
-    n = test.params.n
-    min_zero = min(rec.slopes) == 0
-    full = list(rec.slopes) == list(range(n))
+    min_zero = min(slopes) == 0
+    full = list(slopes) == list(range(test.params.n))
     if not min_zero:
         raise VerificationFailed(
-            f"unit-root violation at x_dlog={rec.x_dlog}: slopes {rec.slopes}")
+            f"unit-root violation at x_dlog={rec.x_dlog}: slopes {slopes}")
     return UnitRootReport(False, min_zero, full)

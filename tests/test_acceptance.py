@@ -242,18 +242,38 @@ def _cold_acceptance_caches(cold_cache):
             for name in ("_sweep", "_ordinary_test", "_norm_identity")]
 
 
-def test_criterion_5_alone_builds_the_sweep_it_reuses(report, cold_cache):
+def test_criterion_5_alone_builds_the_sweep_it_reuses(report, cold_cache,
+                                                      monkeypatch):
     rep, _ = report
     expected = {c["id"]: c for c in rep["criteria"] if c["id"] in (2, 5)}
     sweep, _, _ = _cold_acceptance_caches(cold_cache)
+    polygon_recs = []
+    polygon = hg.newton_polygon
+    monkeypatch.setattr(hg, "newton_polygon",
+                        lambda rec, lam: polygon_recs.append(rec) or polygon(rec, lam))
     c5, _ = acceptance.run_criterion(5)
-    # its d = 1 newton polygons went onto criterion 2's records
+    # its d = 1 newton polygons ran on criterion 2's records themselves
     built = sweep.cache_info().misses
+    read = {id(rec) for rec in polygon_recs}
     for N, n, l in acceptance.NORM_CONFIGS:
-        assert all(rec.slopes is not None for rec in sweep(N, n, l)[2])
+        assert all(id(rec) in read for rec in sweep(N, n, l)[2])
     assert sweep.cache_info().misses == built
     c2, _ = acceptance.run_criterion(2)
     assert {2: c2, 5: c5} == expected
+
+
+def test_criteria_3_and_5_leave_criterion_2s_records_unchanged(cold_cache):
+    # the checks return their verdicts, so the cached sweep records that
+    # criteria 3 and 5 check still equal a fresh char_poly at every point
+    sweep, _, _ = _cold_acceptance_caches(cold_cache)
+    assert acceptance.criterion_2()["passed"]
+    recs = {cfg: sweep(*cfg)[2] for cfg in acceptance.TRACE_CONFIGS}
+    assert acceptance.criterion_3()["passed"]
+    assert acceptance.criterion_5()["passed"]
+    for cfg, cached in recs.items():
+        params, k, again = sweep(*cfg)
+        assert again is cached
+        assert cached == [hg.char_poly(params, k, rec.x) for rec in cached]
 
 
 def test_criterion_5_reads_the_norm_identity_rows_of_criterion_4(monkeypatch,

@@ -130,12 +130,10 @@ def test_hg_charpoly_refuses_its_tower_before_any_field(monkeypatch):
 
 
 def _failed_purity(rec):
-    rec.checks["purity"] = "fail"
     return False
 
 
 def _failed_det(rec):
-    rec.checks["det"] = "fail"
     return hg.DetReport(False, False, None, rec.q)
 
 
@@ -372,6 +370,35 @@ def test_breuil_oracle_malformed_y_term(capsys, term):
     assert code == 2 and captured.out == ""
     assert captured.err == (f"error: --y term {term!r} is not deg:coeff "
                             "or j.deg:coeff with integers\n")
+
+
+@pytest.mark.parametrize("argv,err", [
+    ("hg-scan --N 3 --n 2 --R 1,,2 --q 7",
+     "--R '1,,2' is not a comma-separated list of integers"),
+    ("hg-charpoly --N 3 --n 2 --R 1,x --q 7 --x 3",
+     "--R '1,x' is not a comma-separated list of integers"),
+    ("ordinary-scan --N 3 --n 2 --R 1,2.5 --l 7",
+     "--R '1,2.5' is not a comma-separated list of integers"),
+    ("breuil-generic --p 5 --e 1 --f 1 --s 1,a --t 0",
+     "--s '1,a' is not a comma-separated list of integers"),
+    ("breuil-oracle --p 5 --e 2 --f 1 --s 3 --t x",
+     "--t 'x' is not a comma-separated list of integers"),
+    ("unitary-normalize --q 7 --matrix x",
+     "--matrix cannot be read as JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("unitary-normalize --q 7 --matrix [[1]",
+     "--matrix cannot be read as JSON: Expecting ',' delimiter: line 1 column 5 (char 4)"),
+])
+def test_malformed_flag_value_is_one_designed_error_line(argv, err):
+    # the line names the flag, as for a malformed --y term
+    assert run_quiet(argv.split(" ")) == (2, "", f"error: {err}\n")
+
+
+def test_matrix_nested_past_the_json_parser_depth_is_one_error_line():
+    # valid JSON, but deeper than json.loads recurses: no traceback
+    nested = "[" * 5000 + "]" * 5000
+    code, out, err = run_quiet(["unitary-normalize", "--q", "7", "--matrix", nested])
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err.startswith("error: --matrix cannot be read as JSON: maximum recursion")
 
 
 @pytest.mark.parametrize("beta", [1, 2])

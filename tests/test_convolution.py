@@ -119,6 +119,58 @@ def test_error_bound_rejects_huge_inputs():
     assert conv2d_cyclic(big, big, L, N).tolist() == naive_conv2d(big, big, L, N)
 
 
+@pytest.fixture
+def rounding_margins(monkeypatch):
+    """A list that gets one (observed, bound, certified) entry per FFT
+    product: the largest distance of an entry from the integer it rounds
+    to, check 1's fft_error_bound for its inputs, and whether the product
+    was certified. numpy.rint, fft_error_bound and _conv2d_fft are wrapped."""
+    rint, error_bound, fft = np.rint, fft_error_bound, convolution._conv2d_fft
+    distances, bounds, products = [], [], []
+
+    def recording_rint(X):
+        Y = rint(X)
+        distances.append(float(np.abs(X - Y).max()))
+        return Y
+
+    def recording_fft(a, b, L, N):
+        distances.clear()
+        bounds.clear()
+        out = fft(a, b, L, N)
+        products.append((max(distances), bounds[-1], out is not None))
+        return out
+
+    monkeypatch.setattr(np, "rint", recording_rint)
+    monkeypatch.setattr(convolution, "fft_error_bound",
+                        lambda *args: bounds.append(error_bound(*args)) or bounds[-1])
+    monkeypatch.setattr(convolution, "_conv2d_fft", recording_fft)
+    return products
+
+
+def test_trace_products_round_within_the_error_bound(rounding_margins,
+                                                     cold_cache):
+    # both products of the (7, 3) trace map over F_71^3, L = 357,910 and
+    # N = 7: the final one rounds about 5e-5 from the integers, against a
+    # bound of about 1.7e-3
+    cold_cache(hg, "_prefix")
+    cold_cache(hg, "trace_all_fast")
+    hg.trace_all_fast(select_chi(7, 3), field_make(71, 3))
+    assert len(rounding_margins) == 2
+    for observed, bound, certified in rounding_margins:
+        assert certified and observed < bound
+
+
+def test_uniform_product_rounds_within_the_error_bound(rounding_margins):
+    # entries uniform in [0, 2000] at the same L and N: about 6e-3 against
+    # a bound of about 0.17, and below ROUND_LIMIT, so certified
+    L, N = 357910, 7
+    rng = np.random.default_rng(1)
+    a, b = (rng.integers(0, 2001, (L, N)).tolist() for _ in range(2))
+    assert convolution._conv2d_fft(a, b, L, N) is not None
+    [(observed, bound, certified)] = rounding_margins
+    assert certified and observed < bound
+
+
 def test_product_dtype_by_engine():
     a = [[1, 2], [3, 4]]
     assert convolution._conv2d_fft(a, a, 2, 2).dtype == np.int64

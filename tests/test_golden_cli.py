@@ -46,6 +46,9 @@ COMMANDS = [
     "hg-scan --N 5 --n 2 --q 16 --l 2",
     "hg-scan --N 5 --n 2 --q 81 --l 3",
     "hg-charpoly --N 7 --n 3 --q 8 --x 3 --l 2",
+    "hg-charpoly --N 5 --n 1 --R 2 --q 11 --x 3",
+    "ordinary-scan --N 11 --n 3 --l 23 --d 1",
+    "hg-scan --N 11 --n 3 --q 23 --l 23",
 ]
 
 DIGESTS = {
@@ -108,6 +111,15 @@ DIGESTS = {
         "248354a047fc4afc2994c726363cd5ca47bac9c30171b9122df85e62ef19cae5",
     "hg-charpoly --N 7 --n 3 --q 8 --x 3 --l 2":
         "81f20b78ef7d807f92b94f3a74d249cdac7059ff351c9249395c12720330c583",
+    # record shapes no other digest covers: "det": "skipped" (a
+    # non-sum-zero exponent set), rank-3 slopes with the unit-root check at
+    # every point, and a rank-3 scan with slopes
+    "hg-charpoly --N 5 --n 1 --R 2 --q 11 --x 3":
+        "f3924fe3e84b4adab57a4c3590c5bcdb01ae624f23dc8a792852a584b1f1c7c6",
+    "ordinary-scan --N 11 --n 3 --l 23 --d 1":
+        "75ecf27a7a6af87cec5e0241868652a51bfc002e14cfa16745c7c44292f37c35",
+    "hg-scan --N 11 --n 3 --q 23 --l 23":
+        "c9046d0fbb70527262f29217d66f7a0300a0e85b8344518aa8198dce34a7c77c",
 }
 
 # (p, e, f) frames whose every (s, t) pair goes through the monodromy dump

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from fractions import Fraction
@@ -518,10 +519,10 @@ def test_exact_det_modulus_matches_every_embedding(N, n, q):
         rec = char_poly(params, F, x)
         c0 = rec.coeffs[0]
         for const, pure in ((c0, True), (c0 + 1, False)):
-            rec.coeffs = (const,) + rec.coeffs[1:]
+            changed = dataclasses.replace(rec, coeffs=(const,) + rec.coeffs[1:])
             floating = all(abs(abs(z) - expected) <= 1e-6 * expected
                            for z in all_embeddings(const))
-            assert verify_det(rec).abs_ok == floating == pure
+            assert verify_det(changed).abs_ok == floating == pure
 
 
 def test_det_skipped_for_non_sum_zero():
@@ -562,7 +563,7 @@ def test_newton_polygon_synthetic():
     class FakeRec:
         params = select_chi(3, 2)
         q = 7
-        slopes = None
+        field = field_make(7, 1)    # characteristic l = 7, degree 1: m = 1
 
     rec = FakeRec()
     one = CyclotomicInt.one(3)
@@ -575,6 +576,12 @@ def test_newton_polygon_synthetic():
     rec3 = FakeRec()
     rec3.coeffs = (one * 3, one * 2, one)
     assert newton_polygon(rec3, lam) == (Fraction(0), Fraction(0))
+    # the point field's degree over F_l divides the slopes (F_49: by 2),
+    # and a field of another characteristic leaves them as they are
+    rec2.field = field_make(7, 2)
+    assert newton_polygon(rec2, lam) == (Fraction(1, 2), Fraction(1))
+    rec2.field = field_make(13, 1)
+    assert newton_polygon(rec2, lam) == (Fraction(1), Fraction(2))
 
 
 def test_newton_roundtrip_property():

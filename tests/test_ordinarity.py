@@ -1,15 +1,19 @@
+import dataclasses
 import random
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from dwork_forge.ff import char_value, extension_of, norm_to_subfield
-from dwork_forge.hypergeom import char_poly, newton_polygon, select_chi, trace_all_fast
+from dwork_forge.hypergeom import (char_poly, newton_polygon, select_chi,
+                                   trace_all_fast, verify_det, verify_purity)
 from dwork_forge.lambda_adic import reduce_mod_lambda
 from dwork_forge.ordinarity import (build_ordinary_test, exponents_c,
                                     lucas_check, ordinary_locus, u_poly,
                                     unit_root_check, verify_norm_identity)
+from dwork_forge.util import VerificationFailed
 
 
 def test_exponents_c_standard_tau():
@@ -158,8 +162,7 @@ def test_unit_root_check_paths():
     K = test.field_v
     for x in sorted(trace_all_fast(params, K), key=lambda e: e.k):
         rec = char_poly(params, K, x)
-        newton_polygon(rec, test.lam)
-        rep = unit_root_check(test, rec)
+        rep = unit_root_check(test, rec, newton_polygon(rec, test.lam))
         if test.u_at(x).is_zero():
             assert rep.skipped
         else:
@@ -167,9 +170,39 @@ def test_unit_root_check_paths():
 
 
 def test_unit_root_requires_slopes():
+    # the check judges the slopes it is handed, whatever the record's
+    # polygon is: slopes without a 0 at a u-nonvanishing point are a
+    # violation, and a point with u(x) = 0 is skipped whatever the slopes
+    params = select_chi(3, 2)
+    test = build_ordinary_test(params, 7)
+    K = extension_of(test.field_v, 2)       # F_7 has no zero of u
+    points = sorted(trace_all_fast(params, K), key=lambda e: e.k)
+    unit = next(x for x in points if not test.u_at(x).is_zero())
+    rec = char_poly(params, K, unit)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(VerificationFailed, match="unit-root violation"):
+        unit_root_check(test, rec, half)
+    rep = unit_root_check(test, rec, (Fraction(0), Fraction(1)))
+    assert not rep.skipped and rep.min_slope_zero and rep.fully_ordinary
+    rep = unit_root_check(test, rec, (Fraction(0), Fraction(0)))
+    assert rep.min_slope_zero and not rep.fully_ordinary
+    zero = next(x for x in points if test.u_at(x).is_zero())
+    assert unit_root_check(test, char_poly(params, K, zero), half).skipped
+
+
+def test_checks_leave_the_record_equal_to_a_fresh_one():
+    # every per-point check returns its verdict and writes nothing: after
+    # all four, each record still equals char_poly's at the same point
     params = select_chi(3, 2)
     test = build_ordinary_test(params, 7)
     K = test.field_v
-    rec = char_poly(params, K, K.from_encoding(3))
-    with pytest.raises(ValueError, match="newton_polygon first"):
-        unit_root_check(test, rec)
+    for x in trace_all_fast(params, K):
+        rec = char_poly(params, K, x)
+        slopes = newton_polygon(rec, test.lam)
+        assert verify_det(rec).passed and verify_purity(rec)
+        unit_root_check(test, rec, slopes)
+        assert rec == char_poly(params, K, x)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.coeffs = rec.coeffs[::-1]
+    fields = {f.name for f in dataclasses.fields(rec)}
+    assert fields == {"params", "q", "field", "x", "traces", "coeffs"}
